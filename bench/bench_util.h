@@ -14,19 +14,11 @@
 // (a positive float) to scale row counts, e.g. CASM_BENCH_SCALE=10 for a
 // longer, higher-fidelity run.
 //
-// Fault injection: set CASM_BENCH_INJECT_FAULTS=1 to fail the first map
-// task and the first reduce task of every job on their first attempt.
-// Results are unchanged (the engine replays the failed attempts); the
-// knob exists to measure the retry path's overhead and to keep the
-// fault-tolerant substrate exercised by the figure harnesses.
-//
-// Straggler injection: set CASM_BENCH_SLOW_TASKS=<seconds> (a positive
-// float) to delay every job's first map task by that many seconds on its
-// primary execution, with speculative execution enabled so a backup
-// recovers the tail. Results are unchanged (the slowed primary loses the
-// race and its output is discarded); the knob keeps the straggler
-// defenses exercised by the same harnesses that exercise retries. See
-// bench/fig_straggler.cc for the dedicated tail-latency experiment.
+// Fault injection: CASM_FAULT_PLAN (common/fault.h) applies to every
+// harness, e.g. CASM_FAULT_PLAN='task_crash=*:0:1' fails the first
+// attempt of task 0 in every phase of every job; results are unchanged
+// (the engine replays the failed attempts). See bench/fig_straggler.cc
+// for the straggler and speculation experiment.
 
 #ifndef CASM_BENCH_BENCH_UTIL_H_
 #define CASM_BENCH_BENCH_UTIL_H_
@@ -74,21 +66,6 @@ struct RunOutcome {
 /// Runs a specific plan, returning engine metrics and the modeled cluster
 /// response time. Aborts on failure (benchmarks only run supported
 /// configurations).
-/// True when CASM_BENCH_INJECT_FAULTS asks for first-attempt task faults.
-inline bool InjectFaults() {
-  const char* env = std::getenv("CASM_BENCH_INJECT_FAULTS");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
-
-/// Injected straggler latency in seconds from CASM_BENCH_SLOW_TASKS
-/// (0 = none).
-inline double SlowTaskSeconds() {
-  const char* env = std::getenv("CASM_BENCH_SLOW_TASKS");
-  if (env == nullptr) return 0;
-  const double seconds = std::atof(env);
-  return seconds > 0 ? seconds : 0;
-}
-
 inline RunOutcome RunPlan(const Workflow& wf, const Table& table,
                           const ExecutionPlan& plan,
                           const ClusterConfig& cluster,
@@ -97,30 +74,6 @@ inline RunOutcome RunPlan(const Workflow& wf, const Table& table,
   eval.num_mappers = cluster.num_mappers;
   eval.num_reducers = cluster.num_reducers;
   eval.phase = phase;
-  if (InjectFaults()) {
-    eval.fault_injector = [](MapReduceTaskPhase, int task, int attempt) {
-      if (task == 0 && attempt == 1) {
-        return Status::Internal("injected bench fault");
-      }
-      return Status::OK();
-    };
-  }
-  if (const double slow = SlowTaskSeconds(); slow > 0) {
-    // Slow the first map task's primary execution; speculation launches a
-    // fast backup that wins, so results are unchanged. The backup needs a
-    // spare worker to overlap the (CPU-idle) sleeping straggler, so make
-    // sure the pool has a few even on single-core machines.
-    eval.num_threads = std::max(eval.num_threads, 4);
-    const int max_attempts = eval.max_task_attempts;
-    eval.slow_task_injector = [slow, max_attempts](MapReduceTaskPhase phase,
-                                                   int task, int attempt) {
-      const bool primary = attempt <= max_attempts;
-      return phase == MapReduceTaskPhase::kMap && task == 0 && primary ? slow
-                                                                       : 0.0;
-    };
-    eval.speculative_execution = true;
-    eval.speculation_min_runtime_seconds = std::min(0.05, slow / 4);
-  }
   Result<ParallelEvalResult> result = EvaluateParallel(wf, table, plan, eval);
   CASM_CHECK(result.ok()) << result.status().ToString();
   RunOutcome outcome{std::move(result).value(), plan, 0};

@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -218,18 +219,21 @@ int main() {
     ParallelEvalOptions kill_opts = BaseOptions(cluster, dir);
     std::filesystem::remove_all(dir, ec);
     auto runs = std::make_shared<std::atomic<int>>(0);
-    kill_opts.fault_injector = [runs](MapReduceTaskPhase phase, int task,
-                                      int attempt) -> Status {
-      if (phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1) {
+    FaultPlan kill;
+    kill.set_parent(FaultPlan::FromEnv());
+    kill.AddCrashHook([runs](const char* phase, int task,
+                             int attempt) -> Status {
+      if (std::string_view(phase) == "map" && task == 0 && attempt == 1) {
         runs->fetch_add(1);
       }
       if (runs->load() > 2) {
         return Status::Internal("injected kill after 2 jobs");
       }
       return Status::OK();
-    };
+    });
+    kill_opts.fault_plan = &kill;
     Result<MultiJobResult> dead = EvaluateMultiJob(wf, table, kill_opts);
-    CASM_CHECK(!dead.ok()) << "kill injector did not kill the sequence";
+    CASM_CHECK(!dead.ok()) << "kill hook did not kill the sequence";
 
     FaultPlan plan(13);
     FaultPlan::NodeOutage outage;

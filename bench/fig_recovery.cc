@@ -11,7 +11,7 @@
 // boundary k in 1..5:
 //
 //   kill     — run with checkpointing into a fresh volume and a fault
-//              injector that fails every task once k jobs have committed;
+//              plan hook that fails every task once k jobs have committed;
 //              the run dies mid-sequence, leaving k durable entries;
 //   resume   — re-run against the same volume: the k committed jobs are
 //              restored (fingerprint- and checksum-verified) and only the
@@ -33,9 +33,11 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "bench/bench_util.h"
 #include "ckpt/checkpoint.h"
+#include "common/fault.h"
 #include "core/multijob_evaluator.h"
 #include "measure/workflow.h"
 
@@ -137,10 +139,11 @@ int main() {
     // runs map task 0's first attempt exactly once per job, so counting
     // those sightings counts completed engine runs.
     auto runs = std::make_shared<std::atomic<int>>(0);
-    ParallelEvalOptions killed = opts;
-    killed.fault_injector = [k, runs](MapReduceTaskPhase phase, int task,
-                                      int attempt) -> Status {
-      if (phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1) {
+    FaultPlan kill;
+    kill.set_parent(FaultPlan::FromEnv());
+    kill.AddCrashHook([k, runs](const char* phase, int task,
+                                int attempt) -> Status {
+      if (std::string_view(phase) == "map" && task == 0 && attempt == 1) {
         runs->fetch_add(1);
       }
       if (runs->load() > k) {
@@ -148,11 +151,13 @@ int main() {
                                 " jobs");
       }
       return Status::OK();
-    };
+    });
+    ParallelEvalOptions killed = opts;
+    killed.fault_plan = &kill;
     t0 = std::chrono::steady_clock::now();
     Result<MultiJobResult> dead = EvaluateMultiJob(wf, table, killed);
     const double kill_seconds = Seconds(t0);
-    CASM_CHECK(!dead.ok()) << "kill injector did not kill the sequence";
+    CASM_CHECK(!dead.ok()) << "kill hook did not kill the sequence";
 
     // ---- resume: committed jobs restore, the rest recompute.
     t0 = std::chrono::steady_clock::now();

@@ -28,6 +28,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/fault.h"
 #include "obs/trace.h"
 
 int main() {
@@ -63,15 +64,15 @@ int main() {
   // keeps the experiment meaningful at small CASM_BENCH_SCALE.
   const double delay =
       std::max(20.0 * clean_metrics.map_attempt_p50_seconds, 0.5);
-  const int max_attempts = base.max_task_attempts;
-  auto slow_primary_map = [delay, max_attempts](MapReduceTaskPhase phase,
-                                                int task, int attempt) {
-    // Slow every attempt of task 0's primary execution; the speculative
-    // backup (attempt > max_task_attempts) runs at full speed.
-    const bool primary = attempt <= max_attempts;
-    return phase == MapReduceTaskPhase::kMap && task == 0 && primary ? delay
-                                                                     : 0.0;
-  };
+  // Slow every attempt of task 0's primary execution, one spec per
+  // primary attempt; the speculative backup (attempt > max_task_attempts)
+  // runs at full speed.
+  FaultPlan slow_primary_map;
+  slow_primary_map.set_parent(FaultPlan::FromEnv());
+  for (int attempt = 1; attempt <= base.max_task_attempts; ++attempt) {
+    slow_primary_map.Add(FaultPlan::TaskSlowdown{
+        .phase = "map", .task = 0, .attempt = attempt, .seconds = delay});
+  }
 
   // ---- straggler, no speculation: the tail absorbs the full delay.
   // A locally-enabled recorder traces this run regardless of CASM_TRACE;
@@ -79,7 +80,7 @@ int main() {
   TraceRecorder no_spec_trace;
   no_spec_trace.set_enabled(true);
   ParallelEvalOptions straggler = base;
-  straggler.slow_task_injector = slow_primary_map;
+  straggler.fault_plan = &slow_primary_map;
   straggler.trace = &no_spec_trace;
   Result<ParallelEvalResult> no_spec =
       EvaluateParallel(wf, table, plan, straggler);

@@ -83,12 +83,6 @@ FaultPlan& FaultPlan::AddSlowdownHook(TaskDelayHook hook) {
   return *this;
 }
 
-FaultPlan& FaultPlan::AddThrottleHook(TaskDelayHook hook) {
-  CASM_CHECK(hook != nullptr);
-  throttle_hooks_.push_back(std::move(hook));
-  return *this;
-}
-
 int FaultPlan::NewNthSlot() {
   counters_->nth.push_back(std::make_unique<std::atomic<int64_t>>(0));
   return static_cast<int>(counters_->nth.size()) - 1;
@@ -109,7 +103,7 @@ double FaultPlan::UnitHash(uint64_t tag, std::string_view s, int64_t a,
 
 Status FaultPlan::OnTaskAttempt(const char* phase, int task,
                                 int attempt) const {
-  // Every hook runs on every attempt (legacy injectors count invocations);
+  // Every hook runs on every attempt (hooks may count invocations);
   // the first failure wins but does not short-circuit later hooks.
   Status failed = Status::OK();
   for (const TaskStatusHook& hook : crash_hooks_) {
@@ -159,9 +153,6 @@ double FaultPlan::TaskSlowdownSeconds(const char* phase, int task,
 double FaultPlan::RecordThrottleSeconds(const char* phase, int task,
                                         int attempt) const {
   double total = 0;
-  for (const TaskDelayHook& hook : throttle_hooks_) {
-    total += hook(phase, task, attempt);
-  }
   for (const RecordThrottle& t : throttles_) {
     if (PhaseMatches(t.phase, phase) && IntMatches(t.task, task) &&
         IntMatches(t.attempt, attempt)) {
@@ -252,8 +243,7 @@ bool FaultPlan::armed() const {
   const bool own = !crashes_.empty() || !slowdowns_.empty() ||
                    !throttles_.empty() || !io_errors_.empty() ||
                    !corruptions_.empty() || !outages_.empty() ||
-                   !crash_hooks_.empty() || !slowdown_hooks_.empty() ||
-                   !throttle_hooks_.empty();
+                   !crash_hooks_.empty() || !slowdown_hooks_.empty();
   return own || (parent_ != nullptr && parent_->armed());
 }
 
@@ -333,6 +323,30 @@ Status ParsePhase(const std::string& clause, const std::string& token,
                                  "' (want map|reduce|*)");
 }
 
+/// Parses a probability in [0, 1] (NaN is rejected too).
+Status ParseProbability(const std::string& clause, const std::string& token,
+                        double* out) {
+  CASM_RETURN_IF_ERROR(ParseDouble(clause, token, out));
+  if (!(*out >= 0 && *out <= 1)) {
+    return Status::InvalidArgument("fault plan: probability '" + token +
+                                   "' outside [0,1] in clause '" + clause +
+                                   "'");
+  }
+  return Status::OK();
+}
+
+/// Parses a non-negative delay: matching delays are summed, so a negative
+/// one would silently cancel another spec's.
+Status ParseSeconds(const std::string& clause, const std::string& token,
+                    double* out) {
+  CASM_RETURN_IF_ERROR(ParseDouble(clause, token, out));
+  if (!(*out >= 0)) {
+    return Status::InvalidArgument("fault plan: negative delay '" + token +
+                                   "' in clause '" + clause + "'");
+  }
+  return Status::OK();
+}
+
 /// Parses an integer field that admits "*" for "any" (-1).
 Status ParseAnyInt(const std::string& clause, const std::string& token,
                    int* out) {
@@ -342,6 +356,12 @@ Status ParseAnyInt(const std::string& clause, const std::string& token,
   }
   int64_t v = 0;
   CASM_RETURN_IF_ERROR(ParseInt(clause, token, &v));
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("fault plan: '" + token +
+                                   "' is out of int range in clause '" +
+                                   clause + "'");
+  }
   *out = static_cast<int>(v);
   return Status::OK();
 }
@@ -384,6 +404,10 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       if (args.size() == 3) {
         CASM_RETURN_IF_ERROR(ParseInt(clause, args[1], &o.from_io_op));
         CASM_RETURN_IF_ERROR(ParseInt(clause, args[2], &o.to_io_op));
+        if (o.from_io_op >= o.to_io_op) {
+          return Status::InvalidArgument(
+              "fault plan: node_down wants FROM < TO in '" + clause + "'");
+        }
       }
       plan.Add(o);
     } else if (key == "io_error" || key == "io_error_nth") {
@@ -394,7 +418,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       }
       IoError e;
       if (key == "io_error") {
-        CASM_RETURN_IF_ERROR(ParseDouble(clause, args[0], &e.probability));
+        CASM_RETURN_IF_ERROR(ParseProbability(clause, args[0], &e.probability));
       } else {
         CASM_RETURN_IF_ERROR(ParseInt(clause, args[0], &e.every_nth));
         if (e.every_nth <= 0) {
@@ -421,7 +445,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       }
       BlockCorruption c;
       if (key == "block_corrupt") {
-        CASM_RETURN_IF_ERROR(ParseDouble(clause, args[0], &c.probability));
+        CASM_RETURN_IF_ERROR(ParseProbability(clause, args[0], &c.probability));
       } else {
         CASM_RETURN_IF_ERROR(ParseInt(clause, args[0], &c.every_nth));
         if (c.every_nth <= 0) {
@@ -442,7 +466,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[1], &c.task));
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[2], &c.attempt));
       if (args.size() == 4) {
-        CASM_RETURN_IF_ERROR(ParseDouble(clause, args[3], &c.probability));
+        CASM_RETURN_IF_ERROR(ParseProbability(clause, args[3], &c.probability));
       }
       plan.Add(std::move(c));
     } else if (key == "slow_task") {
@@ -455,7 +479,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       CASM_RETURN_IF_ERROR(ParsePhase(clause, args[0], &s.phase));
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[1], &s.task));
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[2], &s.attempt));
-      CASM_RETURN_IF_ERROR(ParseDouble(clause, args[3], &s.seconds));
+      CASM_RETURN_IF_ERROR(ParseSeconds(clause, args[3], &s.seconds));
       plan.Add(std::move(s));
     } else if (key == "throttle") {
       if (args.size() != 4) {
@@ -468,7 +492,7 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[1], &t.task));
       CASM_RETURN_IF_ERROR(ParseAnyInt(clause, args[2], &t.attempt));
       CASM_RETURN_IF_ERROR(
-          ParseDouble(clause, args[3], &t.seconds_per_record));
+          ParseSeconds(clause, args[3], &t.seconds_per_record));
       plan.Add(std::move(t));
     } else {
       return Status::InvalidArgument("fault plan: unknown clause key '" +

@@ -24,9 +24,9 @@
 // plan replayed over the same execution injects the same faults — chaos
 // runs print their seed and are reproducible.
 //
-// Plans compose: set_parent() chains a local plan (e.g. the adapter the
-// engine builds for the legacy MapReduceSpec injector hooks) in front of a
-// shared one (e.g. the process-global plan parsed from CASM_FAULT_PLAN).
+// Plans compose: set_parent() chains a local plan (e.g. a test's hook
+// plan) in front of a shared one (e.g. the process-global plan parsed from
+// CASM_FAULT_PLAN).
 // Registration (Add*/set_*) is not thread-safe and must finish before the
 // plan is shared; the query methods are thread-safe and lock-free.
 //
@@ -60,8 +60,9 @@ class FaultPlan {
  public:
   // ---- Fault specs ------------------------------------------------------
   // In every spec, `phase` is "map", "reduce", or "" (any); integer fields
-  // use -1 for "any". Attempt numbers are the engine's 1-based injector
-  // attempt numbers (speculative backups are max_task_attempts+1..2*max).
+  // use -1 for "any". Attempt numbers are the engine's 1-based attempt
+  // numbers: a primary execution uses 1..max_task_attempts, a speculative
+  // backup continues with max_task_attempts+1..2*max_task_attempts.
 
   /// A task attempt fails with an Internal Status.
   struct TaskCrash {
@@ -114,12 +115,12 @@ class FaultPlan {
     int64_t to_io_op = std::numeric_limits<int64_t>::max();
   };
 
-  // ---- Legacy adapter hooks ---------------------------------------------
-  // Thin bridges for the pre-existing MapReduceSpec injector fields. Hooks
+  // ---- Task hooks -------------------------------------------------------
+  // Callbacks for stateful injection that specs cannot express: attempt
+  // counters, timestamps, "kill every task once k jobs have run". Hooks
   // run before the plan's own specs and before the parent, and — unlike
-  // specs — *every* crash hook runs on every matching attempt even when an
-  // earlier one already failed the attempt, preserving the legacy
-  // exactly-once-per-attempt invocation contract the mr_fault tests assert.
+  // specs — *every* crash hook runs on every attempt even when an earlier
+  // one already failed it, so a hook observes each attempt exactly once.
 
   /// Returns non-OK to fail the attempt.
   using TaskStatusHook =
@@ -146,7 +147,6 @@ class FaultPlan {
 
   FaultPlan& AddCrashHook(TaskStatusHook hook);
   FaultPlan& AddSlowdownHook(TaskDelayHook hook);
-  FaultPlan& AddThrottleHook(TaskDelayHook hook);
 
   /// Chains `parent` behind this plan: every query that this plan's own
   /// hooks and specs leave unanswered is forwarded to the parent. The
@@ -212,6 +212,9 @@ class FaultPlan {
   ///   slow_task=PHASE:TASK:ATTEMPT:SECONDS
   ///   throttle=PHASE:TASK:ATTEMPT:SECONDS_PER_RECORD
   ///
+  /// Out-of-range values are InvalidArgument: P outside [0,1], negative
+  /// delays, TASK/ATTEMPT/NODE outside `int`, and FROM >= TO.
+  ///
   /// Example: "seed=7; node_down=2; io_error=0.05:read; task_crash=map:0:1"
   static Result<FaultPlan> Parse(const std::string& text);
 
@@ -252,7 +255,6 @@ class FaultPlan {
 
   std::vector<TaskStatusHook> crash_hooks_;
   std::vector<TaskDelayHook> slowdown_hooks_;
-  std::vector<TaskDelayHook> throttle_hooks_;
 
   std::shared_ptr<Counters> counters_;
 };

@@ -55,7 +55,7 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
   spec.num_reducers = options.num_reducers;
   spec.key_width = num_attrs;
   spec.value_width = 1;
-  ApplyEngineOptions(options, &spec);
+  static_cast<EngineOptions&>(spec) = options;
   spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
     for (int64_t r = begin; r < end; ++r) {
       if (((r - begin) & 1023) == 0 && emitter->cancelled()) return;
@@ -145,7 +145,7 @@ Status RunCompositeJob(const Workflow& wf, int index,
   spec.num_reducers = options.num_reducers;
   spec.key_width = num_attrs;
   spec.value_width = row_width;  // [edge, target-or-parent coords, bits]
-  ApplyEngineOptions(options, &spec);
+  static_cast<EngineOptions&>(spec) = options;
   spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
     std::vector<int64_t> value(static_cast<size_t>(row_width));
     for (int64_t r = begin; r < end; ++r) {
@@ -438,7 +438,8 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
     // meaningfully finish.
     ParallelEvalOptions job_options = options;
     // Every job stamps the sequence's resolved label and drives the
-    // sequence-wide progress tracker (ApplyEngineOptions forwards both).
+    // sequence-wide progress tracker (both are EngineOptions, copied
+    // into each job's spec).
     job_options.query_label = query_label;
     job_options.progress = progress;
     job_options.flight = flight;

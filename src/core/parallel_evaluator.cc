@@ -6,7 +6,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "common/logging.h"
 #include "common/math.h"
 #include "core/coverage.h"
+#include "core/eval_internal.h"
 #include "core/keygen.h"
 #include "data/record_batch.h"
 #include "local/derivation.h"
@@ -35,75 +35,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Shared mutable state for result assembly across reducer tasks.
-struct ResultSink {
-  std::mutex mu;
-  MeasureResultSet results;
-  LocalEvalStats local_stats;
-  Status first_error;
-  int64_t blocks = 0;
-  int64_t filtered = 0;
-
-  void Merge(MeasureResultSet&& block_results, const LocalEvalStats& stats,
-             int64_t filtered_here) {
-    std::unique_lock<std::mutex> lock(mu);
-    ++blocks;
-    filtered += filtered_here;
-    local_stats.Accumulate(stats);
-    Status s = results.MergeDisjoint(std::move(block_results));
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-};
-
-/// Drops results whose region the block does not own; returns the kept
-/// set and counts the dropped records.
-MeasureResultSet FilterOwned(const Workflow& wf,
-                             const std::vector<KeyGenAttr>& keygen,
-                             const int64_t* block, MeasureResultSet&& all,
-                             int64_t* filtered) {
-  const Schema& schema = *wf.schema();
-  MeasureResultSet kept(wf.num_measures());
-  for (int i = 0; i < wf.num_measures(); ++i) {
-    const Measure& m = wf.measure(i);
-    MeasureValueMap& out = kept.mutable_values(i);
-    for (auto& [coords, value] : all.mutable_values(i)) {
-      if (BlockOwnsRegion(schema, m, keygen, block, coords)) {
-        out.emplace(coords, value);
-      } else {
-        ++*filtered;
-      }
-    }
-  }
-  return kept;
-}
-
 }  // namespace
-
-void ApplyEngineOptions(const ParallelEvalOptions& options,
-                        MapReduceSpec* spec) {
-  spec->reducer_memory_limit_pairs = options.reducer_memory_limit_pairs;
-  spec->memory_budget_bytes = options.memory_budget_bytes;
-  spec->emitter_spill_threshold_bytes = options.emitter_spill_threshold_bytes;
-  spec->max_task_attempts = options.max_task_attempts;
-  spec->fault_injector = options.fault_injector;
-  spec->fault_plan = options.fault_plan;
-  spec->retry_backoff_initial_ms = options.retry_backoff_initial_ms;
-  spec->retry_backoff_max_ms = options.retry_backoff_max_ms;
-  spec->deadline_seconds = options.deadline_seconds;
-  spec->cancel = options.cancel;
-  spec->speculative_execution = options.speculative_execution;
-  spec->speculation_latency_multiple = options.speculation_latency_multiple;
-  spec->speculation_min_completed_fraction =
-      options.speculation_min_completed_fraction;
-  spec->speculation_min_runtime_seconds =
-      options.speculation_min_runtime_seconds;
-  spec->slow_task_injector = options.slow_task_injector;
-  spec->record_throttle_injector = options.record_throttle_injector;
-  spec->trace = options.trace;
-  spec->flight = options.flight;
-  spec->progress = options.progress;
-  spec->query_label = options.query_label;
-}
 
 std::string DescribeOptions(const ParallelEvalOptions& options) {
   auto num = [](int64_t v) { return std::to_string(v); };
@@ -295,7 +227,7 @@ Result<ParallelEvalResult> EvaluateParallel(
   const int early_agg_value_width = 1 + num_attrs + Accumulator::kPartialSize;
 
   ParallelEvalResult out;
-  ResultSink sink;
+  eval_internal::ResultSink sink;
   sink.results = MeasureResultSet(wf.num_measures());
 
   MapReduceEngine engine(options.num_threads);
@@ -305,8 +237,8 @@ Result<ParallelEvalResult> EvaluateParallel(
   spec.key_width = num_attrs;
   spec.map_only = options.phase == ParallelEvalPhase::kMapOnly;
   spec.skip_reduce = options.phase == ParallelEvalPhase::kShuffleOnly;
-  ApplyEngineOptions(options, &spec);
-  // The run-local resolutions override what ApplyEngineOptions copied.
+  static_cast<EngineOptions&>(spec) = options;
+  // The run-local resolutions override the forwarded options.
   spec.progress = progress;
   spec.query_label = query_label;
 
@@ -332,76 +264,12 @@ Result<ParallelEvalResult> EvaluateParallel(
       options.columnar
           ? agg_internal::ResolveBatchRows(options.local_agg.batch_rows)
           : 0;
-  // With no region-inclusion annotation every record belongs to exactly
-  // one block (ForEachBlock degenerates to first == last == g), so whole
-  // batches can be emitted in one columnar call.
-  bool any_annotated = false;
-  for (const KeyGenAttr& kg : keygen) any_annotated |= kg.annotated;
 
   if (!plan.early_aggregation) {
     // ---- Raw-record redistribution.
     spec.value_width = table.row_width();
-    spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
-      std::vector<int64_t> g(static_cast<size_t>(num_attrs));
-      std::vector<int64_t> key(static_cast<size_t>(num_attrs));
-      if (map_batch_rows > 0) {
-        RecordBatch batch(table.row_width(), map_batch_rows);
-        std::vector<std::vector<int64_t>> g_cols(
-            static_cast<size_t>(num_attrs));
-        std::vector<const int64_t*> g_ptrs(static_cast<size_t>(num_attrs));
-        for (int a = 0; a < num_attrs; ++a) {
-          g_cols[static_cast<size_t>(a)].resize(
-              static_cast<size_t>(map_batch_rows));
-          g_ptrs[static_cast<size_t>(a)] =
-              g_cols[static_cast<size_t>(a)].data();
-        }
-        TableScan scan = table.Scan(map_batch_rows, begin, end);
-        int64_t rb = begin;
-        while (scan.Next(&batch)) {
-          // Cooperative cancellation (deadline, lost speculation race):
-          // the engine discards a cancelled attempt's output, so
-          // returning with a partially-emitted split is safe.
-          if (emitter->cancelled()) return;
-          const int64_t bn = batch.num_rows();
-          for (int a = 0; a < num_attrs; ++a) {
-            schema.attribute(a).MapFromFinestColumn(
-                batch.column(a), bn, keygen[static_cast<size_t>(a)].level,
-                g_cols[static_cast<size_t>(a)].data());
-          }
-          if (!any_annotated) {
-            // One block per record: the whole batch ships through the
-            // emitter's columnar path, values taken straight from the
-            // contiguous row-major table slice.
-            emitter->EmitBatch(g_ptrs.data(), table.row(rb), bn);
-          } else {
-            for (int64_t i = 0; i < bn; ++i) {
-              for (int a = 0; a < num_attrs; ++a) {
-                g[static_cast<size_t>(a)] =
-                    g_cols[static_cast<size_t>(a)][static_cast<size_t>(i)];
-              }
-              const int64_t* row = table.row(rb + i);
-              ForEachBlock(keygen, g, &key,
-                           [&](const int64_t* k) { emitter->Emit(k, row); });
-            }
-          }
-          rb += bn;
-        }
-        return;
-      }
-      for (int64_t r = begin; r < end; ++r) {
-        // Cooperative cancellation (deadline, lost speculation race): the
-        // engine discards a cancelled attempt's output, so returning with
-        // a partially-emitted split is safe.
-        if (((r - begin) & 1023) == 0 && emitter->cancelled()) return;
-        const int64_t* row = table.row(r);
-        for (int a = 0; a < num_attrs; ++a) {
-          g[static_cast<size_t>(a)] = schema.attribute(a).MapFromFinest(
-              row[a], keygen[static_cast<size_t>(a)].level);
-        }
-        ForEachBlock(keygen, g, &key,
-                     [&](const int64_t* k) { emitter->Emit(k, row); });
-      }
-    };
+    spec.map_fn = eval_internal::RawRecordMapFn(table, schema, keygen,
+                                                map_batch_rows);
     if (plan.combined_sort) {
       spec.value_less = [&local_eval](const int64_t* a, const int64_t* b) {
         return local_eval.RowLess(a, b);
@@ -430,8 +298,8 @@ Result<ParallelEvalResult> EvaluateParallel(
         return;
       }
       int64_t filtered = 0;
-      MeasureResultSet kept = FilterOwned(wf, keygen, group.key(),
-                                          std::move(block_results), &filtered);
+      MeasureResultSet kept = eval_internal::FilterOwned(
+          wf, keygen, group.key(), std::move(block_results), &filtered);
       sink.Merge(std::move(kept), stats, filtered);
     };
   } else {
@@ -546,8 +414,8 @@ Result<ParallelEvalResult> EvaluateParallel(
       stats.merged_partials += group.size();
       stats.eval_seconds += SecondsSince(eval_start);
       int64_t filtered = 0;
-      MeasureResultSet kept = FilterOwned(wf, keygen, group.key(),
-                                          std::move(block_results), &filtered);
+      MeasureResultSet kept = eval_internal::FilterOwned(
+          wf, keygen, group.key(), std::move(block_results), &filtered);
       sink.Merge(std::move(kept), stats, filtered);
     };
   }

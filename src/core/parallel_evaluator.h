@@ -27,10 +27,6 @@
 
 namespace casm {
 
-class FlightRecorder;
-class ProgressTracker;
-class TraceRecorder;
-
 /// How much of the pipeline to run (the Fig 4(d) cost breakdown).
 enum class ParallelEvalPhase {
   kMapOnly,       // fetch records + key generation only
@@ -39,100 +35,29 @@ enum class ParallelEvalPhase {
   kFull,          // the real evaluation
 };
 
-struct ParallelEvalOptions {
+/// Evaluation options. The robustness and observability knobs — memory
+/// limits, retries, the fault plan, deadline, cancellation, speculation,
+/// trace/flight/progress sinks and the query label — are inherited from
+/// EngineOptions (mr/engine.h) and forwarded to every engine run.
+struct ParallelEvalOptions : EngineOptions {
   int num_mappers = 4;
   int num_reducers = 4;
   /// Worker threads executing the (virtual) tasks; <= 0 picks hardware
   /// concurrency.
   int num_threads = 0;
   ParallelEvalPhase phase = ParallelEvalPhase::kFull;
-  /// Per-reducer framework-sort memory budget in pairs; exceeding it
-  /// spills sorted runs to disk (external sort). 0 = unlimited.
-  int64_t reducer_memory_limit_pairs = 0;
-  /// Process-wide byte budget for the evaluation, forwarded to the
-  /// engine: emitter buffers are tracked against it and task launches
-  /// reserve projected footprints first, queueing under pressure
-  /// (speculation's doubled executions included). 0 = unlimited, with
-  /// peak_tracked_bytes still measuring the run. See mr/engine.h.
-  int64_t memory_budget_bytes = 0;
-  /// Map-side spill threshold in bytes of buffered pairs per task; past
-  /// it emitters spill sorted runs to disk, replayed at shuffle. 0 = no
-  /// map-side spilling (a set memory budget derives a threshold).
-  int64_t emitter_spill_threshold_bytes = 0;
   /// Optional block placement of the input table: mappers then read the
   /// locality-scheduled splits of this file instead of contiguous chunks.
   /// Must describe exactly `table.num_rows()` rows. Not owned.
   const DistributedFile* input_file = nullptr;
-  /// Hadoop-style per-task retry budget forwarded to the engine (>= 1);
-  /// exhausted retries surface as a non-OK Status naming phase and task.
-  int max_task_attempts = 2;
-  /// Optional deterministic fault injection forwarded to the engine
-  /// (tests, chaos benches). See mr/engine.h.
-  MapReduceFaultInjector fault_injector;
-  /// Composed multi-domain fault plan (common/fault.h) forwarded to the
-  /// engine and to the checkpoint volume; null = the process-global
-  /// CASM_FAULT_PLAN plan. Not owned.
-  const FaultPlan* fault_plan = nullptr;
-  /// Task retry backoff forwarded to the engine: first delay, doubling
-  /// per retry up to the cap, with jitter. 0 = retry immediately.
-  int64_t retry_backoff_initial_ms = 0;
-  int64_t retry_backoff_max_ms = 1000;
 
-  // ---- Straggler resilience, forwarded to the engine (see mr/engine.h
-  // for the full semantics of each knob).
-
-  /// Wall-clock budget for the evaluation; <= 0 = none. On expiry the
-  /// evaluation fails with DeadlineExceeded instead of hanging. For
-  /// EvaluateMultiJob this is the budget for the *whole* job sequence.
-  double deadline_seconds = 0;
-  /// Optional external cancellation token. Not owned.
-  const CancellationToken* cancel = nullptr;
-  /// Enables speculative backup executions for straggling tasks.
-  bool speculative_execution = false;
-  double speculation_latency_multiple = 4.0;
-  double speculation_min_completed_fraction = 0.5;
-  double speculation_min_runtime_seconds = 0.05;
-  /// Optional deterministic latency injection (tests, chaos benches).
-  MapReduceSlowTaskInjector slow_task_injector;
-
-  /// Trace recorder for the run's spans (obs/trace.h). Null uses the
-  /// process-global recorder, which records only under CASM_TRACE; point
-  /// it at a locally-enabled recorder to trace one evaluation (the
-  /// straggler bench fits its slowdown parameter that way). Not owned.
-  TraceRecorder* trace = nullptr;
-
-  // ---- Live observability (obs/metrics.h, obs/progress.h,
-  // obs/flight_recorder.h). With everything below defaulted and the
-  // CASM_METRICS / CASM_PROGRESS / CASM_DIAG_DIR environment switches
-  // unset, the whole stack costs one relaxed load per would-be event.
-
-  /// Label identifying this query in per-query registry counters
-  /// (casm_query_*), progress gauges and flight events. Empty derives
-  /// "q<fingerprint>" from the (workflow, table) fingerprint — computed
-  /// only when some observability consumer is actually active, since the
-  /// fingerprint hashes the input table.
-  std::string query_label;
   /// Directory receiving a JSON diagnostic bundle (flight-recorder ring +
   /// metrics snapshot + resolved options) when the evaluation returns a
   /// non-OK Status. Empty falls back to CASM_DIAG_DIR.
   std::string diag_dir;
-  /// Flight recorder collecting the run's incident ring. Null uses
-  /// FlightRecorder::Global(), enabled iff CASM_DIAG_DIR is set. Not
-  /// owned.
-  FlightRecorder* flight = nullptr;
-  /// Progress tracker to drive. Null creates a run-local tracker when any
-  /// observability consumer is active (registry enabled, ticker armed,
-  /// diag dir set). Not owned; must outlive the call.
-  ProgressTracker* progress = nullptr;
   /// Stderr progress-ticker period in seconds; 0 defers to CASM_PROGRESS
   /// (unset = no ticker).
   double progress_seconds = 0;
-
-  /// Per-record latency injection: seconds of delay charged per record
-  /// processed by the given attempt, modeling slow-but-not-stuck nodes
-  /// (heterogeneous hardware) rather than the one-shot stalls of
-  /// `slow_task_injector`. See mr/engine.h.
-  MapReduceRecordThrottleInjector record_throttle_injector;
 
   /// Durable per-job checkpointing (src/ckpt): with a directory set and
   /// mode kResume, EvaluateMultiJob commits each completed job's results
@@ -156,13 +81,6 @@ struct ParallelEvalOptions {
   /// local_agg.batch_rows < 0) keeps the row-at-a-time map loop.
   bool columnar = true;
 };
-
-/// Copies the robustness knobs of `options` (retry budget, injectors,
-/// deadline, cancellation, speculation policy, memory budget and spill
-/// thresholds) into `spec`. Shared by EvaluateParallel and the multi-job
-/// evaluator so the two paths cannot drift.
-void ApplyEngineOptions(const ParallelEvalOptions& options,
-                        MapReduceSpec* spec);
 
 /// Renders the resolved options as a one-line JSON object — the
 /// "options" section of a diagnostic bundle (obs/flight_recorder.h).

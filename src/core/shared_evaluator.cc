@@ -3,7 +3,6 @@
 #include "core/shared_evaluator.h"
 
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -11,60 +10,14 @@
 #include "agg/local_aggregator.h"
 #include "common/logging.h"
 #include "core/coverage.h"
+#include "core/eval_internal.h"
 #include "core/keygen.h"
-#include "data/record_batch.h"
 #include "local/sortscan_evaluator.h"
 #include "mr/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace casm {
-namespace {
-
-/// Per-member result assembly across reducer tasks (the shared-batch
-/// counterpart of parallel_evaluator.cc's ResultSink).
-struct MemberSink {
-  std::mutex mu;
-  MeasureResultSet results;
-  LocalEvalStats local_stats;
-  Status first_error;
-  int64_t blocks = 0;
-  int64_t filtered = 0;
-
-  void Merge(MeasureResultSet&& block_results, const LocalEvalStats& stats,
-             int64_t filtered_here) {
-    std::unique_lock<std::mutex> lock(mu);
-    ++blocks;
-    filtered += filtered_here;
-    local_stats.Accumulate(stats);
-    Status s = results.MergeDisjoint(std::move(block_results));
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-};
-
-/// Same ownership filter as the solo evaluator: drop results whose
-/// region this block does not own.
-MeasureResultSet FilterOwned(const Workflow& wf,
-                             const std::vector<KeyGenAttr>& keygen,
-                             const int64_t* block, MeasureResultSet&& all,
-                             int64_t* filtered) {
-  const Schema& schema = *wf.schema();
-  MeasureResultSet kept(wf.num_measures());
-  for (int i = 0; i < wf.num_measures(); ++i) {
-    const Measure& m = wf.measure(i);
-    MeasureValueMap& out = kept.mutable_values(i);
-    for (auto& [coords, value] : all.mutable_values(i)) {
-      if (BlockOwnsRegion(schema, m, keygen, block, coords)) {
-        out.emplace(coords, value);
-      } else {
-        ++*filtered;
-      }
-    }
-  }
-  return kept;
-}
-
-}  // namespace
 
 Result<SharedEvalResult> EvaluateParallelShared(
     const std::vector<SharedQuery>& queries, const Table& table,
@@ -115,7 +68,7 @@ Result<SharedEvalResult> EvaluateParallelShared(
   const size_t n_members = queries.size();
   std::vector<std::unique_ptr<SortScanEvaluator>> local_evals(n_members);
   std::vector<std::unique_ptr<LocalAggregator>> local_aggs(n_members);
-  std::vector<MemberSink> sinks(n_members);
+  std::vector<eval_internal::ResultSink> sinks(n_members);
   for (size_t i = 0; i < n_members; ++i) {
     const Workflow* wf = queries[i].workflow;
     local_evals[i] = std::make_unique<SortScanEvaluator>(wf);
@@ -130,70 +83,18 @@ Result<SharedEvalResult> EvaluateParallelShared(
   spec.num_reducers = options.num_reducers;
   spec.key_width = num_attrs;
   spec.value_width = table.row_width();
-  ApplyEngineOptions(options, &spec);
+  static_cast<EngineOptions&>(spec) = options;
 
-  // ---- Shared map phase. This is deliberately the same raw-record
-  // redistribution loop as parallel_evaluator.cc (columnar and row
-  // paths): the two must stay in lockstep so a shared run's shuffle is
-  // pair-for-pair identical to a solo run's under the same plan — the
-  // foundation of the bit-identical fanout contract in the header.
+  // ---- Shared map phase: the solo evaluator's raw-record map task, so a
+  // shared run's shuffle is pair-for-pair identical to a solo run's under
+  // the same plan — the foundation of the bit-identical fanout contract
+  // in the header.
   const int64_t map_batch_rows =
       options.columnar
           ? agg_internal::ResolveBatchRows(options.local_agg.batch_rows)
           : 0;
-  bool any_annotated = false;
-  for (const KeyGenAttr& kg : keygen) any_annotated |= kg.annotated;
-
-  spec.map_fn = [&](int64_t begin, int64_t end, Emitter* emitter) {
-    std::vector<int64_t> g(static_cast<size_t>(num_attrs));
-    std::vector<int64_t> key(static_cast<size_t>(num_attrs));
-    if (map_batch_rows > 0) {
-      RecordBatch batch(table.row_width(), map_batch_rows);
-      std::vector<std::vector<int64_t>> g_cols(static_cast<size_t>(num_attrs));
-      std::vector<const int64_t*> g_ptrs(static_cast<size_t>(num_attrs));
-      for (int a = 0; a < num_attrs; ++a) {
-        g_cols[static_cast<size_t>(a)].resize(
-            static_cast<size_t>(map_batch_rows));
-        g_ptrs[static_cast<size_t>(a)] = g_cols[static_cast<size_t>(a)].data();
-      }
-      TableScan scan = table.Scan(map_batch_rows, begin, end);
-      int64_t rb = begin;
-      while (scan.Next(&batch)) {
-        if (emitter->cancelled()) return;
-        const int64_t bn = batch.num_rows();
-        for (int a = 0; a < num_attrs; ++a) {
-          schema.attribute(a).MapFromFinestColumn(
-              batch.column(a), bn, keygen[static_cast<size_t>(a)].level,
-              g_cols[static_cast<size_t>(a)].data());
-        }
-        if (!any_annotated) {
-          emitter->EmitBatch(g_ptrs.data(), table.row(rb), bn);
-        } else {
-          for (int64_t i = 0; i < bn; ++i) {
-            for (int a = 0; a < num_attrs; ++a) {
-              g[static_cast<size_t>(a)] =
-                  g_cols[static_cast<size_t>(a)][static_cast<size_t>(i)];
-            }
-            const int64_t* row = table.row(rb + i);
-            ForEachBlock(keygen, g, &key,
-                         [&](const int64_t* k) { emitter->Emit(k, row); });
-          }
-        }
-        rb += bn;
-      }
-      return;
-    }
-    for (int64_t r = begin; r < end; ++r) {
-      if (((r - begin) & 1023) == 0 && emitter->cancelled()) return;
-      const int64_t* row = table.row(r);
-      for (int a = 0; a < num_attrs; ++a) {
-        g[static_cast<size_t>(a)] = schema.attribute(a).MapFromFinest(
-            row[a], keygen[static_cast<size_t>(a)].level);
-      }
-      ForEachBlock(keygen, g, &key,
-                   [&](const int64_t* k) { emitter->Emit(k, row); });
-    }
-  };
+  spec.map_fn =
+      eval_internal::RawRecordMapFn(table, schema, keygen, map_batch_rows);
 
   // ---- Shared reduce phase: one block, every member. Each member
   // evaluates a FRESH copy of the block's rows in shuffle order — the
@@ -218,8 +119,8 @@ Result<SharedEvalResult> EvaluateParallelShared(
       MeasureResultSet block_results = local_aggs[i]->Evaluate(ctx, &stats);
       if (group.cancelled()) return;
       int64_t filtered = 0;
-      MeasureResultSet kept = FilterOwned(wf, keygen, group.key(),
-                                          std::move(block_results), &filtered);
+      MeasureResultSet kept = eval_internal::FilterOwned(
+          wf, keygen, group.key(), std::move(block_results), &filtered);
       sinks[i].Merge(std::move(kept), stats, filtered);
     }
   };
@@ -245,7 +146,7 @@ Result<SharedEvalResult> EvaluateParallelShared(
   std::vector<SharedQueryAttribution> attributions;
   attributions.reserve(n_members);
   for (size_t i = 0; i < n_members; ++i) {
-    MemberSink& sink = sinks[i];
+    eval_internal::ResultSink& sink = sinks[i];
     if (!sink.first_error.ok()) return sink.first_error;
     SharedQueryResult& q = out.queries[i];
     q.results = std::move(sink.results);

@@ -51,6 +51,14 @@ int CompareKeys(const int64_t* a, const int64_t* b, int width) {
   return 0;
 }
 
+/// Which side of the job a task attempt belongs to.
+enum class MapReduceTaskPhase { kMap, kReduce };
+
+/// "map" / "reduce" — used in error messages and logs.
+const char* TaskPhaseName(MapReduceTaskPhase phase) {
+  return phase == MapReduceTaskPhase::kMap ? "map" : "reduce";
+}
+
 /// Shared failure/retry accounting across a job's task attempts.
 struct RetryCounters {
   std::mutex mu;
@@ -132,12 +140,12 @@ double RetryBackoffSeconds(const MapReduceSpec& spec,
 /// returned, prefixed with the phase and task id. A cancelled attempt
 /// (Cancelled / DeadlineExceeded) is neither a failure nor retriable —
 /// its status is returned as-is for the phase runner to classify.
-/// `attempt_offset` shifts the attempt numbers seen by the injectors so a
+/// `attempt_offset` shifts the attempt numbers seen by the fault plan so a
 /// speculative backup execution (offset = max_task_attempts) is
 /// distinguishable from the primary (offset = 0). `plan` is the resolved
-/// fault plan (legacy injectors adapted in, possibly null = no injection).
+/// fault plan (null = no injection).
 ///
-/// Tracing: every attempt that reaches its injectors gets a span in
+/// Tracing: every attempt that reaches its fault point gets a span in
 /// `trace` (category = phase name) tagged retried / failed / cancelled;
 /// the successful attempt's span goes to `success_span` instead (see
 /// above).
@@ -276,8 +284,9 @@ struct PhaseStats {
 class PhaseRunner {
  public:
   /// Runs one attempt of `(task, exec)`; called through the retry loop.
-  /// `attempt` is the injector attempt number (offset by the execution,
-  /// see RunTaskWithRetry) so bodies can consult per-attempt injectors.
+  /// `attempt` is the fault plan's attempt number (offset by the
+  /// execution, see RunTaskWithRetry) so bodies can consult per-attempt
+  /// record throttles.
   using AttemptBody = std::function<Status(
       int task, int exec, int attempt, const CancellationToken* token,
       bool* output_started)>;
@@ -608,10 +617,6 @@ class PhaseRunner {
 };
 
 }  // namespace
-
-const char* TaskPhaseName(MapReduceTaskPhase phase) {
-  return phase == MapReduceTaskPhase::kMap ? "map" : "reduce";
-}
 
 uint64_t PartitionHash(const int64_t* key, int width) {
   uint64_t h = 1469598103934665603ULL;
@@ -1026,43 +1031,10 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
 
   RetryCounters counters;
 
-  // ---- Fault-plan resolution: one unified injection registry per run.
-  // The three legacy MapReduceSpec injector hooks are adapted onto a
-  // run-local plan chained in front of spec.fault_plan (or the
-  // process-global CASM_FAULT_PLAN plan when unset), so every injection
-  // site below consults a single fault point.
-  const FaultPlan* const base_plan =
+  // ---- Fault-plan resolution: every injection site below consults this
+  // one plan (the process-global CASM_FAULT_PLAN plan when unset).
+  const FaultPlan* const plan =
       spec.fault_plan != nullptr ? spec.fault_plan : FaultPlan::FromEnv();
-  FaultPlan legacy_adapter;
-  const FaultPlan* plan = base_plan;
-  if (spec.fault_injector || spec.slow_task_injector ||
-      spec.record_throttle_injector) {
-    legacy_adapter.set_parent(base_plan);
-    auto to_phase = [](const char* phase) {
-      return phase[0] == 'm' ? MapReduceTaskPhase::kMap
-                             : MapReduceTaskPhase::kReduce;
-    };
-    if (spec.fault_injector) {
-      legacy_adapter.AddCrashHook(
-          [&spec, to_phase](const char* phase, int task, int attempt) {
-            return spec.fault_injector(to_phase(phase), task, attempt);
-          });
-    }
-    if (spec.slow_task_injector) {
-      legacy_adapter.AddSlowdownHook(
-          [&spec, to_phase](const char* phase, int task, int attempt) {
-            return spec.slow_task_injector(to_phase(phase), task, attempt);
-          });
-    }
-    if (spec.record_throttle_injector) {
-      legacy_adapter.AddThrottleHook(
-          [&spec, to_phase](const char* phase, int task, int attempt) {
-            return spec.record_throttle_injector(to_phase(phase), task,
-                                                 attempt);
-          });
-    }
-    plan = &legacy_adapter;
-  }
   const bool plan_armed = plan != nullptr && plan->armed();
 
   // ---- Memory accounting and admission control (DESIGN.md §8). One

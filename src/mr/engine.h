@@ -16,7 +16,7 @@
 // Fault tolerance (the defining substrate property of the paper's Hadoop
 // testbed): a map or reduce task attempt that fails — via a thrown
 // exception, a non-OK internal status, or an injected fault — is retried
-// up to `MapReduceSpec::max_task_attempts` times. A retried map attempt
+// up to `EngineOptions::max_task_attempts` times. A retried map attempt
 // replays the mapper's split from a cleared Emitter, so a run that
 // succeeds after retries produces output identical to a fault-free run.
 // A reduce attempt is retried only while it has not yet delivered a group
@@ -33,7 +33,7 @@
 //     tokens between splits, groups, and injected delays; user map/reduce
 //     functions doing unbounded work should poll `Emitter::cancelled()` /
 //     `GroupView::cancelled()` and return early.
-//   * Deadlines: `MapReduceSpec::deadline_seconds` arms the job token
+//   * Deadlines: `EngineOptions::deadline_seconds` arms the job token
 //     with a wall-clock deadline; on expiry in-flight executions abort at
 //     their next poll and Run() returns DeadlineExceeded — never a hang
 //     (given cooperative user code).
@@ -51,7 +51,7 @@
 //
 // Memory-budgeted execution (the admission-control discipline of the
 // paper's substrate — a task never runs unless its working set fits):
-// `MapReduceSpec::memory_budget_bytes` caps the bytes tracked across the
+// `EngineOptions::memory_budget_bytes` caps the bytes tracked across the
 // whole run. Emitters account their buffered pairs and spill sorted runs
 // to disk past `emitter_spill_threshold_bytes` (replayed at shuffle);
 // map and reduce task launches reserve a projected footprint before
@@ -94,47 +94,11 @@ uint64_t PartitionHash(const int64_t* key, int width);
 void PartitionHashColumns(const int64_t* const* key_cols, int key_width,
                           int64_t n, uint64_t* out);
 
-/// Which side of the job a task attempt belongs to.
-enum class MapReduceTaskPhase { kMap, kReduce };
-
-/// "map" / "reduce" — used in error messages and logs.
-const char* TaskPhaseName(MapReduceTaskPhase phase);
-
-/// Deterministic fault-injection hook: invoked at the start of every task
-/// attempt (`attempt` is 1-based); returning a non-OK status makes that
-/// attempt fail as if the user function had failed. Lets tests and the
-/// cluster cost model exercise retry paths reproducibly, e.g. "fail
-/// reducer 3 on attempt 1".
-using MapReduceFaultInjector =
-    std::function<Status(MapReduceTaskPhase phase, int task, int attempt)>;
-
-/// Deterministic latency-injection hook (the straggler sibling of
-/// MapReduceFaultInjector): invoked at the start of every task attempt;
-/// the returned number of seconds is slept — cancellably — before the
-/// attempt body runs. Attempt numbering: a task's primary execution uses
-/// attempts 1..max_task_attempts, a speculative backup execution
-/// continues with max_task_attempts+1..2*max_task_attempts, so injectors
-/// can slow the primary while leaving the backup fast.
-using MapReduceSlowTaskInjector =
-    std::function<double(MapReduceTaskPhase phase, int task, int attempt)>;
-
-/// Deterministic *per-record* latency injection, modeling heterogeneous
-/// hardware: a slow-but-not-stuck node that processes every record, just
-/// slower. Invoked once per task attempt; the returned number of seconds
-/// is charged for every record the attempt processes (map: per emitted
-/// pair; reduce: per grouped pair), slept cancellably in small batches.
-/// Unlike `slow_task_injector`'s one-shot stall, the delay scales with
-/// the attempt's data volume — the shape real speculation policies must
-/// detect from relative progress rates. Attempt numbering matches
-/// MapReduceSlowTaskInjector (backups continue at max_task_attempts+1).
-using MapReduceRecordThrottleInjector =
-    std::function<double(MapReduceTaskPhase phase, int task, int attempt)>;
-
 /// Mapper-side sink for key/value pairs. Not thread-safe; each mapper task
 /// execution owns one.
 ///
 /// Memory discipline: with a spill threshold configured (directly, or
-/// derived from `MapReduceSpec::memory_budget_bytes`), the emitter
+/// derived from `EngineOptions::memory_budget_bytes`), the emitter
 /// accounts its flattened-pair bytes and, past the threshold, sorts each
 /// reducer's buffered pairs by key and spills them as runs to disk (the
 /// map-side spill of Hadoop's MapTask, paper §III-A); spilled runs are
@@ -232,15 +196,6 @@ class Emitter {
     run_less_ = std::move(less);
   }
 
-  /// Arms per-record throttling for the current attempt: every emitted
-  /// pair charges `seconds_per_record`, slept cancellably once the owed
-  /// delay accumulates past a millisecond. 0 disarms. Engine-set from
-  /// MapReduceSpec::record_throttle_injector; public for direct tests.
-  void set_record_throttle(double seconds_per_record) {
-    throttle_seconds_per_record_ = seconds_per_record;
-    throttle_owed_seconds_ = 0;
-  }
-
   /// True when the attempt driving this emitter has been cancelled (the
   /// job deadline expired, or this attempt lost a speculation race). Long
   /// map functions should poll this every few thousand rows and return
@@ -255,6 +210,15 @@ class Emitter {
 
  private:
   friend class MapReduceEngine;
+
+  /// Arms per-record throttling for the current attempt: every emitted
+  /// pair charges `seconds_per_record`, slept cancellably once the owed
+  /// delay accumulates past a millisecond. 0 disarms. Set per attempt from
+  /// the fault plan's RecordThrottleSeconds.
+  void set_record_throttle(double seconds_per_record) {
+    throttle_seconds_per_record_ = seconds_per_record;
+    throttle_owed_seconds_ = 0;
+  }
 
   /// One spilled sorted run of a reducer's pairs inside a spill file.
   struct SpillSegment {
@@ -342,8 +306,119 @@ class GroupView {
   const CancellationToken* cancel_ = nullptr;  // not owned
 };
 
+/// The engine's robustness and observability knobs: memory limits,
+/// retries, fault injection, deadlines, speculation and the run's
+/// observability sinks. Declared once here; MapReduceSpec and
+/// ParallelEvalOptions (core/parallel_evaluator.h) both inherit them, and
+/// the evaluators forward them with `static_cast<EngineOptions&>(spec) =
+/// options`.
+struct EngineOptions {
+  /// Per-reducer memory budget for the framework sort, in pairs; when a
+  /// reducer's input exceeds it, sorted runs spill to disk and are merged
+  /// (external sorting, paper §III-A). 0 = unlimited.
+  int64_t reducer_memory_limit_pairs = 0;
+
+  // ---- Memory accounting and admission control (paper §III-A: the
+  // framework never runs a task whose working set it cannot hold; see
+  // common/memory_budget.h and DESIGN.md §8).
+
+  /// Process-wide byte budget for this run: emitter buffers are tracked
+  /// against it and every task launch reserves its projected footprint
+  /// first, queueing (cancellably) when the budget is full — so
+  /// speculation's doubled executions pace themselves instead of
+  /// overcommitting. 0 = unlimited (accounting only: peak_tracked_bytes
+  /// still measures the run). A budget with no explicit
+  /// emitter_spill_threshold_bytes derives one (budget / (4 x worker
+  /// threads), floored at 4 KiB) so map outputs spill instead of pinning
+  /// the budget across the shuffle.
+  int64_t memory_budget_bytes = 0;
+  /// Map-side spill threshold per task execution, in bytes of flattened
+  /// pairs: past it the emitter sorts each reducer's buffer by key and
+  /// spills it as a run to disk, replaying the runs at shuffle. 0 = no
+  /// map-side spilling (unless derived from memory_budget_bytes).
+  int64_t emitter_spill_threshold_bytes = 0;
+
+  /// Maximum attempts per map/reduce task (>= 1); the Hadoop-style retry
+  /// budget. 2 means one retry after the first failure.
+  int max_task_attempts = 2;
+  /// Delay before replaying a failed attempt: exponential backoff starting
+  /// here, doubling per retry, capped by `retry_backoff_max_ms`, with
+  /// deterministic equal jitter (delay in [base/2, base]). 0 = replay
+  /// immediately (the historical behavior). Sleeps are cancellable.
+  int64_t retry_backoff_initial_ms = 0;
+  /// Upper bound for the per-retry backoff delay.
+  int64_t retry_backoff_max_ms = 1000;
+  /// Fault injection (common/fault.h): task crashes, slowdowns and record
+  /// throttles for the engine's attempts, storage faults for the
+  /// evaluators' checkpoint volume. null = the process-global
+  /// CASM_FAULT_PLAN plan (if any); a local plan keeps composing with it
+  /// via set_parent(FaultPlan::FromEnv()). Not owned; must outlive the run.
+  const FaultPlan* fault_plan = nullptr;
+
+  // ---- Straggler resilience (see the header comment).
+
+  /// Wall-clock budget for the whole job; <= 0 means none. On expiry all
+  /// in-flight executions are cancelled cooperatively and Run() returns
+  /// DeadlineExceeded. Finished work is not invalidated: a job whose last
+  /// task completes before any execution observes the expired deadline
+  /// still succeeds. For EvaluateMultiJob this is the budget for the
+  /// *whole* job sequence.
+  double deadline_seconds = 0;
+  /// Optional external cancellation: tripping this token aborts the job
+  /// cooperatively and Run() returns Cancelled. Not owned.
+  const CancellationToken* cancel = nullptr;
+
+  /// Enables Hadoop-style speculative backup executions for straggling
+  /// tasks. Policy: once at least `speculation_min_completed_fraction` of
+  /// a phase's tasks have completed, any task whose sole running
+  /// execution has been running longer than
+  /// max(speculation_latency_multiple x median completed-execution
+  /// duration, speculation_min_runtime_seconds) gets one backup
+  /// execution; first finisher wins, the loser is cancelled. Map tasks
+  /// are eligible unconditionally; reduce tasks only while no group has
+  /// been delivered (the retry terminality rule).
+  bool speculative_execution = false;
+  /// Straggler threshold as a multiple of the median completed-execution
+  /// duration (>= 1).
+  double speculation_latency_multiple = 4.0;
+  /// Fraction of the phase's tasks that must have completed before any
+  /// backup launches (in [0, 1]; "the phase is mostly done").
+  double speculation_min_completed_fraction = 0.5;
+  /// Absolute floor for the straggler threshold, guarding against
+  /// spurious backups when the median task takes microseconds.
+  double speculation_min_runtime_seconds = 0.05;
+
+  /// Run-trace recorder (obs/trace.h): the engine records per-attempt
+  /// spans (task id, attempt number, outcome), admission waits, spills,
+  /// and pool queue latency into it. null = use TraceRecorder::Global(),
+  /// which is enabled only when CASM_TRACE is set — so the default costs
+  /// one relaxed load per would-be event. Not owned; must outlive Run().
+  TraceRecorder* trace = nullptr;
+
+  // ---- Live observability (obs/metrics.h, obs/progress.h,
+  // obs/flight_recorder.h). All three default to process-global
+  // singletons that are disabled unless their environment variables are
+  // set, so the default cost is one relaxed load per would-be event.
+
+  /// Failure flight recorder: task failures/retries and emitter spills
+  /// are recorded as ring events for the post-failure diagnostic bundle.
+  /// null = FlightRecorder::Global() (enabled under CASM_DIAG_DIR). Not
+  /// owned; must outlive Run().
+  FlightRecorder* flight = nullptr;
+  /// Live progress: the engine begins a phase per task phase and marks
+  /// tasks as they resolve. null = no progress tracking in the engine;
+  /// the evaluators substitute a run-local tracker when any observability
+  /// consumer is active. Not owned; must outlive Run().
+  ProgressTracker* progress = nullptr;
+  /// Query label stamped on flight events, progress gauges and per-query
+  /// registry counters (casm_query_*). Empty is fine for the engine; the
+  /// evaluators derive "q<fingerprint>" from the (workflow, table)
+  /// fingerprint when an observability consumer is active.
+  std::string query_label;
+};
+
 /// Specification of one MapReduce job.
-struct MapReduceSpec {
+struct MapReduceSpec : EngineOptions {
   int num_mappers = 1;   // input splits / map tasks
   int num_reducers = 1;  // virtual reduce tasks
   int key_width = 1;     // int64s per key
@@ -376,114 +451,8 @@ struct MapReduceSpec {
   /// Group pairs by key but skip reduce_fn (the "MR" bar of Fig 4(d)).
   bool skip_reduce = false;
 
-  /// Per-reducer memory budget for the framework sort, in pairs; when a
-  /// reducer's input exceeds it, sorted runs spill to disk and are merged
-  /// (external sorting, paper §III-A). 0 = unlimited.
-  int64_t reducer_memory_limit_pairs = 0;
   /// Spill directory (empty = system temp dir).
   std::string spill_dir;
-
-  // ---- Memory accounting and admission control (paper §III-A: the
-  // framework never runs a task whose working set it cannot hold; see
-  // common/memory_budget.h and DESIGN.md §8).
-
-  /// Process-wide byte budget for this run: emitter buffers are tracked
-  /// against it and every task launch reserves its projected footprint
-  /// first, queueing (cancellably) when the budget is full — so
-  /// speculation's doubled executions pace themselves instead of
-  /// overcommitting. 0 = unlimited (accounting only: peak_tracked_bytes
-  /// still measures the run). A budget with no explicit
-  /// emitter_spill_threshold_bytes derives one (budget / (4 x worker
-  /// threads), floored at 4 KiB) so map outputs spill instead of pinning
-  /// the budget across the shuffle.
-  int64_t memory_budget_bytes = 0;
-  /// Map-side spill threshold per task execution, in bytes of flattened
-  /// pairs: past it the emitter sorts each reducer's buffer by key and
-  /// spills it as a run to `spill_dir`, replaying the runs at shuffle.
-  /// 0 = no map-side spilling (unless derived from memory_budget_bytes).
-  int64_t emitter_spill_threshold_bytes = 0;
-
-  /// Maximum attempts per map/reduce task (>= 1); the Hadoop-style retry
-  /// budget. 2 means one retry after the first failure.
-  int max_task_attempts = 2;
-  /// Delay before replaying a failed attempt: exponential backoff starting
-  /// here, doubling per retry, capped by `retry_backoff_max_ms`, with
-  /// deterministic equal jitter (delay in [base/2, base]). 0 = replay
-  /// immediately (the historical behavior). Sleeps are cancellable.
-  int64_t retry_backoff_initial_ms = 0;
-  /// Upper bound for the per-retry backoff delay.
-  int64_t retry_backoff_max_ms = 1000;
-  /// Optional deterministic fault injection (tests, chaos benches).
-  MapReduceFaultInjector fault_injector;
-  /// Unified fault plan (common/fault.h). All injection — including the
-  /// three legacy injector fields above/below, which the engine adapts
-  /// onto a local plan chained in front of this one — routes through a
-  /// FaultPlan. null = the process-global CASM_FAULT_PLAN plan (if any).
-  /// Not owned; must outlive Run().
-  const FaultPlan* fault_plan = nullptr;
-
-  // ---- Straggler resilience (see the header comment).
-
-  /// Wall-clock budget for the whole job; <= 0 means none. On expiry all
-  /// in-flight executions are cancelled cooperatively and Run() returns
-  /// DeadlineExceeded. Finished work is not invalidated: a job whose last
-  /// task completes before any execution observes the expired deadline
-  /// still succeeds.
-  double deadline_seconds = 0;
-  /// Optional external cancellation: tripping this token aborts the job
-  /// cooperatively and Run() returns Cancelled. Not owned.
-  const CancellationToken* cancel = nullptr;
-
-  /// Enables Hadoop-style speculative backup executions for straggling
-  /// tasks. Policy: once at least `speculation_min_completed_fraction` of
-  /// a phase's tasks have completed, any task whose sole running
-  /// execution has been running longer than
-  /// max(speculation_latency_multiple x median completed-execution
-  /// duration, speculation_min_runtime_seconds) gets one backup
-  /// execution; first finisher wins, the loser is cancelled. Map tasks
-  /// are eligible unconditionally; reduce tasks only while no group has
-  /// been delivered (the retry terminality rule).
-  bool speculative_execution = false;
-  /// Straggler threshold as a multiple of the median completed-execution
-  /// duration (>= 1).
-  double speculation_latency_multiple = 4.0;
-  /// Fraction of the phase's tasks that must have completed before any
-  /// backup launches (in [0, 1]; "the phase is mostly done").
-  double speculation_min_completed_fraction = 0.5;
-  /// Absolute floor for the straggler threshold, guarding against
-  /// spurious backups when the median task takes microseconds.
-  double speculation_min_runtime_seconds = 0.05;
-
-  /// Optional deterministic latency injection (tests, chaos benches).
-  MapReduceSlowTaskInjector slow_task_injector;
-  /// Optional per-record latency injection: heterogeneous-hardware
-  /// slowdowns that scale with data volume instead of stalling once.
-  MapReduceRecordThrottleInjector record_throttle_injector;
-
-  /// Run-trace recorder (obs/trace.h): the engine records per-attempt
-  /// spans (task id, attempt number, outcome), admission waits, spills,
-  /// and pool queue latency into it. null = use TraceRecorder::Global(),
-  /// which is enabled only when CASM_TRACE is set — so the default costs
-  /// one relaxed load per would-be event. Not owned; must outlive Run().
-  TraceRecorder* trace = nullptr;
-
-  // ---- Live observability (obs/metrics.h, obs/progress.h,
-  // obs/flight_recorder.h). All three default to process-global
-  // singletons that are disabled unless their environment variables are
-  // set, so the default cost is one relaxed load per would-be event.
-
-  /// Failure flight recorder: task failures/retries and emitter spills
-  /// are recorded as ring events for the post-failure diagnostic bundle.
-  /// null = FlightRecorder::Global() (enabled under CASM_DIAG_DIR). Not
-  /// owned; must outlive Run().
-  FlightRecorder* flight = nullptr;
-  /// Live progress: the engine begins a phase per task phase and marks
-  /// tasks as they resolve. null = no progress tracking. Not owned; must
-  /// outlive Run().
-  ProgressTracker* progress = nullptr;
-  /// Query label stamped on flight events and progress gauges (the
-  /// evaluators set the query fingerprint). Empty is fine.
-  std::string query_label;
 };
 
 /// Executes MapReduce jobs on an internal thread pool. The pool is created

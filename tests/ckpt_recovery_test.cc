@@ -15,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -55,11 +56,11 @@ ParallelEvalOptions EvalOpts(const std::string& ckpt_dir = "") {
 /// Fails every task attempt once `completed_jobs` engine runs have gone
 /// by — each job runs map task 0's first attempt exactly once, so this
 /// kills the sequence at the job boundary after `completed_jobs` jobs.
-MapReduceFaultInjector KillAfterJobs(int completed_jobs,
-                                     std::shared_ptr<std::atomic<int>> runs) {
-  return [completed_jobs, runs](MapReduceTaskPhase phase, int task,
+FaultPlan::TaskStatusHook KillAfterJobs(
+    int completed_jobs, std::shared_ptr<std::atomic<int>> runs) {
+  return [completed_jobs, runs](const char* phase, int task,
                                 int attempt) -> Status {
-    if (phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1) {
+    if (std::string_view(phase) == "map" && task == 0 && attempt == 1) {
       runs->fetch_add(1);
     }
     if (runs->load() > completed_jobs) {
@@ -246,8 +247,11 @@ TEST(CkptRecoveryTest, ResumesAfterMidSequenceFaultBitIdentical) {
   // Run 1: killed at the boundary after two completed jobs.
   const int kCompleted = 2;
   ParallelEvalOptions crash_opts = EvalOpts(dir);
-  crash_opts.fault_injector =
-      KillAfterJobs(kCompleted, std::make_shared<std::atomic<int>>(0));
+  FaultPlan kill;
+  kill.set_parent(FaultPlan::FromEnv());
+  kill.AddCrashHook(
+      KillAfterJobs(kCompleted, std::make_shared<std::atomic<int>>(0)));
+  crash_opts.fault_plan = &kill;
   Result<MultiJobResult> crashed = EvaluateMultiJob(wf, table, crash_opts);
   ASSERT_FALSE(crashed.ok());
   EXPECT_NE(crashed.status().message().find("injected"), std::string::npos)

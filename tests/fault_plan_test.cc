@@ -3,8 +3,7 @@
 // Tests for the unified fault-injection registry (common/fault.h):
 // deterministic seeded decisions, per-site spec matching across the six
 // fault domains, Nth-op counters, outage windows over the io-op clock,
-// parent chaining (the legacy-injector adapter path), and the
-// CASM_FAULT_PLAN grammar.
+// parent chaining with hooks, and the CASM_FAULT_PLAN grammar.
 
 #include <string>
 #include <vector>
@@ -176,7 +175,7 @@ TEST(FaultPlanTest, ParentChainingComposesPlans) {
   EXPECT_FALSE(child.OnTaskAttempt("map", 0, 1).ok());
   EXPECT_DOUBLE_EQ(child.TaskSlowdownSeconds("map", 1, 1), 0.125);
 
-  // Hooks on the child (the legacy-adapter path) run before the parent.
+  // Hooks on the child run before the parent.
   int hook_calls = 0;
   child.AddCrashHook([&hook_calls](const char*, int, int) {
     ++hook_calls;
@@ -207,6 +206,24 @@ TEST(FaultPlanTest, ParseRejectsMalformedText) {
   EXPECT_FALSE(FaultPlan::Parse("io_error=notanumber").ok());
   EXPECT_FALSE(FaultPlan::Parse("task_crash=map").ok());  // missing fields
   EXPECT_FALSE(FaultPlan::Parse("node_down=").ok());
+  // Out-of-range values are rejected rather than narrowed, summed away or
+  // applied as written.
+  EXPECT_FALSE(FaultPlan::Parse("task_crash=map:4294967296:1").ok());
+  EXPECT_FALSE(FaultPlan::Parse("task_crash=map:0:-4294967296").ok());
+  EXPECT_FALSE(FaultPlan::Parse("io_error=0.5:read:4294967296").ok());
+  EXPECT_FALSE(
+      FaultPlan::Parse("slow_task=map:0:1:2; slow_task=map:0:1:-2").ok());
+  EXPECT_FALSE(FaultPlan::Parse("throttle=map:0:1:-0.5").ok());
+  EXPECT_FALSE(FaultPlan::Parse("task_crash=map:0:1:-0.5").ok());
+  EXPECT_FALSE(FaultPlan::Parse("task_crash=map:0:1:nan").ok());
+  EXPECT_FALSE(FaultPlan::Parse("io_error=1.5").ok());
+  EXPECT_FALSE(FaultPlan::Parse("block_corrupt=-1").ok());
+  EXPECT_FALSE(FaultPlan::Parse("node_down=0:10:3").ok());
+  EXPECT_FALSE(FaultPlan::Parse("node_down=0:3:3").ok());
+  // The boundaries themselves stay valid.
+  EXPECT_TRUE(FaultPlan::Parse("task_crash=map:2147483647:1:1; io_error=0; "
+                               "slow_task=map:0:1:0; node_down=0:3:4")
+                  .ok());
 }
 
 TEST(FaultPlanTest, ParseOfEmptyTextIsUnarmed) {

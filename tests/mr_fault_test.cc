@@ -1,10 +1,10 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
 // Tests for the engine's fault-tolerance substrate: task-attempt retries
-// with Emitter clear-and-replay, deterministic fault injection, exception
-// capture from user map/reduce functions (clean Status, never process
-// death), retry exhaustion, and reuse of one engine (one pool) across
-// sequential Run() calls.
+// with Emitter clear-and-replay, deterministic fault injection through
+// FaultPlan specs and hooks, exception capture from user map/reduce
+// functions (clean Status, never process death), retry exhaustion, and
+// reuse of one engine (one pool) across sequential Run() calls.
 
 #include <atomic>
 #include <chrono>
@@ -13,10 +13,12 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "mr/engine.h"
 
 namespace casm {
@@ -58,16 +60,10 @@ TEST(FaultToleranceTest, InjectedMapAndReduceFaultsRetryToIdenticalResults) {
   EXPECT_EQ(clean_metrics->task_retries, 0);
 
   CountJob faulty;
-  faulty.spec.fault_injector = [](MapReduceTaskPhase phase, int task,
-                                  int attempt) {
-    if (phase == MapReduceTaskPhase::kMap && task == 1 && attempt == 1) {
-      return Status::Internal("injected mapper fault");
-    }
-    if (phase == MapReduceTaskPhase::kReduce && task == 0 && attempt == 1) {
-      return Status::Internal("injected reducer fault");
-    }
-    return Status::OK();
-  };
+  FaultPlan plan =
+      FaultPlan::Parse("task_crash=map:1:1; task_crash=reduce:0:1").value();
+  plan.set_parent(FaultPlan::FromEnv());
+  faulty.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(2).Run(faulty.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics->task_failures, 2);
@@ -119,13 +115,16 @@ TEST(FaultToleranceTest, PersistentFaultExhaustsRetryBudget) {
   CountJob job;
   job.spec.max_task_attempts = 3;
   std::atomic<int> attempts{0};
-  job.spec.fault_injector = [&](MapReduceTaskPhase phase, int task, int) {
-    if (phase == MapReduceTaskPhase::kMap && task == 2) {
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  plan.AddCrashHook([&](const char* phase, int task, int) {
+    if (std::string_view(phase) == "map" && task == 2) {
       ++attempts;
       return Status::Internal("stuck mapper");
     }
     return Status::OK();
-  };
+  });
+  job.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(2).Run(job.spec, 1300);
   ASSERT_FALSE(metrics.ok());
   EXPECT_EQ(attempts.load(), 3);
@@ -137,12 +136,9 @@ TEST(FaultToleranceTest, PersistentFaultExhaustsRetryBudget) {
 TEST(FaultToleranceTest, SingleAttemptBudgetFailsImmediately) {
   CountJob job;
   job.spec.max_task_attempts = 1;
-  job.spec.fault_injector = [](MapReduceTaskPhase phase, int task, int) {
-    if (phase == MapReduceTaskPhase::kReduce && task == 1) {
-      return Status::Internal("no retries allowed");
-    }
-    return Status::OK();
-  };
+  FaultPlan plan = FaultPlan::Parse("task_crash=reduce:1:*").value();
+  plan.set_parent(FaultPlan::FromEnv());
+  job.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(2).Run(job.spec, 1300);
   ASSERT_FALSE(metrics.ok());
   EXPECT_NE(metrics.status().message().find("reduce task 1"),
@@ -170,6 +166,8 @@ TEST(FaultToleranceTest, EngineReusedAcrossSequentialRuns) {
   // One engine = one shared pool; a failing job must leave the pool
   // drained and clean for the jobs after it.
   MapReduceEngine engine(2);
+  FaultPlan round_fault = FaultPlan::Parse("task_crash=map:0:*").value();
+  round_fault.set_parent(FaultPlan::FromEnv());
   for (int round = 0; round < 3; ++round) {
     CountJob good;
     Result<MapReduceMetrics> ok_metrics = engine.Run(good.spec, 650);
@@ -178,11 +176,7 @@ TEST(FaultToleranceTest, EngineReusedAcrossSequentialRuns) {
 
     CountJob bad;
     bad.spec.max_task_attempts = 1;
-    bad.spec.fault_injector = [](MapReduceTaskPhase phase, int task, int) {
-      return phase == MapReduceTaskPhase::kMap && task == 0
-                 ? Status::Internal("round fault")
-                 : Status::OK();
-    };
+    bad.spec.fault_plan = &round_fault;
     EXPECT_FALSE(engine.Run(bad.spec, 650).ok()) << "round " << round;
   }
   // After the failures the engine still computes correct results.
@@ -195,17 +189,20 @@ TEST(FaultToleranceTest, EngineReusedAcrossSequentialRuns) {
   EXPECT_EQ(total, 1300 * 1299 / 2);
 }
 
-TEST(FaultToleranceTest, FaultInjectorSeesEveryTaskOnce) {
+TEST(FaultToleranceTest, CrashHookSeesEveryTaskOnce) {
   CountJob job(4, 5);
   std::mutex mu;
-  std::map<std::pair<int, int>, int> attempts;  // (phase, task) -> count
-  job.spec.fault_injector = [&](MapReduceTaskPhase phase, int task,
-                                int attempt) {
+  // (phase, task) -> count
+  std::map<std::pair<std::string, int>, int> attempts;
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  plan.AddCrashHook([&](const char* phase, int task, int attempt) {
     std::unique_lock<std::mutex> lock(mu);
     EXPECT_EQ(attempt, 1);  // no faults -> only first attempts
-    ++attempts[{static_cast<int>(phase), task}];
+    ++attempts[{phase, task}];
     return Status::OK();
-  };
+  });
+  job.spec.fault_plan = &plan;
   ASSERT_TRUE(MapReduceEngine(2).Run(job.spec, 1000).ok());
   EXPECT_EQ(attempts.size(), 9u);  // 4 mappers + 5 reducers
   for (const auto& [key, count] : attempts) EXPECT_EQ(count, 1);
@@ -218,23 +215,21 @@ TEST(FaultToleranceTest, RejectsZeroAttemptBudget) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(FaultToleranceTest, FaultPlanCrashSpecMatchesLegacyInjectorBehavior) {
+TEST(FaultToleranceTest, CrashHookMatchesCrashSpecs) {
   CountJob clean;
   ASSERT_TRUE(MapReduceEngine(2).Run(clean.spec, 1300).ok());
 
   // The same faults as InjectedMapAndReduceFaultsRetryToIdenticalResults,
-  // but routed through a composed FaultPlan instead of the legacy hook.
+  // but injected by a crash hook instead of the two crash specs.
   FaultPlan plan(1);
-  FaultPlan::TaskCrash map_crash;
-  map_crash.phase = "map";
-  map_crash.task = 1;
-  map_crash.attempt = 1;
-  plan.Add(map_crash);
-  FaultPlan::TaskCrash reduce_crash;
-  reduce_crash.phase = "reduce";
-  reduce_crash.task = 0;
-  reduce_crash.attempt = 1;
-  plan.Add(reduce_crash);
+  plan.AddCrashHook([](const char* phase, int task, int attempt) {
+    const std::string_view p(phase);
+    if ((p == "map" && task == 1 && attempt == 1) ||
+        (p == "reduce" && task == 0 && attempt == 1)) {
+      return Status::Internal("injected hook fault");
+    }
+    return Status::OK();
+  });
 
   CountJob faulty;
   faulty.spec.fault_plan = &plan;
@@ -246,29 +241,32 @@ TEST(FaultToleranceTest, FaultPlanCrashSpecMatchesLegacyInjectorBehavior) {
   EXPECT_EQ(plan.faults_injected(), 2);
 }
 
-TEST(FaultToleranceTest, LegacyInjectorAndFaultPlanCompose) {
-  // A legacy fault_injector and a spec.fault_plan may both be set: the
-  // adapter chains the hook in front of the plan and both fire.
-  FaultPlan plan(1);
+TEST(FaultToleranceTest, HookPlanChainsInFrontOfSpecPlan) {
+  // A hook plan chained in front of a spec plan: both fire in one run.
+  FaultPlan specs(1);
   FaultPlan::TaskCrash crash;
   crash.phase = "reduce";
   crash.task = 2;
   crash.attempt = 1;
-  plan.Add(crash);
+  specs.Add(crash);
 
-  CountJob job;
-  job.spec.fault_plan = &plan;
-  job.spec.fault_injector = [](MapReduceTaskPhase phase, int task,
-                               int attempt) {
-    if (phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1) {
-      return Status::Internal("legacy injected fault");
+  FaultPlan hooks;
+  hooks.set_parent(&specs);
+  hooks.AddCrashHook([](const char* phase, int task, int attempt) {
+    if (std::string_view(phase) == "map" && task == 0 && attempt == 1) {
+      return Status::Internal("hook injected fault");
     }
     return Status::OK();
-  };
+  });
+
+  CountJob job;
+  job.spec.fault_plan = &hooks;
   Result<MapReduceMetrics> metrics = MapReduceEngine(2).Run(job.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics->task_failures, 2);  // one from each source
   EXPECT_EQ(metrics->task_retries, 2);
+  EXPECT_EQ(hooks.faults_injected(), 1);
+  EXPECT_EQ(specs.faults_injected(), 1);
 }
 
 TEST(FaultToleranceTest, FaultPlanThrottleSlowsButDoesNotChangeResults) {
@@ -298,9 +296,10 @@ TEST(FaultToleranceTest, RetryBackoffSpacesAttemptsApart) {
   job.spec.retry_backoff_max_ms = 240;
   std::mutex mu;
   std::vector<double> attempt_starts;  // steady-clock seconds, task 1 only
-  job.spec.fault_injector = [&](MapReduceTaskPhase phase, int task,
-                                int attempt) {
-    if (phase != MapReduceTaskPhase::kMap || task != 1) return Status::OK();
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  plan.AddCrashHook([&](const char* phase, int task, int attempt) {
+    if (std::string_view(phase) != "map" || task != 1) return Status::OK();
     {
       std::unique_lock<std::mutex> lock(mu);
       attempt_starts.push_back(
@@ -309,7 +308,8 @@ TEST(FaultToleranceTest, RetryBackoffSpacesAttemptsApart) {
               .count());
     }
     return attempt <= 2 ? Status::Internal("flaky") : Status::OK();
-  };
+  });
+  job.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(2).Run(job.spec, 400);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   ASSERT_EQ(attempt_starts.size(), 3u);
@@ -327,9 +327,10 @@ TEST(FaultToleranceTest, ZeroBackoffRetriesImmediately) {
   job.spec.max_task_attempts = 3;
   std::mutex mu;
   std::vector<double> attempt_starts;
-  job.spec.fault_injector = [&](MapReduceTaskPhase phase, int task,
-                                int attempt) {
-    if (phase != MapReduceTaskPhase::kMap || task != 0) return Status::OK();
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  plan.AddCrashHook([&](const char* phase, int task, int attempt) {
+    if (std::string_view(phase) != "map" || task != 0) return Status::OK();
     {
       std::unique_lock<std::mutex> lock(mu);
       attempt_starts.push_back(
@@ -338,7 +339,8 @@ TEST(FaultToleranceTest, ZeroBackoffRetriesImmediately) {
               .count());
     }
     return attempt <= 2 ? Status::Internal("flaky") : Status::OK();
-  };
+  });
+  job.spec.fault_plan = &plan;
   ASSERT_TRUE(MapReduceEngine(2).Run(job.spec, 400).ok());
   ASSERT_EQ(attempt_starts.size(), 3u);
   EXPECT_LT(attempt_starts[2] - attempt_starts[0], 0.030);

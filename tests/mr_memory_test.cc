@@ -14,12 +14,14 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/cancellation.h"
+#include "common/fault.h"
 #include "common/memory_budget.h"
 #include "mr/engine.h"
 
@@ -272,9 +274,9 @@ TEST(MemoryBudgetEngineTest, TightBudgetQueuesTaskAdmission) {
   // each admitted reservation long enough that the other workers must
   // queue.
   tight.spec.memory_budget_bytes = 100 * 1024;
-  tight.spec.slow_task_injector = [](MapReduceTaskPhase phase, int, int) {
-    return phase == MapReduceTaskPhase::kMap ? 0.05 : 0.0;
-  };
+  FaultPlan plan = FaultPlan::Parse("slow_task=map:*:*:0.05").value();
+  plan.set_parent(FaultPlan::FromEnv());
+  tight.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(tight.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_GT(metrics->admission_waits, 0);
@@ -319,12 +321,15 @@ TEST(MemoryBudgetEngineTest, RejectsNegativeMemoryKnobs) {
       StatusCode::kInvalidArgument);
 }
 
-/// Deterministic pseudo-random decision from (seed, phase, task, attempt):
-/// the same splitmix-style mixer as mr_straggler_test.cc, so injectors
-/// stay pure functions and every trial is reproducible.
-uint64_t MixDecision(uint64_t seed, int phase, int task, int attempt) {
+/// Deterministic pseudo-random decision from (seed, phase, task, attempt)
+/// with phase map = 0, reduce = 1: the same splitmix-style mixer as
+/// mr_straggler_test.cc, so hooks stay pure functions and every trial is
+/// reproducible.
+uint64_t MixDecision(uint64_t seed, const char* phase, int task,
+                     int attempt) {
+  const uint64_t phase_id = std::string_view(phase) == "map" ? 0 : 1;
   uint64_t z =
-      seed + 0x9e3779b97f4a7c15ULL * (1 + static_cast<uint64_t>(phase)) +
+      seed + 0x9e3779b97f4a7c15ULL * (1 + phase_id) +
       0xbf58476d1ce4e5b9ULL * static_cast<uint64_t>(task + 1) +
       0x94d049bb133111ebULL * static_cast<uint64_t>(attempt);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -355,19 +360,18 @@ TEST(MemoryBudgetEngineTest, RandomizedAdversityUnderTightBudgets) {
     const uint64_t seed = 0xBEEF ^ (trial * 0x10001);
     // ~20% of attempts fail, ~20% are slowed by 60-120ms; which ones is a
     // pure function of (trial, phase, task, attempt).
-    job.spec.fault_injector = [seed](MapReduceTaskPhase phase, int task,
-                                     int attempt) {
-      return MixDecision(seed, static_cast<int>(phase), task, attempt) % 5 ==
-                     0
+    FaultPlan plan;
+    plan.set_parent(FaultPlan::FromEnv());
+    plan.AddCrashHook([seed](const char* phase, int task, int attempt) {
+      return MixDecision(seed, phase, task, attempt) % 5 == 0
                  ? Status::Internal("chaos fault")
                  : Status::OK();
-    };
-    job.spec.slow_task_injector = [seed](MapReduceTaskPhase phase, int task,
-                                         int attempt) {
-      const uint64_t z =
-          MixDecision(seed ^ 0xABCD, static_cast<int>(phase), task, attempt);
+    });
+    plan.AddSlowdownHook([seed](const char* phase, int task, int attempt) {
+      const uint64_t z = MixDecision(seed ^ 0xABCD, phase, task, attempt);
       return z % 5 == 0 ? 0.06 + static_cast<double>(z % 7) * 0.01 : 0.0;
-    };
+    });
+    job.spec.fault_plan = &plan;
     Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(job.spec, 1300);
     if (!metrics.ok()) {
       // A task may legitimately exhaust all attempts of both executions;

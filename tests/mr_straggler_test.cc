@@ -12,12 +12,14 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/cancellation.h"
+#include "common/fault.h"
 #include "mr/engine.h"
 
 namespace casm {
@@ -63,16 +65,25 @@ struct CountJob {
   }
 };
 
-/// Slows every attempt of one task's *primary* execution (a speculative
-/// backup continues the attempt numbering past max_task_attempts and
-/// stays fast).
-MapReduceSlowTaskInjector SlowPrimary(MapReduceTaskPhase slow_phase, int task,
-                                      double seconds, int max_attempts) {
-  return [=](MapReduceTaskPhase phase, int t, int attempt) {
-    return phase == slow_phase && t == task && attempt <= max_attempts
-               ? seconds
-               : 0.0;
-  };
+/// Slows every attempt of one task's *primary* execution: one slowdown
+/// spec per primary attempt number, so a speculative backup (which
+/// continues the attempt numbering past max_task_attempts) stays fast.
+FaultPlan SlowPrimary(const char* phase, int task, double seconds,
+                      int max_attempts) {
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    plan.Add(FaultPlan::TaskSlowdown{
+        .phase = phase, .task = task, .attempt = attempt, .seconds = seconds});
+  }
+  return plan;
+}
+
+/// A plan parsed from `text` that still composes with CASM_FAULT_PLAN.
+FaultPlan PlanFromText(const std::string& text) {
+  FaultPlan plan = FaultPlan::Parse(text).value();
+  plan.set_parent(FaultPlan::FromEnv());
+  return plan;
 }
 
 TEST(StragglerTest, SpeculativeBackupWinsForSlowMapTask) {
@@ -84,8 +95,9 @@ TEST(StragglerTest, SpeculativeBackupWinsForSlowMapTask) {
 
   CountJob slow;
   slow.EnableSpeculation();
-  slow.spec.slow_task_injector = SlowPrimary(
-      MapReduceTaskPhase::kMap, 0, 2.0, slow.spec.max_task_attempts);
+  const FaultPlan plan =
+      SlowPrimary("map", 0, 2.0, slow.spec.max_task_attempts);
+  slow.spec.fault_plan = &plan;
   const auto start = std::chrono::steady_clock::now();
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(slow.spec, 1300);
   const double elapsed =
@@ -112,8 +124,9 @@ TEST(StragglerTest, ReduceStragglerBackupDeliversEveryGroupExactlyOnce) {
   slow.EnableSpeculation();
   // The injected sleep runs before the attempt body, i.e. before any
   // group is delivered — the reduce task is still backup-eligible.
-  slow.spec.slow_task_injector = SlowPrimary(
-      MapReduceTaskPhase::kReduce, 1, 2.0, slow.spec.max_task_attempts);
+  const FaultPlan plan =
+      SlowPrimary("reduce", 1, 2.0, slow.spec.max_task_attempts);
+  slow.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(slow.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_GE(metrics->speculative_wins, 1);
@@ -128,18 +141,22 @@ TEST(StragglerTest, ReduceStragglerBackupDeliversEveryGroupExactlyOnce) {
 }
 
 /// Charges `seconds_per_record` to every record of one task's *primary*
-/// execution (the speculative backup's attempt numbers continue past
-/// max_task_attempts and stay full speed) — the heterogeneous-hardware
-/// shape: a node that is slow in proportion to its data, not stuck.
-MapReduceRecordThrottleInjector ThrottlePrimary(MapReduceTaskPhase slow_phase,
-                                                int task,
-                                                double seconds_per_record,
-                                                int max_attempts) {
-  return [=](MapReduceTaskPhase phase, int t, int attempt) {
-    return phase == slow_phase && t == task && attempt <= max_attempts
-               ? seconds_per_record
-               : 0.0;
-  };
+/// execution, one throttle spec per primary attempt number (the
+/// speculative backup's attempt numbers continue past max_task_attempts
+/// and stay full speed) — the heterogeneous-hardware shape: a node that
+/// is slow in proportion to its data, not stuck.
+FaultPlan ThrottlePrimary(const char* phase, int task,
+                          double seconds_per_record, int max_attempts) {
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    plan.Add(FaultPlan::RecordThrottle{.phase = phase,
+                                       .task = task,
+                                       .attempt = attempt,
+                                       .seconds_per_record =
+                                           seconds_per_record});
+  }
+  return plan;
 }
 
 TEST(StragglerTest, RecordThrottleAloneDoesNotPerturbResults) {
@@ -148,8 +165,8 @@ TEST(StragglerTest, RecordThrottleAloneDoesNotPerturbResults) {
 
   CountJob throttled;
   // A mild uniform slowdown on every task, both phases; no speculation.
-  throttled.spec.record_throttle_injector =
-      [](MapReduceTaskPhase, int, int) { return 0.0002; };
+  const FaultPlan plan = PlanFromText("throttle=*:*:*:0.0002");
+  throttled.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics =
       MapReduceEngine(4).Run(throttled.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
@@ -168,8 +185,9 @@ TEST(StragglerTest, SpeculationFiresOnRecordThrottledMapTask) {
   // ~325 records x 10ms = ~3.3s for the primary of map task 0; the
   // other mappers finish instantly, so the relative-progress gap is
   // exactly what the speculation policy must catch.
-  slow.spec.record_throttle_injector = ThrottlePrimary(
-      MapReduceTaskPhase::kMap, 0, 0.01, slow.spec.max_task_attempts);
+  const FaultPlan plan =
+      ThrottlePrimary("map", 0, 0.01, slow.spec.max_task_attempts);
+  slow.spec.fault_plan = &plan;
   const auto start = std::chrono::steady_clock::now();
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(slow.spec, 1300);
   const double elapsed =
@@ -193,8 +211,9 @@ TEST(StragglerTest, SpeculationFiresOnRecordThrottledReduceTask) {
   // The throttle charges each group *before* any output is delivered,
   // so the straggling reduce task is still backup-eligible when the
   // policy fires; the ownership gate then settles the race.
-  slow.spec.record_throttle_injector = ThrottlePrimary(
-      MapReduceTaskPhase::kReduce, 1, 0.01, slow.spec.max_task_attempts);
+  const FaultPlan plan =
+      ThrottlePrimary("reduce", 1, 0.01, slow.spec.max_task_attempts);
+  slow.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(slow.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_GE(metrics->speculative_wins, 1);
@@ -230,9 +249,8 @@ TEST(StragglerTest, DeadlineExceededInsteadOfHang) {
   CountJob job;
   job.spec.deadline_seconds = 0.2;
   // Without a deadline this job would take 5+ seconds.
-  job.spec.slow_task_injector = [](MapReduceTaskPhase phase, int, int) {
-    return phase == MapReduceTaskPhase::kMap ? 5.0 : 0.0;
-  };
+  const FaultPlan plan = PlanFromText("slow_task=map:*:*:5");
+  job.spec.fault_plan = &plan;
   const auto start = std::chrono::steady_clock::now();
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(job.spec, 1300);
   const double elapsed =
@@ -264,9 +282,8 @@ TEST(StragglerTest, ExternalCancellationStopsTheRun) {
   CountJob job;
   CancellationToken token;
   job.spec.cancel = &token;
-  job.spec.slow_task_injector = [](MapReduceTaskPhase, int, int) {
-    return 5.0;
-  };
+  const FaultPlan plan = PlanFromText("slow_task=*:*:*:5");
+  job.spec.fault_plan = &plan;
   std::thread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     token.Cancel();
@@ -304,7 +321,7 @@ TEST(StragglerTest, DeadlineInterruptsNonPollingReduceViaGroupToken) {
   EXPECT_LT(elapsed, 3.0);
 }
 
-TEST(StragglerTest, SlowInjectorAttemptNumberingSeparatesExecutions) {
+TEST(StragglerTest, SlowdownHookAttemptNumberingSeparatesExecutions) {
   // The documented contract: primary attempts are 1..max, backup attempts
   // are max+1..2*max; no other values appear.
   CountJob job;
@@ -312,16 +329,18 @@ TEST(StragglerTest, SlowInjectorAttemptNumberingSeparatesExecutions) {
   job.EnableSpeculation();
   std::mutex mu;
   std::vector<int> seen;
-  job.spec.slow_task_injector = [&](MapReduceTaskPhase phase, int task,
-                                    int attempt) {
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  plan.AddSlowdownHook([&](const char* phase, int task, int attempt) {
     {
       std::unique_lock<std::mutex> lock(mu);
       seen.push_back(attempt);
     }
-    return phase == MapReduceTaskPhase::kMap && task == 0 && attempt <= 3
+    return std::string_view(phase) == "map" && task == 0 && attempt <= 3
                ? 2.0
                : 0.0;
-  };
+  });
+  job.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(job.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_GE(metrics->speculative_wins, 1);
@@ -348,11 +367,13 @@ TEST(StragglerTest, RejectsBadSpeculationKnobs) {
             StatusCode::kInvalidArgument);
 }
 
-/// Deterministic pseudo-random decision from (seed, phase, task, attempt):
-/// a tiny splitmix-style mixer, so injectors stay pure functions and every
-/// trial is reproducible.
-uint64_t MixDecision(uint64_t seed, int phase, int task, int attempt) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (1 + static_cast<uint64_t>(phase)) +
+/// Deterministic pseudo-random decision from (seed, phase, task, attempt)
+/// with phase map = 0, reduce = 1: a tiny splitmix-style mixer, so hooks
+/// stay pure functions and every trial is reproducible.
+uint64_t MixDecision(uint64_t seed, const char* phase, int task,
+                     int attempt) {
+  const uint64_t phase_id = std::string_view(phase) == "map" ? 0 : 1;
+  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (1 + phase_id) +
                0xbf58476d1ce4e5b9ULL * static_cast<uint64_t>(task + 1) +
                0x94d049bb133111ebULL * static_cast<uint64_t>(attempt);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -378,18 +399,18 @@ TEST(StragglerTest, RandomizedAdversityYieldsIdenticalResultsOrCleanFailure) {
     const uint64_t seed = 0xC0FFEE ^ (trial * 0x10001);
     // ~20% of attempts fail, ~20% are slowed by 60-120ms; which ones is a
     // pure function of (trial, phase, task, attempt).
-    job.spec.fault_injector = [seed](MapReduceTaskPhase phase, int task,
-                                     int attempt) {
-      return MixDecision(seed, static_cast<int>(phase), task, attempt) % 5 == 0
+    FaultPlan plan;
+    plan.set_parent(FaultPlan::FromEnv());
+    plan.AddCrashHook([seed](const char* phase, int task, int attempt) {
+      return MixDecision(seed, phase, task, attempt) % 5 == 0
                  ? Status::Internal("chaos fault")
                  : Status::OK();
-    };
-    job.spec.slow_task_injector = [seed](MapReduceTaskPhase phase, int task,
-                                         int attempt) {
-      const uint64_t z =
-          MixDecision(seed ^ 0xABCD, static_cast<int>(phase), task, attempt);
+    });
+    plan.AddSlowdownHook([seed](const char* phase, int task, int attempt) {
+      const uint64_t z = MixDecision(seed ^ 0xABCD, phase, task, attempt);
       return z % 5 == 0 ? 0.06 + static_cast<double>(z % 7) * 0.01 : 0.0;
-    };
+    });
+    job.spec.fault_plan = &plan;
     Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(job.spec, 1300);
     if (!metrics.ok()) {
       // A task may legitimately exhaust all attempts of both executions;

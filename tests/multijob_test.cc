@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "core/key_derivation.h"
 #include "core/multijob_evaluator.h"
@@ -122,11 +123,9 @@ TEST(MultiJobTest, TaskFaultsAreRetriedAcrossEveryJob) {
   // Fail the first attempt of map task 0 of every job; each job must
   // retry and the final results must be unchanged.
   ParallelEvalOptions opts = EvalOpts();
-  opts.fault_injector = [](MapReduceTaskPhase phase, int task, int attempt) {
-    return phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1
-               ? Status::Internal("injected per-job fault")
-               : Status::OK();
-  };
+  FaultPlan plan = FaultPlan::Parse("task_crash=map:0:1").value();
+  plan.set_parent(FaultPlan::FromEnv());
+  opts.fault_plan = &plan;
   Result<MultiJobResult> faulty = EvaluateMultiJob(wf, table, opts);
   ASSERT_TRUE(faulty.ok()) << faulty.status();
   EXPECT_EQ(faulty->total_metrics.task_retries, faulty->jobs);
@@ -139,11 +138,9 @@ TEST(MultiJobTest, ExhaustedRetriesNameTheFailingJob) {
   Table table = PaperUniformTable(500, 7);
   ParallelEvalOptions opts = EvalOpts();
   opts.max_task_attempts = 1;
-  opts.fault_injector = [](MapReduceTaskPhase phase, int task, int) {
-    return phase == MapReduceTaskPhase::kReduce && task == 2
-               ? Status::Internal("dead reducer slot")
-               : Status::OK();
-  };
+  FaultPlan plan = FaultPlan::Parse("task_crash=reduce:2:*").value();
+  plan.set_parent(FaultPlan::FromEnv());
+  opts.fault_plan = &plan;
   Result<MultiJobResult> result = EvaluateMultiJob(wf, table, opts);
   ASSERT_FALSE(result.ok());
   const std::string& msg = result.status().message();

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "mr/cluster_model.h"
 #include "mr/engine.h"
 #include "obs/run_report.h"
@@ -244,16 +245,10 @@ TEST(EngineTraceTest, DisabledRecorderLeavesRunUntraced) {
 
 TEST(EngineTraceTest, RecordsEveryAttemptOfInjectedFaultRunWithOutcomes) {
   TracedJob job;  // 3 mappers, 4 reducers
-  job.spec.fault_injector = [](MapReduceTaskPhase phase, int task,
-                               int attempt) {
-    if (phase == MapReduceTaskPhase::kMap && task == 1 && attempt == 1) {
-      return Status::Internal("injected mapper fault");
-    }
-    if (phase == MapReduceTaskPhase::kReduce && task == 0 && attempt == 1) {
-      return Status::Internal("injected reducer fault");
-    }
-    return Status::OK();
-  };
+  FaultPlan plan =
+      FaultPlan::Parse("task_crash=map:1:1; task_crash=reduce:0:1").value();
+  plan.set_parent(FaultPlan::FromEnv());
+  job.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(2).Run(job.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
 
@@ -327,12 +322,15 @@ TEST(EngineTraceTest, SpeculativeWinAndCancelledLoserAreTagged) {
   job.spec.speculation_min_completed_fraction = 0.5;
   job.spec.speculation_min_runtime_seconds = 0.05;
   const int max_attempts = job.spec.max_task_attempts;
-  job.spec.slow_task_injector = [max_attempts](MapReduceTaskPhase phase,
-                                               int task, int attempt) {
-    const bool primary = attempt <= max_attempts;
-    return phase == MapReduceTaskPhase::kMap && task == 0 && primary ? 2.0
-                                                                     : 0.0;
-  };
+  // Slow every primary attempt of map task 0; the speculative backup
+  // (attempt > max_attempts) runs at full speed.
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    plan.Add(FaultPlan::TaskSlowdown{
+        .phase = "map", .task = 0, .attempt = attempt, .seconds = 2.0});
+  }
+  job.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(job.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   ASSERT_GE(metrics->speculative_wins, 1);
@@ -467,11 +465,17 @@ TEST(FitStragglerSlowdownTest, RecoversInjectedSlowdownWithin20Percent) {
   constexpr double kBase = 0.08;
   constexpr double kInjected = 10.0;
   TracedJob job(4, 2);
-  job.spec.slow_task_injector = [](MapReduceTaskPhase phase, int task,
-                                   int attempt) {
-    if (phase != MapReduceTaskPhase::kMap) return 0.0;
-    return task == 0 ? kBase * kInjected : kBase;
-  };
+  // One spec per map task: matching slowdowns add up, so a wildcard spec
+  // under task 0's would slow it by 11x instead of 10x.
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  for (int task = 0; task < job.spec.num_mappers; ++task) {
+    plan.Add(FaultPlan::TaskSlowdown{
+        .phase = "map",
+        .task = task,
+        .seconds = task == 0 ? kBase * kInjected : kBase});
+  }
+  job.spec.fault_plan = &plan;
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(job.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "core/key_derivation.h"
 #include "core/parallel_evaluator.h"
 #include "data/generator.h"
@@ -252,15 +253,10 @@ TEST(ParallelEvalTest, InjectedTaskFaultsRetryToByteIdenticalResults) {
   EXPECT_EQ(clean->metrics.task_retries, 0);
 
   ParallelEvalOptions opts = EvalOpts(3, 4);
-  opts.fault_injector = [](MapReduceTaskPhase phase, int task, int attempt) {
-    if (phase == MapReduceTaskPhase::kMap && task == 0 && attempt == 1) {
-      return Status::Internal("injected mapper fault");
-    }
-    if (phase == MapReduceTaskPhase::kReduce && task == 2 && attempt == 1) {
-      return Status::Internal("injected reducer fault");
-    }
-    return Status::OK();
-  };
+  FaultPlan faults =
+      FaultPlan::Parse("task_crash=map:0:1; task_crash=reduce:2:1").value();
+  faults.set_parent(FaultPlan::FromEnv());
+  opts.fault_plan = &faults;
   Result<ParallelEvalResult> faulty = EvaluateParallel(wf, table, plan, opts);
   ASSERT_TRUE(faulty.ok()) << faulty.status();
   EXPECT_EQ(faulty->metrics.task_failures, 2);
@@ -276,11 +272,11 @@ TEST(ParallelEvalTest, PersistentFaultWithoutRetriesFailsCleanly) {
   Table table = GenerateUniformTable(schema, 1000, 4);
   ParallelEvalOptions opts = EvalOpts(2, 3);
   opts.max_task_attempts = 1;
-  opts.fault_injector = [](MapReduceTaskPhase phase, int task, int) {
-    return phase == MapReduceTaskPhase::kReduce && task == 1
-               ? Status::Internal("persistent reducer fault")
-               : Status::OK();
-  };
+  FaultPlan plan;
+  plan.set_parent(FaultPlan::FromEnv());
+  plan.Add(FaultPlan::TaskCrash{
+      .phase = "reduce", .task = 1, .message = "persistent reducer fault"});
+  opts.fault_plan = &plan;
   Result<ParallelEvalResult> result =
       EvaluateParallel(wf, table, DerivedPlan(wf, 1), opts);
   ASSERT_FALSE(result.ok());
