@@ -2,8 +2,13 @@
 
 #include "core/eval_internal.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "data/record_batch.h"
 #include "mr/engine.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 
 namespace casm {
 namespace eval_internal {
@@ -99,6 +104,51 @@ RawRecordMapFn(const Table& table, const Schema& schema,
                    [&](const int64_t* k) { emitter->Emit(k, row); });
     }
   };
+}
+
+std::string QueryLabel(const ParallelEvalOptions& options, const Workflow& wf,
+                       const Table& table) {
+  if (!options.query_label.empty()) return options.query_label;
+  const char* progress = std::getenv("CASM_PROGRESS");
+  const bool observing = MetricsRegistry::Global()->enabled() ||
+                         FlightRecorder::Global()->enabled() ||
+                         !FlightRecorder::GlobalDiagDir().empty() ||
+                         (progress != nullptr && progress[0] != '\0');
+  if (!observing) return std::string();
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "q%016llx",
+                static_cast<unsigned long long>(FingerprintQuery(wf, table)));
+  return buf;
+}
+
+Status OpenCheckpoint(const ParallelEvalOptions& options, const Workflow& wf,
+                      const Table& table, std::optional<CheckpointLog>* ckpt,
+                      DfsVolumeStats* dfs_base) {
+  CheckpointOptions ckpt_options = options.checkpoint;
+  if (ckpt_options.volume.fault_plan == nullptr) {
+    ckpt_options.volume.fault_plan = options.fault_plan;
+  }
+  if (ckpt_options.volume.trace == nullptr) {
+    ckpt_options.volume.trace = options.trace;
+  }
+  CASM_ASSIGN_OR_RETURN(
+      CheckpointLog log,
+      CheckpointLog::Open(ckpt_options, FingerprintQuery(wf, table)));
+  ckpt->emplace(std::move(log));
+  *dfs_base = (*ckpt)->volume().stats();
+  return Status::OK();
+}
+
+void ApplyDfsStats(const std::optional<CheckpointLog>& ckpt,
+                   const DfsVolumeStats& dfs_base, MapReduceMetrics* m) {
+  if (!ckpt.has_value()) return;
+  const DfsVolumeStats s = ckpt->volume().stats();
+  m->dfs_io_retries += s.io_retries - dfs_base.io_retries;
+  m->dfs_write_failovers += s.write_failovers - dfs_base.write_failovers;
+  m->dfs_corrupt_replicas += s.corrupt_replicas - dfs_base.corrupt_replicas;
+  m->dfs_repaired_replicas += s.repaired_replicas - dfs_base.repaired_replicas;
+  m->dfs_under_replicated_blocks +=
+      s.under_replicated_blocks - dfs_base.under_replicated_blocks;
 }
 
 }  // namespace eval_internal

@@ -1,11 +1,13 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Internal pieces shared by the solo evaluator (EvaluateParallel) and the
-// shared-batch evaluator (EvaluateParallelShared). A shared run must ship
-// a shuffle pair-for-pair identical to a solo run's under the same plan,
-// and filter and assemble each member's block results the same way — the
-// foundation of the bit-identical fanout contract in shared_evaluator.h —
-// so each piece is defined once here. Not public API.
+// Internal pieces shared by the evaluators. A shared run
+// (EvaluateParallelShared) must ship a shuffle pair-for-pair identical to
+// a solo run's (EvaluateParallel) under the same plan, and filter and
+// assemble each member's block results the same way — the foundation of
+// the bit-identical fanout contract in shared_evaluator.h. The solo and
+// multi-job evaluators (EvaluateMultiJob) resolve the query label and
+// open their checkpoint log the same way. Each piece is defined once
+// here. Not public API.
 
 #ifndef CASM_CORE_EVAL_INTERNAL_H_
 #define CASM_CORE_EVAL_INTERNAL_H_
@@ -13,10 +15,14 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
 #include "common/status.h"
 #include "core/keygen.h"
+#include "core/parallel_evaluator.h"
 #include "data/table.h"
 #include "local/measure_table.h"
 #include "local/sortscan_evaluator.h"
@@ -66,6 +72,27 @@ MeasureResultSet FilterOwned(const Workflow& wf,
 std::function<void(int64_t begin, int64_t end, Emitter* emitter)>
 RawRecordMapFn(const Table& table, const Schema& schema,
                const std::vector<KeyGenAttr>& keygen, int64_t map_batch_rows);
+
+/// The label observability consumers stamp on the query's output: the
+/// caller's `options.query_label`, else "q<fingerprint>" of (wf, table)
+/// when a consumer is on (the registry or the flight ring is enabled, or
+/// CASM_DIAG_DIR or CASM_PROGRESS is set), else empty. The fingerprint
+/// hashes the whole input table, so the disabled path never computes it.
+std::string QueryLabel(const ParallelEvalOptions& options, const Workflow& wf,
+                       const Table& table);
+
+/// Opens `options.checkpoint` into `ckpt`, keyed by the (wf, table)
+/// fingerprint, forwarding the run's fault plan and trace into the volume
+/// options the caller left unset. `dfs_base` receives the volume's stats
+/// at open, the baseline ApplyDfsStats subtracts.
+Status OpenCheckpoint(const ParallelEvalOptions& options, const Workflow& wf,
+                      const Table& table, std::optional<CheckpointLog>* ckpt,
+                      DfsVolumeStats* dfs_base);
+
+/// Attributes the checkpoint volume's resilience activity since open (IO
+/// retries, failovers, repairs) to `m`. No-op without a checkpoint.
+void ApplyDfsStats(const std::optional<CheckpointLog>& ckpt,
+                   const DfsVolumeStats& dfs_base, MapReduceMetrics* m);
 
 }  // namespace eval_internal
 }  // namespace casm

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -13,11 +12,11 @@
 
 #include "ckpt/checkpoint.h"
 #include "common/logging.h"
+#include "core/eval_internal.h"
 #include "mr/engine.h"
 #include "mr/external_sort.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace casm {
@@ -40,6 +39,7 @@ Status AnnotateJobError(const Status& s, const char* kind,
 }
 
 /// Evaluates one basic measure with its own repartition-the-raw-data job.
+/// `options.trace` is the sequence's resolved recorder (never null).
 Status RunBasicJob(const Workflow& wf, int index, const Table& table,
                    const ParallelEvalOptions& options, MapReduceEngine* engine,
                    MeasureResultSet* results, MapReduceMetrics* total) {
@@ -75,8 +75,7 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
     std::unique_lock<std::mutex> lock(mu);
     out.emplace(std::move(coords), acc.Result());
   };
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
+  TraceRecorder* const trace = options.trace;
   const bool tracing = trace->enabled();
   const double job_start = tracing ? trace->NowSeconds() : 0;
   Result<MapReduceMetrics> run = engine->Run(spec, table.num_rows());
@@ -96,6 +95,7 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
 
 /// Evaluates one composite measure by repartitioning its sources' results
 /// (a parallel join). Input rows: [edge_id, source coords..., value-bits].
+/// `options.trace` is the sequence's resolved recorder (never null).
 Status RunCompositeJob(const Workflow& wf, int index,
                        const ParallelEvalOptions& options,
                        MapReduceEngine* engine, MeasureResultSet* results,
@@ -290,8 +290,7 @@ Status RunCompositeJob(const Workflow& wf, int index,
     std::unique_lock<std::mutex> lock(mu);
     for (auto& [coords, value] : local) out.emplace(coords, value);
   };
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
+  TraceRecorder* const trace = options.trace;
   const bool tracing = trace->enabled();
   const double job_start = tracing ? trace->NowSeconds() : 0;
   Result<MapReduceMetrics> run = engine->Run(spec, num_input);
@@ -322,39 +321,16 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
   MultiJobResult out;
   out.results = MeasureResultSet(wf.num_measures());
 
-  // ---- Live observability resolution — the same discipline as
-  // EvaluateParallel: nothing here runs (and the query label is never
-  // computed) unless some consumer is active. One progress tracker spans
-  // the whole job sequence; each job's phases re-begin under it.
-  FlightRecorder* const flight =
-      options.flight != nullptr ? options.flight : FlightRecorder::Global();
-  const std::string diag_dir = !options.diag_dir.empty()
-                                   ? options.diag_dir
-                                   : FlightRecorder::GlobalDiagDir();
-  const double ticker_seconds = options.progress_seconds > 0
-                                    ? options.progress_seconds
-                                    : ProgressTracker::TickerSecondsFromEnv();
-  const bool observing = MetricsRegistry::Global()->enabled() ||
-                         flight->enabled() || !diag_dir.empty() ||
-                         ticker_seconds > 0 || options.progress != nullptr ||
-                         !options.query_label.empty();
-  std::string query_label = options.query_label;
-  if (observing && query_label.empty()) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "q%016llx",
-                  static_cast<unsigned long long>(FingerprintQuery(wf, table)));
-    query_label = buf;
-  }
-  std::optional<ProgressTracker> local_progress;
-  ProgressTracker* progress = options.progress;
-  if (progress == nullptr && observing) {
-    local_progress.emplace(query_label);
-    progress = &*local_progress;
-  }
-  if (ticker_seconds > 0) progress->StartTicker(ticker_seconds);
+  // ---- Observability resolution, once per sequence — the same
+  // discipline as EvaluateParallel. Every job runs on `engine`, so one
+  // progress tracker spans the whole sequence; each job's phases re-begin
+  // under it.
+  TraceRecorder* const trace =
+      options.trace != nullptr ? options.trace : TraceRecorder::Global();
+  FlightRecorder* const flight = FlightRecorder::Global();
+  const std::string query_label = eval_internal::QueryLabel(options, wf, table);
   const auto diagnose = [&](const Status& failure) {
-    MaybeWriteDiagnosticBundle(diag_dir, query_label, failure,
-                               DescribeOptions(options), *flight);
+    MaybeWriteDiagnosticBundle(query_label, failure, DescribeOptions(options));
   };
 
   // Open the checkpoint log up front so restore verification (entry
@@ -362,39 +338,14 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
   std::optional<CheckpointLog> ckpt;
   DfsVolumeStats dfs_base;
   if (options.checkpoint.enabled()) {
-    CheckpointOptions ckpt_options = options.checkpoint;
-    if (ckpt_options.volume.fault_plan == nullptr) {
-      ckpt_options.volume.fault_plan = options.fault_plan;
-    }
-    if (ckpt_options.volume.trace == nullptr) {
-      ckpt_options.volume.trace = options.trace;
-    }
-    CASM_ASSIGN_OR_RETURN(
-        CheckpointLog log,
-        CheckpointLog::Open(ckpt_options, FingerprintQuery(wf, table)));
-    ckpt.emplace(std::move(log));
-    dfs_base = ckpt->volume().stats();
+    CASM_RETURN_IF_ERROR(
+        eval_internal::OpenCheckpoint(options, wf, table, &ckpt, &dfs_base));
   }
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
   // Circuit breaker around per-job commits: a persistently failing
   // checkpoint store degrades the run to "completed without durability"
   // instead of failing the query (DESIGN.md §12).
   CheckpointBreaker breaker(options.checkpoint.breaker_failure_threshold,
                             options.checkpoint.breaker_probe_seconds);
-  // Attributes the checkpoint volume's resilience activity since Open to
-  // this run's metrics.
-  const auto apply_dfs_stats = [&ckpt, &dfs_base](MapReduceMetrics* m) {
-    if (!ckpt.has_value()) return;
-    const DfsVolumeStats s = ckpt->volume().stats();
-    m->dfs_io_retries += s.io_retries - dfs_base.io_retries;
-    m->dfs_write_failovers += s.write_failovers - dfs_base.write_failovers;
-    m->dfs_corrupt_replicas += s.corrupt_replicas - dfs_base.corrupt_replicas;
-    m->dfs_repaired_replicas +=
-        s.repaired_replicas - dfs_base.repaired_replicas;
-    m->dfs_under_replicated_blocks +=
-        s.under_replicated_blocks - dfs_base.under_replicated_blocks;
-  };
 
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < wf.num_measures(); ++i) {
@@ -437,12 +388,10 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
     // budget between jobs fails here rather than starting one that cannot
     // meaningfully finish.
     ParallelEvalOptions job_options = options;
-    // Every job stamps the sequence's resolved label and drives the
-    // sequence-wide progress tracker (both are EngineOptions, copied
-    // into each job's spec).
+    // Every job stamps the sequence's resolved trace and label (both are
+    // EngineOptions, copied into each job's spec).
+    job_options.trace = trace;
     job_options.query_label = query_label;
-    job_options.progress = progress;
-    job_options.flight = flight;
     if (options.deadline_seconds > 0) {
       const double remaining = options.deadline_seconds - SecondsSince(start);
       if (remaining <= 0) {
@@ -520,7 +469,7 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
   out.total_metrics.checkpoint_commits_skipped += breaker.commits_skipped();
   out.total_metrics.checkpoint_degraded =
       out.total_metrics.checkpoint_degraded || breaker.degraded();
-  apply_dfs_stats(&out.total_metrics);
+  eval_internal::ApplyDfsStats(ckpt, dfs_base, &out.total_metrics);
   PublishQueryMetrics(MetricsRegistry::Global(), query_label,
                       out.total_metrics);
   return out;

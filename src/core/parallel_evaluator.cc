@@ -23,7 +23,6 @@
 #include "mr/engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace casm {
@@ -72,25 +71,6 @@ std::string DescribeOptions(const ParallelEvalOptions& options) {
   return out;
 }
 
-namespace {
-
-/// The query label observability consumers stamp on their output: the
-/// caller's label, or "q<fingerprint>" derived on demand. Computed only
-/// when some consumer is active — the fingerprint hashes the whole input
-/// table, and the disabled path must stay at relaxed-load cost.
-std::string ResolveQueryLabel(const ParallelEvalOptions& options,
-                              const Workflow& wf, const Table& table,
-                              bool observing) {
-  if (!options.query_label.empty()) return options.query_label;
-  if (!observing) return std::string();
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "q%016llx",
-                static_cast<unsigned long long>(FingerprintQuery(wf, table)));
-  return buf;
-}
-
-}  // namespace
-
 Result<ParallelEvalResult> EvaluateParallel(
     const Workflow& wf, const Table& table, const ExecutionPlan& plan,
     const ParallelEvalOptions& options) {
@@ -110,37 +90,15 @@ Result<ParallelEvalResult> EvaluateParallel(
     }
   }
 
-  // ---- Live observability resolution (see ParallelEvalOptions): the
-  // flight recorder, the diagnostic-bundle directory, the progress
-  // tracker, and the query label they all stamp. Everything here is
-  // inert — and the label never computed — unless some consumer is on.
-  FlightRecorder* const flight =
-      options.flight != nullptr ? options.flight : FlightRecorder::Global();
-  const std::string diag_dir = !options.diag_dir.empty()
-                                   ? options.diag_dir
-                                   : FlightRecorder::GlobalDiagDir();
-  const double ticker_seconds = options.progress_seconds > 0
-                                    ? options.progress_seconds
-                                    : ProgressTracker::TickerSecondsFromEnv();
-  const bool observing = MetricsRegistry::Global()->enabled() ||
-                         flight->enabled() || !diag_dir.empty() ||
-                         ticker_seconds > 0 || options.progress != nullptr ||
-                         !options.query_label.empty();
-  const std::string query_label =
-      ResolveQueryLabel(options, wf, table, observing);
-  std::optional<ProgressTracker> local_progress;
-  ProgressTracker* progress = options.progress;
-  if (progress == nullptr && observing) {
-    local_progress.emplace(query_label);
-    progress = &*local_progress;
-  }
-  if (ticker_seconds > 0) progress->StartTicker(ticker_seconds);
-  // Bundle-on-failure helper shared by every non-OK exit below: dumps the
-  // flight ring, a metrics snapshot and the resolved options to diag_dir
-  // (no-op when no directory is configured).
+  // ---- Observability resolution, once per evaluation: the trace, and
+  // the query label stamped on everything the run reports. On every
+  // non-OK exit below, a diagnostic bundle (the flight ring, a metrics
+  // snapshot and the resolved options) goes to CASM_DIAG_DIR, if set.
+  TraceRecorder* const trace =
+      options.trace != nullptr ? options.trace : TraceRecorder::Global();
+  const std::string query_label = eval_internal::QueryLabel(options, wf, table);
   const auto diagnose = [&](const Status& failure) {
-    MaybeWriteDiagnosticBundle(diag_dir, query_label, failure,
-                               DescribeOptions(options), *flight);
+    MaybeWriteDiagnosticBundle(query_label, failure, DescribeOptions(options));
   };
 
   // Checkpointed single-pass evaluation: the full result set is one log
@@ -148,46 +106,21 @@ Result<ParallelEvalResult> EvaluateParallel(
   // plan-independent because every feasible plan computes identical
   // results, so a committed run short-circuits re-runs under any plan.
   std::optional<CheckpointLog> ckpt;
-  TraceRecorder* const ckpt_trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
   DfsVolumeStats dfs_base;
-  // Attributes the checkpoint volume's resilience activity (IO retries,
-  // failovers, repairs) since Open to this run's metrics.
-  const auto apply_dfs_stats = [&ckpt, &dfs_base](MapReduceMetrics* m) {
-    if (!ckpt.has_value()) return;
-    const DfsVolumeStats s = ckpt->volume().stats();
-    m->dfs_io_retries += s.io_retries - dfs_base.io_retries;
-    m->dfs_write_failovers += s.write_failovers - dfs_base.write_failovers;
-    m->dfs_corrupt_replicas += s.corrupt_replicas - dfs_base.corrupt_replicas;
-    m->dfs_repaired_replicas +=
-        s.repaired_replicas - dfs_base.repaired_replicas;
-    m->dfs_under_replicated_blocks +=
-        s.under_replicated_blocks - dfs_base.under_replicated_blocks;
-  };
   int64_t ckpt_restore_failures = 0;
   if (options.checkpoint.enabled() &&
       options.phase == ParallelEvalPhase::kFull) {
-    CheckpointOptions ckpt_options = options.checkpoint;
-    if (ckpt_options.volume.fault_plan == nullptr) {
-      ckpt_options.volume.fault_plan = options.fault_plan;
-    }
-    if (ckpt_options.volume.trace == nullptr) {
-      ckpt_options.volume.trace = options.trace;
-    }
-    CASM_ASSIGN_OR_RETURN(
-        CheckpointLog log,
-        CheckpointLog::Open(ckpt_options, FingerprintQuery(wf, table)));
-    ckpt.emplace(std::move(log));
-    dfs_base = ckpt->volume().stats();
-    const bool tracing = ckpt_trace->enabled();
-    const double restore_start = tracing ? ckpt_trace->NowSeconds() : 0;
+    CASM_RETURN_IF_ERROR(
+        eval_internal::OpenCheckpoint(options, wf, table, &ckpt, &dfs_base));
+    const bool tracing = trace->enabled();
+    const double restore_start = tracing ? trace->NowSeconds() : 0;
     int64_t bytes_restored = 0;
     Result<MeasureResultSet> restored =
         ckpt->TryRestoreResultSet("result", &bytes_restored);
     if (tracing) {
-      ckpt_trace->RecordSpan(
-          "ckpt", "ckpt-restore result", restore_start,
-          ckpt_trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
+      trace->RecordSpan(
+          "ckpt", "ckpt-restore result", restore_start, trace->NowSeconds(),
+          /*task=*/-1, /*attempt=*/0,
           restored.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
           restored.ok() ? "bytes=" + std::to_string(bytes_restored)
                         : restored.status().ToString());
@@ -200,7 +133,7 @@ Result<ParallelEvalResult> EvaluateParallel(
       out.results = std::move(restored).value();
       out.metrics.checkpoint_jobs_restored = 1;
       out.metrics.checkpoint_bytes_restored = bytes_restored;
-      apply_dfs_stats(&out.metrics);
+      eval_internal::ApplyDfsStats(ckpt, dfs_base, &out.metrics);
       PublishQueryMetrics(MetricsRegistry::Global(), query_label,
                           out.metrics);
       return out;
@@ -221,8 +154,6 @@ Result<ParallelEvalResult> EvaluateParallel(
   // RowLess (combined sort) and the engines can never disagree on order.
   const std::unique_ptr<LocalAggregator> local_agg =
       MakeLocalAggregator(&wf, &local_eval, options.local_agg);
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
   // Referenced by the map/reduce lambdas below: must outlive engine.Run().
   const int early_agg_value_width = 1 + num_attrs + Accumulator::kPartialSize;
 
@@ -238,8 +169,6 @@ Result<ParallelEvalResult> EvaluateParallel(
   spec.map_only = options.phase == ParallelEvalPhase::kMapOnly;
   spec.skip_reduce = options.phase == ParallelEvalPhase::kShuffleOnly;
   static_cast<EngineOptions&>(spec) = options;
-  // The run-local resolutions override the forwarded options.
-  spec.progress = progress;
   spec.query_label = query_label;
 
   DistributedFile::Assignment dfs_assignment;
@@ -446,12 +375,12 @@ Result<ParallelEvalResult> EvaluateParallel(
   out.blocks_evaluated = sink.blocks;
   out.results_filtered = sink.filtered;
   if (ckpt.has_value()) {
-    const bool ckpt_tracing = ckpt_trace->enabled();
-    const double write_start = ckpt_tracing ? ckpt_trace->NowSeconds() : 0;
+    const bool ckpt_tracing = trace->enabled();
+    const double write_start = ckpt_tracing ? trace->NowSeconds() : 0;
     Result<int64_t> bytes = ckpt->CommitResultSet("result", out.results);
     if (ckpt_tracing) {
-      ckpt_trace->RecordSpan(
-          "ckpt", "ckpt-write result", write_start, ckpt_trace->NowSeconds(),
+      trace->RecordSpan(
+          "ckpt", "ckpt-write result", write_start, trace->NowSeconds(),
           /*task=*/-1, /*attempt=*/0,
           bytes.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
           bytes.ok() ? "bytes=" + std::to_string(bytes.value())
@@ -465,13 +394,13 @@ Result<ParallelEvalResult> EvaluateParallel(
       out.metrics.checkpoint_commit_failures = 1;
       out.metrics.checkpoint_degraded = true;
       if (ckpt_tracing) {
-        ckpt_trace->RecordInstant("ckpt", "ckpt-degraded", /*task=*/-1,
-                                  bytes.status().ToString());
+        trace->RecordInstant("ckpt", "ckpt-degraded", /*task=*/-1,
+                             bytes.status().ToString());
       }
     }
   }
   out.metrics.checkpoint_restore_failures = ckpt_restore_failures;
-  apply_dfs_stats(&out.metrics);
+  eval_internal::ApplyDfsStats(ckpt, dfs_base, &out.metrics);
   PublishQueryMetrics(MetricsRegistry::Global(), query_label, out.metrics);
   return out;
 }

@@ -37,8 +37,9 @@ enum class ParallelEvalPhase {
 
 /// Evaluation options. The robustness and observability knobs — memory
 /// limits, retries, the fault plan, deadline, cancellation, speculation,
-/// trace/flight/progress sinks and the query label — are inherited from
-/// EngineOptions (mr/engine.h) and forwarded to every engine run.
+/// the trace and the query label — are inherited from EngineOptions
+/// (mr/engine.h) and forwarded to every engine run. A failing evaluation
+/// writes a diagnostic bundle into CASM_DIAG_DIR (obs/flight_recorder.h).
 struct ParallelEvalOptions : EngineOptions {
   int num_mappers = 4;
   int num_reducers = 4;
@@ -50,14 +51,6 @@ struct ParallelEvalOptions : EngineOptions {
   /// locality-scheduled splits of this file instead of contiguous chunks.
   /// Must describe exactly `table.num_rows()` rows. Not owned.
   const DistributedFile* input_file = nullptr;
-
-  /// Directory receiving a JSON diagnostic bundle (flight-recorder ring +
-  /// metrics snapshot + resolved options) when the evaluation returns a
-  /// non-OK Status. Empty falls back to CASM_DIAG_DIR.
-  std::string diag_dir;
-  /// Stderr progress-ticker period in seconds; 0 defers to CASM_PROGRESS
-  /// (unset = no ticker).
-  double progress_seconds = 0;
 
   /// Durable per-job checkpointing (src/ckpt): with a directory set and
   /// mode kResume, EvaluateMultiJob commits each completed job's results

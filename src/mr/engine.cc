@@ -158,8 +158,7 @@ Status RunTaskWithRetry(
         attempt_body) {
   const char* phase_name = TaskPhaseName(phase);
   const bool armed = plan != nullptr && plan->armed();
-  FlightRecorder* const flight =
-      spec.flight != nullptr ? spec.flight : FlightRecorder::Global();
+  FlightRecorder* const flight = FlightRecorder::Global();
   for (int attempt = 1;; ++attempt) {
     if (token != nullptr && token->cancelled()) return token->status();
     const int injector_attempt = attempt_offset + attempt;
@@ -294,7 +293,7 @@ class PhaseRunner {
   PhaseRunner(const MapReduceSpec& spec, const FaultPlan* plan,
               MapReduceTaskPhase phase, int num_tasks, ThreadPool* pool,
               const CancellationToken* job_token, RetryCounters* counters,
-              TraceRecorder* trace)
+              TraceRecorder* trace, ProgressTracker* progress)
       : spec_(spec),
         plan_(plan),
         phase_(phase),
@@ -302,6 +301,7 @@ class PhaseRunner {
         pool_(pool),
         counters_(counters),
         trace_(trace),
+        progress_(progress),
         phase_token_(job_token) {
     tasks_.reserve(static_cast<size_t>(num_tasks));
     for (int t = 0; t < num_tasks; ++t) {
@@ -331,8 +331,8 @@ class PhaseRunner {
   Status Run(const AttemptBody& body, PhaseStats* out) {
     body_ = &body;
     stats_.winner_exec.assign(static_cast<size_t>(num_tasks_), -1);
-    if (spec_.progress != nullptr) {
-      spec_.progress->BeginPhase(TaskPhaseName(phase_), num_tasks_);
+    if (progress_ != nullptr) {
+      progress_->BeginPhase(TaskPhaseName(phase_), num_tasks_);
     }
     const bool tracing = trace_ != nullptr && trace_->enabled();
     const double phase_span_start = tracing ? trace_->NowSeconds() : 0;
@@ -500,8 +500,8 @@ class PhaseRunner {
         task.resolved = true;
         ++resolved_;
         stats_.winner_exec[static_cast<size_t>(t)] = e;
-        if (spec_.progress != nullptr) {
-          spec_.progress->TaskFinished(TaskPhaseName(phase_));
+        if (progress_ != nullptr) {
+          progress_->TaskFinished(TaskPhaseName(phase_));
         }
         completed_sketch_.Add(seconds);
         if (e == 1) ++stats_.speculative_wins;
@@ -598,6 +598,7 @@ class PhaseRunner {
   ThreadPool* pool_;
   RetryCounters* counters_;
   TraceRecorder* trace_;  // not owned; engine-resolved, never null
+  ProgressTracker* progress_;  // not owned; null = untracked run
   const AttemptBody* body_ = nullptr;
   MemoryBudget* budget_ = nullptr;  // not owned; null = no admission
   std::function<int64_t(int)> projected_bytes_;
@@ -672,18 +673,13 @@ Emitter::~Emitter() {
 void Emitter::ConfigureMemory(MemoryBudget* budget,
                               int64_t base_reserved_bytes,
                               int64_t spill_threshold_bytes,
-                              std::string spill_dir, TraceRecorder* trace,
-                              FlightRecorder* flight,
-                              std::string query_label) {
+                              std::string spill_dir) {
   budget_ = budget;
   base_reserved_bytes_ = base_reserved_bytes;
   spill_threshold_bytes_ = spill_threshold_bytes;
   spill_dir_ = spill_dir.empty()
                    ? std::filesystem::temp_directory_path().string()
                    : std::move(spill_dir);
-  trace_ = trace;
-  flight_ = flight;
-  query_label_ = std::move(query_label);
 }
 
 void Emitter::Emit(const int64_t* key, const int64_t* value) {
@@ -818,9 +814,10 @@ void Emitter::SpillBuffers() {
     if (trace_ != nullptr && trace_->enabled()) {
       trace_->RecordInstant("memory", "emitter-spill", /*task=*/-1, detail);
     }
-    if (flight_ != nullptr && flight_->enabled()) {
-      flight_->Record("memory", "emitter-spill", /*task=*/-1, /*attempt=*/0,
-                      detail, query_label_);
+    FlightRecorder* const flight = FlightRecorder::Global();
+    if (flight->enabled()) {
+      flight->Record("memory", "emitter-spill", /*task=*/-1, /*attempt=*/0,
+                     detail, query_label_);
     }
     MetricsRegistry* const registry = MetricsRegistry::Global();
     if (registry->enabled()) {
@@ -929,6 +926,20 @@ MapReduceEngine::MapReduceEngine(int num_threads) {
 
 MapReduceEngine::~MapReduceEngine() = default;
 
+ProgressTracker* MapReduceEngine::ProgressFor(const std::string& query_label) {
+  if (query_label.empty()) return nullptr;
+  if (progress_ == nullptr || progress_->query() != query_label) {
+    progress_.reset();
+    const double ticker_seconds = ProgressTracker::TickerSecondsFromEnv();
+    if (!MetricsRegistry::Global()->enabled() && ticker_seconds <= 0) {
+      return nullptr;
+    }
+    progress_ = std::make_unique<ProgressTracker>(query_label);
+    progress_->StartTicker(ticker_seconds);  // no-op at 0
+  }
+  return progress_.get();
+}
+
 Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
                                               int64_t num_input_rows) {
   if (spec.num_mappers < 1 || spec.num_reducers < 1) {
@@ -999,12 +1010,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   const bool tracing = trace->enabled();
   const double trace_run_start = tracing ? trace->NowSeconds() : 0;
   const int64_t trace_dropped_at_start = tracing ? trace->dropped_events() : 0;
-  // Live observability (see MapReduceSpec): the flight recorder and the
-  // progress tracker. Both cost one relaxed load per would-be event when
-  // their environment switches are off.
-  FlightRecorder* const flight =
-      spec.flight != nullptr ? spec.flight : FlightRecorder::Global();
-  ProgressTracker* const progress = spec.progress;
+  ProgressTracker* const progress = ProgressFor(spec.query_label);
   if (tracing) {
     pool.set_queue_latency_hook([trace](double queued_seconds) {
       const double now = trace->NowSeconds();
@@ -1090,8 +1096,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
       slot = std::make_unique<Emitter>(num_reducers, spec.key_width,
                                        spec.value_width);
       slot->ConfigureMemory(&budget, map_reservation, spill_threshold,
-                            spec.spill_dir, tracing ? trace : nullptr,
-                            flight, spec.query_label);
+                            spec.spill_dir);
       slot->set_spill_order(pair_less);
     }
     Emitter* emitter = slot.get();
@@ -1099,6 +1104,8 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
     // attempt produced.
     emitter->Clear();
     emitter->cancel_ = token;
+    emitter->trace_ = tracing ? trace : nullptr;
+    emitter->query_label_ = spec.query_label;
     emitter->set_record_throttle(
         plan_armed ? plan->RecordThrottleSeconds("map", m, attempt) : 0);
     if (spec.split_fn) {
@@ -1125,7 +1132,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   PhaseStats map_stats;
   {
     PhaseRunner runner(spec, plan, MapReduceTaskPhase::kMap, num_mappers,
-                       &pool, &job_token, &counters, trace);
+                       &pool, &job_token, &counters, trace, progress);
     runner.set_admission(&budget,
                          [map_reservation](int) { return map_reservation; });
     Status map_status = runner.Run(map_body, &map_stats);
@@ -1252,7 +1259,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
       static_cast<size_t>(num_reducers));
 
   PhaseRunner runner(spec, plan, MapReduceTaskPhase::kReduce, num_reducers,
-                     &pool, &job_token, &counters, trace);
+                     &pool, &job_token, &counters, trace, progress);
   // Reduce admission: the gather buffer plus the sorted copy, both sized
   // by the reducer's exact pair count (known after the map phase). The
   // local evaluation behind reduce_fn is the user's to account.

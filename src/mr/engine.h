@@ -76,7 +76,6 @@
 
 namespace casm {
 
-class FlightRecorder;
 class ProgressTracker;
 class ThreadPool;
 class TraceRecorder;
@@ -147,16 +146,10 @@ class Emitter {
   /// Wires memory accounting: track flattened-pair bytes against `budget`
   /// (may be null), treating `base_reserved_bytes` as already reserved by
   /// the caller, and spill to `spill_dir` once the buffered bytes exceed
-  /// `spill_threshold_bytes` (0 disables spilling). `trace` (may be null)
-  /// receives a "memory" instant per spill; `flight` (may be null)
-  /// receives a "memory"/"emitter-spill" ring event stamped with
-  /// `query_label`. Engine-internal, but public so tests can drive an
-  /// Emitter directly.
+  /// `spill_threshold_bytes` (0 disables spilling). Engine-internal, but
+  /// public so tests can drive an Emitter directly.
   void ConfigureMemory(MemoryBudget* budget, int64_t base_reserved_bytes,
-                       int64_t spill_threshold_bytes, std::string spill_dir,
-                       TraceRecorder* trace = nullptr,
-                       FlightRecorder* flight = nullptr,
-                       std::string query_label = std::string());
+                       int64_t spill_threshold_bytes, std::string spill_dir);
 
   /// Spills every buffered pair (used by the engine at the end of a
   /// successful map attempt so a completed task holds no memory while it
@@ -240,10 +233,12 @@ class Emitter {
   int key_width_;
   int value_width_;
   int64_t emitted_ = 0;
-  const CancellationToken* cancel_ = nullptr;  // not owned; set per attempt
-  TraceRecorder* trace_ = nullptr;             // not owned; may be null
-  FlightRecorder* flight_ = nullptr;           // not owned; may be null
-  std::string query_label_;                    // stamped on flight events
+  // Set per attempt by the engine. A spill records a "memory" instant in
+  // `trace_` (null = untraced) and a ring event in the global flight
+  // recorder stamped with `query_label_`.
+  const CancellationToken* cancel_ = nullptr;  // not owned
+  TraceRecorder* trace_ = nullptr;             // not owned
+  std::string query_label_;
   // Per-reducer buffer of flattened [key..., value...] entries.
   std::vector<std::vector<int64_t>> buffers_;
 
@@ -307,8 +302,8 @@ class GroupView {
 };
 
 /// The engine's robustness and observability knobs: memory limits,
-/// retries, fault injection, deadlines, speculation and the run's
-/// observability sinks. Declared once here; MapReduceSpec and
+/// retries, fault injection, deadlines, speculation, the run's trace
+/// and its query label. Declared once here; MapReduceSpec and
 /// ParallelEvalOptions (core/parallel_evaluator.h) both inherit them, and
 /// the evaluators forward them with `static_cast<EngineOptions&>(spec) =
 /// options`.
@@ -395,25 +390,11 @@ struct EngineOptions {
   /// one relaxed load per would-be event. Not owned; must outlive Run().
   TraceRecorder* trace = nullptr;
 
-  // ---- Live observability (obs/metrics.h, obs/progress.h,
-  // obs/flight_recorder.h). All three default to process-global
-  // singletons that are disabled unless their environment variables are
-  // set, so the default cost is one relaxed load per would-be event.
-
-  /// Failure flight recorder: task failures/retries and emitter spills
-  /// are recorded as ring events for the post-failure diagnostic bundle.
-  /// null = FlightRecorder::Global() (enabled under CASM_DIAG_DIR). Not
-  /// owned; must outlive Run().
-  FlightRecorder* flight = nullptr;
-  /// Live progress: the engine begins a phase per task phase and marks
-  /// tasks as they resolve. null = no progress tracking in the engine;
-  /// the evaluators substitute a run-local tracker when any observability
-  /// consumer is active. Not owned; must outlive Run().
-  ProgressTracker* progress = nullptr;
   /// Query label stamped on flight events, progress gauges and per-query
-  /// registry counters (casm_query_*). Empty is fine for the engine; the
-  /// evaluators derive "q<fingerprint>" from the (workflow, table)
-  /// fingerprint when an observability consumer is active.
+  /// registry counters (casm_query_*); the registry and the flight ring
+  /// are process-wide. Empty is fine for the engine; the evaluators derive
+  /// "q<fingerprint>" from the (workflow, table) fingerprint when an
+  /// observability consumer is active.
   std::string query_label;
 };
 
@@ -480,8 +461,16 @@ class MapReduceEngine {
   int num_threads() const { return num_threads_; }
 
  private:
+  /// The live-progress tracker of a run labeled `query_label` (the
+  /// casm_progress_* gauges and the CASM_PROGRESS stderr ticker read it):
+  /// created on the first such run while a reader exists, and kept across
+  /// runs with the same label so a job sequence shares one tracker. Null
+  /// for an unlabeled run or when nothing would read it.
+  ProgressTracker* ProgressFor(const std::string& query_label);
+
   int num_threads_;
   std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ProgressTracker> progress_;
 };
 
 }  // namespace casm

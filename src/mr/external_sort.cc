@@ -94,6 +94,62 @@ class RunReader {
   Status status_ = Status::OK();
 };
 
+/// Most spilled runs one merge opens at once (one FILE* each): a larger
+/// run set is merged in passes, so the open files stay bounded however
+/// small memory_limit_records is relative to the input.
+constexpr size_t kMaxMergeFanIn = 64;
+
+/// The spill run files of one ExternalSort call. Every listed file is
+/// deleted on destruction, so no return path leaks a run.
+struct RunFiles {
+  RunFiles() = default;
+  RunFiles(const RunFiles&) = delete;
+  RunFiles& operator=(const RunFiles&) = delete;
+  ~RunFiles() {
+    for (const std::string& path : paths) std::remove(path.c_str());
+  }
+
+  std::vector<std::string> paths;
+};
+
+/// K-way merges the sorted runs `paths[begin, end)`, each read through a
+/// buffer of `buffer_records` records, handing every record to `sink` in
+/// `less` order. Returns the first open or read error.
+template <typename Sink>
+Status MergeRunFiles(const std::vector<std::string>& paths, size_t begin,
+                     size_t end, int width, const RecordLess& less,
+                     int64_t buffer_records, Sink&& sink) {
+  std::vector<std::unique_ptr<RunReader>> runs;
+  for (size_t i = begin; i < end; ++i) {
+    auto reader = std::make_unique<RunReader>(paths[i], width, buffer_records);
+    if (!reader->ok()) {
+      return Status::Internal("cannot reopen spill file " + paths[i]);
+    }
+    runs.push_back(std::move(reader));
+  }
+
+  auto heap_greater = [&](size_t a, size_t b) {
+    // std::priority_queue is a max-heap; invert.
+    return less(runs[b]->Current(), runs[a]->Current());
+  };
+  std::priority_queue<size_t, std::vector<size_t>, decltype(heap_greater)>
+      heap(heap_greater);
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (runs[r]->Current() != nullptr) heap.push(r);
+  }
+  while (!heap.empty()) {
+    size_t r = heap.top();
+    heap.pop();
+    sink(runs[r]->Current());
+    runs[r]->Next();
+    if (runs[r]->Current() != nullptr) heap.push(r);
+  }
+  for (const std::unique_ptr<RunReader>& run : runs) {
+    if (!run->status().ok()) return run->status();
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string SpillFilePath(const std::string& dir, const char* prefix,
@@ -256,15 +312,16 @@ Result<std::vector<int64_t>> ExternalSort(std::vector<int64_t> records,
                         ? std::filesystem::temp_directory_path().string()
                         : options.temp_dir;
   static std::atomic<uint64_t> counter{0};
-  std::vector<std::string> run_paths;
+  RunFiles runs;
   for (int64_t begin = 0; begin < count; begin += limit) {
     const int64_t run_count = std::min(limit, count - begin);
     std::vector<int64_t> run(
         records.begin() + begin * width,
         records.begin() + (begin + run_count) * width);
     run = SortFlat(std::move(run), width, less);
-    std::string path =
-        SpillFilePath(dir, "casm_sort", counter.fetch_add(1), ".run");
+    runs.paths.push_back(
+        SpillFilePath(dir, "casm_sort", counter.fetch_add(1), ".run"));
+    const std::string& path = runs.paths.back();
     std::FILE* file = std::fopen(path.c_str(), "wb");
     if (file == nullptr) {
       return Status::Internal("cannot create spill file " + path);
@@ -273,10 +330,8 @@ Result<std::vector<int64_t>> ExternalSort(std::vector<int64_t> records,
         std::fwrite(run.data(), sizeof(int64_t), run.size(), file);
     std::fclose(file);
     if (written != run.size()) {
-      std::remove(path.c_str());
       return Status::Internal("short write to spill file " + path);
     }
-    run_paths.push_back(std::move(path));
     if (stats != nullptr) {
       ++stats->runs_spilled;
       stats->records_spilled += run_count;
@@ -289,48 +344,54 @@ Result<std::vector<int64_t>> ExternalSort(std::vector<int64_t> records,
   }
   records.clear();
   records.shrink_to_fit();
-  if (options.post_spill_hook) options.post_spill_hook(run_paths);
+  if (options.post_spill_hook) options.post_spill_hook(runs.paths);
 
-  // K-way merge with a loser-tree-ish heap over the run heads.
-  std::vector<std::unique_ptr<RunReader>> runs;
-  const int64_t per_run_buffer =
-      std::max<int64_t>(1, limit / static_cast<int64_t>(run_paths.size()));
-  for (const std::string& path : run_paths) {
-    auto reader = std::make_unique<RunReader>(path, width, per_run_buffer);
-    if (!reader->ok()) {
-      return Status::Internal("cannot reopen spill file " + path);
+  // Intermediate passes: while more runs remain than one merge may open,
+  // merge each group of kMaxMergeFanIn consecutive runs into a new run.
+  while (runs.paths.size() > kMaxMergeFanIn) {
+    RunFiles merged;
+    for (size_t begin = 0; begin < runs.paths.size();
+         begin += kMaxMergeFanIn) {
+      const size_t end = std::min(runs.paths.size(), begin + kMaxMergeFanIn);
+      merged.paths.push_back(
+          SpillFilePath(dir, "casm_sort", counter.fetch_add(1), ".run"));
+      const std::string& path = merged.paths.back();
+      std::FILE* file = std::fopen(path.c_str(), "wb");
+      if (file == nullptr) {
+        return Status::Internal("cannot create spill file " + path);
+      }
+      bool written = true;
+      const Status merge_status = MergeRunFiles(
+          runs.paths, begin, end, width, less,
+          std::max<int64_t>(1, limit / static_cast<int64_t>(end - begin)),
+          [&](const int64_t* row) {
+            written &= std::fwrite(row, sizeof(int64_t), width, file) ==
+                       static_cast<size_t>(width);
+          });
+      written &= std::fclose(file) == 0;
+      CASM_RETURN_IF_ERROR(merge_status);
+      if (!written) {
+        return Status::Internal("short write to spill file " + path);
+      }
     }
-    runs.push_back(std::move(reader));
+    // `merged` now holds the consumed runs and deletes them.
+    std::swap(runs.paths, merged.paths);
   }
 
-  auto heap_greater = [&](size_t a, size_t b) {
-    // std::priority_queue is a max-heap; invert.
-    return less(runs[b]->Current(), runs[a]->Current());
-  };
-  std::priority_queue<size_t, std::vector<size_t>, decltype(heap_greater)>
-      heap(heap_greater);
-  for (size_t r = 0; r < runs.size(); ++r) {
-    if (runs[r]->Current() != nullptr) heap.push(r);
-  }
-
+  // Final pass: a single k-way merge into the output buffer.
   std::vector<int64_t> sorted;
   sorted.reserve(static_cast<size_t>(count * width));
-  while (!heap.empty()) {
-    size_t r = heap.top();
-    heap.pop();
-    const int64_t* row = runs[r]->Current();
-    sorted.insert(sorted.end(), row, row + width);
-    runs[r]->Next();
-    if (runs[r]->Current() != nullptr) heap.push(r);
-  }
+  CASM_RETURN_IF_ERROR(MergeRunFiles(
+      runs.paths, 0, runs.paths.size(), width, less,
+      std::max<int64_t>(1, limit / static_cast<int64_t>(runs.paths.size())),
+      [&](const int64_t* row) {
+        sorted.insert(sorted.end(), row, row + width);
+      }));
   // A run can end early for two reasons, neither of which is a clean
-  // sort: an fread error (ferror set, surfaced by the reader) or a run
+  // sort: an fread error (ferror set, surfaced by the merge) or a run
   // file truncated on disk (fread sees a short, error-free read that is
   // indistinguishable from EOF). Both must surface as Status, not as a
   // crash in a release build's CHECK.
-  for (const std::unique_ptr<RunReader>& run : runs) {
-    if (!run->status().ok()) return run->status();
-  }
   if (static_cast<int64_t>(sorted.size()) != count * width) {
     return Status::Internal(
         "spill run truncated: merged " +

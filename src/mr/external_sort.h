@@ -4,7 +4,8 @@
 // "collect pairs and use external sorting to group pairs with the same
 // key" of paper §III-A). When the input fits the memory budget it is a
 // plain in-memory sort; otherwise sorted runs are spilled to temporary
-// files and k-way merged.
+// files and k-way merged, at most 64 runs at a time (in passes when more
+// were spilled, so the open files stay bounded).
 
 #ifndef CASM_MR_EXTERNAL_SORT_H_
 #define CASM_MR_EXTERNAL_SORT_H_
@@ -101,7 +102,9 @@ std::vector<int64_t> MergeSortedRuns(std::vector<std::vector<int64_t>> runs,
 
 /// Sorts `records` (flattened rows of `width` int64s) by `less`, spilling
 /// to disk when the memory budget is exceeded. Returns the sorted flat
-/// buffer. `stats` may be null.
+/// buffer. Every spill file is deleted before it returns, on success and
+/// on error. `stats` (may be null) counts the initial runs only, not the
+/// runs intermediate merge passes write.
 Result<std::vector<int64_t>> ExternalSort(std::vector<int64_t> records,
                                           int width, const RecordLess& less,
                                           const ExternalSortOptions& options,

@@ -191,14 +191,13 @@ Result<std::string> WriteDiagnosticBundle(const std::string& dir,
   return path;
 }
 
-void MaybeWriteDiagnosticBundle(const std::string& dir,
-                                const std::string& query,
+void MaybeWriteDiagnosticBundle(const std::string& query,
                                 const Status& failure,
-                                const std::string& options_json,
-                                const FlightRecorder& flight) {
+                                const std::string& options_json) {
+  const std::string dir = FlightRecorder::GlobalDiagDir();
   if (dir.empty()) return;
-  Result<std::string> path =
-      WriteDiagnosticBundle(dir, query, failure, options_json, flight);
+  Result<std::string> path = WriteDiagnosticBundle(
+      dir, query, failure, options_json, *FlightRecorder::Global());
   if (path.ok()) {
     CASM_LOG(WARN) << "evaluation failed (" << failure.message()
                    << "); diagnostic bundle written to " << *path;

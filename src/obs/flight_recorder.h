@@ -12,7 +12,7 @@
 // (failures, spills, failovers — never per-record), so the enabled path
 // takes a mutex on a bounded ring. The process-global recorder is
 // enabled iff CASM_DIAG_DIR is set; evaluators dump bundles into that
-// directory (or `ParallelEvalOptions::diag_dir`) on failure.
+// directory on failure.
 
 #ifndef CASM_OBS_FLIGHT_RECORDER_H_
 #define CASM_OBS_FLIGHT_RECORDER_H_
@@ -95,13 +95,12 @@ Result<std::string> WriteDiagnosticBundle(const std::string& dir,
                                           const MetricsRegistry* registry =
                                               nullptr);
 
-/// Best-effort wrapper used by the evaluators on non-OK returns: no-op
-/// when `dir` is empty, logs (never fails) when the write itself fails.
-void MaybeWriteDiagnosticBundle(const std::string& dir,
-                                const std::string& query,
+/// Best-effort wrapper used by the evaluators on non-OK returns: writes
+/// the global flight ring into CASM_DIAG_DIR. No-op when CASM_DIAG_DIR is
+/// unset; logs (never fails) when the write itself fails.
+void MaybeWriteDiagnosticBundle(const std::string& query,
                                 const Status& failure,
-                                const std::string& options_json,
-                                const FlightRecorder& flight);
+                                const std::string& options_json);
 
 }  // namespace casm
 

@@ -84,26 +84,26 @@ QueryServiceOptions QueryServiceOptionsFromEnv() {
 }
 
 QueryService::QueryService(QueryServiceOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      trace_(options_.trace != nullptr ? options_.trace
+                                       : TraceRecorder::Global()) {
   if (options_.memory_budget_bytes > 0) {
     budget_ = std::make_unique<MemoryBudget>(options_.memory_budget_bytes);
   }
-  registry_ = options_.registry != nullptr ? options_.registry
-                                           : MetricsRegistry::Global();
+  MetricsRegistry* const registry = MetricsRegistry::Global();
   if (options_.plan_cache != nullptr) {
     cache_ = options_.plan_cache;
   } else {
     owned_cache_ = std::make_unique<PlanCache>(/*max_entries=*/64);
-    owned_cache_->set_registry(registry_);
-    owned_cache_->set_trace(options_.trace != nullptr ? options_.trace
-                                                      : TraceRecorder::Global());
+    owned_cache_->set_registry(registry);
+    owned_cache_->set_trace(trace_);
     cache_ = owned_cache_.get();
   }
-  queue_depth_gauge_ = registry_->GetGauge(
+  queue_depth_gauge_ = registry->GetGauge(
       "casm_svc_queue_depth", "Queries waiting in the admission queue");
-  inflight_gauge_ = registry_->GetGauge(
+  inflight_gauge_ = registry->GetGauge(
       "casm_svc_inflight", "Queries currently being evaluated");
-  batch_size_gauge_ = registry_->GetGauge(
+  batch_size_gauge_ = registry->GetGauge(
       "casm_svc_batch_queries", "Members of the most recent shared batch");
   paused_ = options_.start_paused;
   const int workers = std::max(1, options_.num_workers);
@@ -392,7 +392,7 @@ ParallelEvalOptions QueryService::BaseEvalOptions() const {
   eval.local_agg = options_.local_agg;
   eval.columnar = options_.columnar;
   eval.fault_plan = options_.fault_plan;
-  eval.trace = options_.trace;
+  eval.trace = trace_;
   return eval;
 }
 
@@ -562,11 +562,9 @@ void QueryService::RunShared(
   eval.cancel = &control->token;
   eval.query_label = "svcb" + std::to_string(members[0]->id);
 
-  TraceRecorder* trace =
-      options_.trace != nullptr ? options_.trace : TraceRecorder::Global();
-  if (trace->enabled()) {
-    trace->RecordInstant("svc", "svc-shared-batch", /*task=*/-1,
-                         "queries=" + std::to_string(members.size()));
+  if (trace_->enabled()) {
+    trace_->RecordInstant("svc", "svc-shared-batch", /*task=*/-1,
+                          "queries=" + std::to_string(members.size()));
   }
 
   Result<SharedEvalResult> run =

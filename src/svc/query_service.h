@@ -154,12 +154,12 @@ struct QueryServiceOptions {
   LocalAggOptions local_agg;
   bool columnar = true;
 
-  /// Shared plan memory across workers; null = service-owned cache.
+  /// Shared plan memory across workers; null = service-owned cache. The
+  /// casm_svc_* gauges and per-query counters go to
+  /// MetricsRegistry::Global().
   PlanCache* plan_cache = nullptr;
-  /// Metrics registry for casm_svc_* gauges and per-query counters;
-  /// null = MetricsRegistry::Global().
-  MetricsRegistry* registry = nullptr;
-  /// Trace recorder for "svc" spans; null = the CASM_TRACE global.
+  /// Trace recorder for "svc" spans, forwarded to every evaluation; null
+  /// = the CASM_TRACE global.
   TraceRecorder* trace = nullptr;
   /// Fault plan forwarded to every evaluation (chaos tests); null = the
   /// process-global CASM_FAULT_PLAN plan.
@@ -297,7 +297,7 @@ class QueryService {
   std::unique_ptr<MemoryBudget> budget_;      // null without a capacity
   std::unique_ptr<PlanCache> owned_cache_;
   PlanCache* cache_ = nullptr;
-  MetricsRegistry* registry_ = nullptr;
+  TraceRecorder* const trace_;  // options_.trace resolved; never null
   MetricsRegistry::Gauge* queue_depth_gauge_ = nullptr;
   MetricsRegistry::Gauge* inflight_gauge_ = nullptr;
   MetricsRegistry::Gauge* batch_size_gauge_ = nullptr;

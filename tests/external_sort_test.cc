@@ -5,6 +5,7 @@
 // results must survive arbitrarily small memory budgets, and spill
 // activity must be reported.
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -44,6 +45,23 @@ RecordLess LexLess(int width) {
     }
     return false;
   };
+}
+
+/// A fresh, empty spill directory private to one test.
+std::string SpillDir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "external_sort_" + tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// ExternalSort's run files ("casm_sort_*") left in `dir`.
+int SortRunFilesIn(const std::string& dir) {
+  int n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("casm_sort_", 0) == 0) ++n;
+  }
+  return n;
 }
 
 TEST(ExternalSortTest, InMemoryWhenUnderLimit) {
@@ -257,6 +275,55 @@ TEST(ExternalSortTest, TruncatedSpillRunSurfacesStatusNotCrash) {
   EXPECT_EQ(sorted.status().code(), StatusCode::kInternal);
   EXPECT_NE(sorted.status().message().find("truncated"), std::string::npos)
       << sorted.status().ToString();
+}
+
+TEST(ExternalSortTest, MergeStaysUnderTheOpenFileLimit) {
+  // Regression: the merge opened every spilled run at once, so open files
+  // grew as records / memory_limit_records — 997 single-record runs broke
+  // a 256-descriptor limit. Bounded merge passes must sort them exactly
+  // and delete every run, intermediate ones included.
+  const int width = 2;
+  const std::vector<int64_t> records = RandomRecords(997, width, 7);
+  Result<std::vector<int64_t>> expected =
+      ExternalSort(records, width, LexLess(width), {}, nullptr);
+  ASSERT_TRUE(expected.ok());
+
+  const std::string dir = SpillDir("fd_limit");
+  ExternalSortOptions options;
+  options.memory_limit_records = 1;
+  options.temp_dir = dir;
+  ExternalSortStats stats;
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = std::min<rlim_t>(256, saved.rlim_cur);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  Result<std::vector<int64_t>> spilled =
+      ExternalSort(records, width, LexLess(width), options, &stats);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  ASSERT_TRUE(spilled.ok()) << spilled.status();
+  EXPECT_EQ(spilled.value(), expected.value());
+  EXPECT_EQ(stats.runs_spilled, 997);  // initial runs only
+  EXPECT_EQ(stats.records_spilled, 997);
+  EXPECT_EQ(SortRunFilesIn(dir), 0);
+}
+
+TEST(ExternalSortTest, FailedMergeDeletesEveryRun) {
+  // Regression: an error after the spill loop returned without deleting
+  // the runs not yet opened by the merge.
+  const std::string dir = SpillDir("missing_run");
+  ExternalSortOptions options;
+  options.memory_limit_records = 50;  // 10 runs
+  options.temp_dir = dir;
+  options.post_spill_hook = [](const std::vector<std::string>& run_paths) {
+    ASSERT_EQ(run_paths.size(), 10u);
+    ASSERT_TRUE(std::filesystem::remove(run_paths[1]));
+  };
+  Result<std::vector<int64_t>> sorted =
+      ExternalSort(RandomRecords(500, 2, 13), 2, LexLess(2), options, nullptr);
+  EXPECT_FALSE(sorted.ok());
+  EXPECT_EQ(SortRunFilesIn(dir), 0);
 }
 
 TEST(ExternalSortTest, EngineSurfacesSpillFailures) {

@@ -7,6 +7,7 @@
 // registry counters published on success equal the run's
 // MapReduceMetrics with exact integer equality.
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -117,8 +118,8 @@ TEST(FlightRecorderTest, BundleRendersRingOptionsAndMetrics) {
 
 // The acceptance scenario: a chaos-style run whose FaultPlan makes one
 // map task fail every attempt. EvaluateParallel must return non-OK and
-// drop a diagnostic bundle into options.diag_dir containing the failing
-// task's ring events.
+// drop a diagnostic bundle into CASM_DIAG_DIR containing the failing
+// task's events from the global flight ring.
 TEST(FlightRecorderTest, FailingEvaluationWritesDiagnosticBundle) {
   SchemaPtr schema = TestSchema();
   Workflow wf = TestWorkflow(schema);
@@ -131,8 +132,16 @@ TEST(FlightRecorderTest, FailingEvaluationWritesDiagnosticBundle) {
   crash.probability = 1.0;  // fatal: survives every retry
   plan.Add(crash);
 
-  FlightRecorder flight;
+  // The process-wide sinks, enabled for this test and restored after it.
+  FlightRecorder& flight = *FlightRecorder::Global();
+  const bool flight_was_enabled = flight.enabled();
+  flight.Clear();
   flight.set_enabled(true);
+  const char* old_diag_dir = std::getenv("CASM_DIAG_DIR");
+  const std::string saved_diag_dir =
+      old_diag_dir != nullptr ? old_diag_dir : "";
+  const std::string diag_dir = TestDir("diag");
+  ::setenv("CASM_DIAG_DIR", diag_dir.c_str(), 1);
 
   ParallelEvalOptions options;
   options.num_mappers = 3;
@@ -140,12 +149,16 @@ TEST(FlightRecorderTest, FailingEvaluationWritesDiagnosticBundle) {
   options.num_threads = 2;
   options.max_task_attempts = 2;
   options.fault_plan = &plan;
-  options.flight = &flight;
   options.query_label = "qdiag";
-  options.diag_dir = TestDir("diag");
 
   Result<ParallelEvalResult> run =
       EvaluateParallel(wf, table, TestPlan(wf), options);
+  flight.set_enabled(flight_was_enabled);
+  if (old_diag_dir != nullptr) {
+    ::setenv("CASM_DIAG_DIR", saved_diag_dir.c_str(), 1);
+  } else {
+    ::unsetenv("CASM_DIAG_DIR");
+  }
   ASSERT_FALSE(run.ok());
 
   // The ring recorded the injected failures and retries for task 1.
@@ -159,8 +172,7 @@ TEST(FlightRecorderTest, FailingEvaluationWritesDiagnosticBundle) {
   // Exactly one bundle landed in diag_dir, and it carries the ring, the
   // failure status, and the resolved options.
   std::vector<std::string> bundles;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options.diag_dir)) {
+  for (const auto& entry : std::filesystem::directory_iterator(diag_dir)) {
     bundles.push_back(entry.path().string());
   }
   ASSERT_EQ(bundles.size(), 1u);

@@ -3,8 +3,9 @@
 // Tests for the process-wide metrics registry (obs/metrics.h) and the
 // live progress tracker (obs/progress.h): instrument exactness, the
 // disabled-is-inert contract, concurrent update + scrape (the TSan
-// target), golden Prometheus/JSON expositions, snapshot writing, and
-// progress/ETA bookkeeping.
+// target), golden Prometheus/JSON expositions, snapshot writing,
+// progress/ETA bookkeeping, and the engine-driven progress of a
+// multi-job sequence.
 
 #include <cstdint>
 #include <filesystem>
@@ -16,8 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/multijob_evaluator.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
+#include "queries/paper_data.h"
+#include "queries/paper_queries.h"
 
 namespace casm {
 namespace {
@@ -273,6 +277,41 @@ TEST(ProgressTrackerTest, TickerStartsAndStopsCleanly) {
   progress.StopTicker();
   progress.StartTicker(0.01);  // restart after stop must work
   progress.StopTicker();
+}
+
+// The engine owns progress tracking. EvaluateMultiJob runs every job on
+// one engine, so one tracker publishes the whole sequence's map and
+// reduce phases under the caller's label, and each reads completed ==
+// total once the sequence returns.
+TEST(ProgressTrackerTest, MultiJobSequencePublishesCompletedPhases) {
+  MetricsRegistry* registry = MetricsRegistry::Global();
+  const bool was_enabled = registry->enabled();
+  registry->set_enabled(true);
+
+  Workflow wf = MakePaperQuery(PaperQuery::kQ3);
+  Table table = PaperUniformTable(2000, 808);
+  ParallelEvalOptions options;
+  options.num_mappers = 3;
+  options.num_reducers = 4;
+  options.num_threads = 2;
+  options.query_label = "qprogress_multijob_test";  // fresh: no gauges yet
+  Result<MultiJobResult> result = EvaluateMultiJob(wf, table, options);
+  registry->set_enabled(was_enabled);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->jobs, 1);
+
+  const std::vector<std::pair<std::string, int>> phases = {
+      {"map", options.num_mappers}, {"reduce", options.num_reducers}};
+  for (const auto& [phase, tasks] : phases) {
+    const MetricLabels labels = {{"query", options.query_label},
+                                 {"phase", phase}};
+    EXPECT_EQ(registry->GaugeValue("casm_progress_tasks_total", labels),
+              static_cast<double>(tasks))
+        << phase;
+    EXPECT_EQ(registry->GaugeValue("casm_progress_tasks_completed", labels),
+              static_cast<double>(tasks))
+        << phase;
+  }
 }
 
 }  // namespace
