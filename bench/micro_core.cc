@@ -140,18 +140,17 @@ void BM_SortScanEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_SortScanEvaluate)->Arg(1000)->Arg(10000);
 
-// Local aggregation engine comparison at a high-cardinality (tier2/hour,
-// thousands of distinct groups) grouping — the regime where aggregation
-// still collapses rows but one sort of the whole block costs more than
-// hashing into group tables, so the morsel/radix engines beat the
-// sort/scan baseline and the adaptive chooser must track them. (At
-// near-unique cardinality the balance flips back to sort/scan; that end
-// of the ladder is bench/fig_localagg's fine rung.)
-// The third argument selects the group-by inner loop: -1 forces the
-// legacy row-at-a-time path (one RegionOfRecord heap allocation per row
-// per measure), 0 the columnar batch path (one transpose + one mapping
-// pass per (attribute, level) per batch). Same results either way — the
-// pair measures what batching buys.
+// Local aggregation at a high-cardinality (tier2/hour, thousands of
+// distinct groups) grouping — the regime where aggregation still
+// collapses rows but one sort of the whole block costs more than hashing
+// into group tables. The first argument picks the evaluator: 0 runs
+// sort/scan directly on the unsorted block (its sort included), 1 runs
+// LocalAggregator, which routes the unsorted block to the hash group-by
+// ("morsel"). The third argument selects the group-by inner loop: -1
+// forces the legacy row-at-a-time path (one RegionOfRecord heap
+// allocation per row per measure), 0 the columnar batch path (one
+// transpose + one mapping pass per (attribute, level) per batch). Same
+// results either way — the pair measures what batching buys.
 void BM_LocalAggEvaluate(benchmark::State& state) {
   SchemaPtr schema = PaperSchema();
   WorkflowBuilder b(schema);
@@ -162,37 +161,38 @@ void BM_LocalAggEvaluate(benchmark::State& state) {
   b.AddBasic("max", gran, AggregateFn::kMax, "D3");
   Workflow wf = std::move(b).Build().value();
   Table table = PaperUniformTable(state.range(1), 3);
+  const bool sortscan = state.range(0) == 0;
   LocalAggOptions options;
-  options.engine = static_cast<LocalAggEngine>(state.range(0));
   options.batch_rows = state.range(2);
+  const SortScanEvaluator eval(&wf);
   std::unique_ptr<LocalAggregator> agg =
-      MakeLocalAggregator(&wf, nullptr, options);
+      MakeLocalAggregator(&wf, &eval, options);
   LocalAggContext ctx;
   ctx.rows = table.data().data();
   ctx.n = table.num_rows();
   LocalEvalStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agg->Evaluate(ctx, &stats));
+    if (sortscan) {
+      benchmark::DoNotOptimize(eval.Evaluate(ctx.rows, ctx.n, false,
+                                             LocalEvalPhase::kFull, &stats));
+    } else {
+      benchmark::DoNotOptimize(agg->Evaluate(ctx, &stats));
+    }
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
-  state.SetLabel(std::string(LocalAggEngineName(options.engine)) +
-                 (options.batch_rows < 0 ? "/row" : "/columnar"));
+  state.SetLabel(sortscan ? std::string("sortscan")
+                          : std::string("morsel") +
+                                (options.batch_rows < 0 ? "/row"
+                                                        : "/columnar"));
 }
 BENCHMARK(BM_LocalAggEvaluate)
     ->Unit(benchmark::kMillisecond)
-    ->Args({static_cast<int>(LocalAggEngine::kSortScan), 20000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kMorsel), 20000, -1})
-    ->Args({static_cast<int>(LocalAggEngine::kMorsel), 20000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kRadix), 20000, -1})
-    ->Args({static_cast<int>(LocalAggEngine::kRadix), 20000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kAdaptive), 20000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kSortScan), 120000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kMorsel), 120000, -1})
-    ->Args({static_cast<int>(LocalAggEngine::kMorsel), 120000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kRadix), 120000, -1})
-    ->Args({static_cast<int>(LocalAggEngine::kRadix), 120000, 0})
-    ->Args({static_cast<int>(LocalAggEngine::kAdaptive), 120000, -1})
-    ->Args({static_cast<int>(LocalAggEngine::kAdaptive), 120000, 0});
+    ->Args({0, 20000, 0})
+    ->Args({1, 20000, -1})
+    ->Args({1, 20000, 0})
+    ->Args({0, 120000, 0})
+    ->Args({1, 120000, -1})
+    ->Args({1, 120000, 0});
 
 // The map task's scan kernel, row against columnar: map every attribute
 // of each record to its key level. The row path calls MapFromFinest per

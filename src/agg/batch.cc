@@ -2,8 +2,6 @@
 
 #include "agg/batch.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "data/record_batch.h"
 
@@ -13,32 +11,6 @@ namespace agg_internal {
 int64_t ResolveBatchRows(int64_t batch_rows) {
   if (batch_rows < 0) return 0;
   return batch_rows == 0 ? BatchSizeFromEnv() : batch_rows;
-}
-
-void FinestRegionHashColumns(const int64_t* const* mapped_cols,
-                             int num_ordered_attrs, int64_t n, uint64_t* out) {
-  std::fill(out, out + n, uint64_t{1469598103934665603ULL});
-  for (int j = 0; j < num_ordered_attrs; ++j) {
-    const int64_t* col = mapped_cols[j];
-    for (int64_t i = 0; i < n; ++i) {
-      uint64_t h = out[i];
-      const uint64_t v = static_cast<uint64_t>(col[i]);
-      for (int shift = 0; shift < 64; shift += 8) {
-        h ^= (v >> shift) & 0xffu;
-        h *= 1099511628211ULL;
-      }
-      out[i] = h;
-    }
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    uint64_t h = out[i];
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    out[i] = h;
-  }
 }
 
 RegionBatchMapper::RegionBatchMapper(const Schema* schema, int64_t capacity)

@@ -1,13 +1,13 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Columnar batch helpers shared by the hash group-by engines and the
-// adaptive chooser. A RegionBatchMapper turns one batch of row-major
-// records into attribute columns (one transpose) and serves per-(attr,
-// level) *mapped* coordinate columns on demand, each computed with one
-// Hierarchy::MapFromFinestColumn pass and cached for the batch — so a
-// workflow whose basics share levels maps each (attr, level) once per
-// batch instead of once per row per measure, and no per-row Coords
-// allocation happens at all until a group is first inserted.
+// Columnar batch helpers of the hash group-by (agg/local_aggregator.h).
+// A RegionBatchMapper turns one batch of row-major records into attribute
+// columns (one transpose) and serves per-(attr, level) *mapped* coordinate
+// columns on demand, each computed with one Hierarchy::MapFromFinestColumn
+// pass and cached for the batch — so a workflow whose basics share levels
+// maps each (attr, level) once per batch instead of once per row per
+// measure, and no per-row Coords allocation happens at all until a group
+// is first inserted.
 
 #ifndef CASM_AGG_BATCH_H_
 #define CASM_AGG_BATCH_H_
@@ -27,17 +27,9 @@ namespace agg_internal {
 /// value itself.
 int64_t ResolveBatchRows(int64_t batch_rows);
 
-/// Columnar FinestRegionHash: hashes `n` records whose *already mapped*
-/// sort-level values live in `mapped_cols[j][i]` (j-th attribute of the
-/// sort order, batch row i). Bit-identical to per-row FinestRegionHash,
-/// so radix partition assignment and the chooser's sample keys are
-/// unchanged by batching.
-void FinestRegionHashColumns(const int64_t* const* mapped_cols,
-                             int num_ordered_attrs, int64_t n, uint64_t* out);
-
 /// One batch of records in columnar form with cached mapped columns.
 /// Reused across batches: Load() resets the cache validity, not the
-/// allocations. Not thread-safe; each shard/worker owns one.
+/// allocations. Not thread-safe; each evaluation owns one.
 class RegionBatchMapper {
  public:
   RegionBatchMapper(const Schema* schema, int64_t capacity);

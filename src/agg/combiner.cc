@@ -9,6 +9,13 @@
 #include "obs/trace.h"
 
 namespace casm {
+namespace {
+
+/// Pairs per basic measure after which the cardinality bypass check runs
+/// (once per split).
+constexpr int64_t kBypassWindowPairs = 4096;
+
+}  // namespace
 
 EarlyAggCombiner::EarlyAggCombiner(const Workflow* wf,
                                    const LocalAggOptions& options,
@@ -76,12 +83,12 @@ void EarlyAggCombiner::AddRecord(const int64_t* block_key, const int64_t* row,
   }
   if (bypassed_) return;
 
-  // Cardinality bypass: one check, after the first morsel of pairs. The
+  // Cardinality bypass: one check, after the first window of pairs. The
   // retained fraction IS the achieved reduction — near 1.0 the table is
   // pure overhead (groups are ~unique within the split) and the rest of
   // the split emits directly.
   const int64_t check_after =
-      std::max<int64_t>(1024, options_.morsel_rows) *
+      kBypassWindowPairs *
       std::max<int64_t>(1, static_cast<int64_t>(basics_.size()));
   if (!bypass_checked_ && pairs_in_ >= check_after) {
     bypass_checked_ = true;

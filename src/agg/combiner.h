@@ -8,11 +8,12 @@
 //  * bounded memory — when the table reaches `combiner_max_entries` it
 //    flushes every partial to the shuffle's global hash partitions (the
 //    reducers merge multiple partials per group anyway, so flushing is
-//    always safe) instead of growing without regard to the PR 3 memory
+//    always safe) instead of growing without regard to the memory
 //    budget;
-//  * cardinality bypass — after the first morsel of pairs it measures the
-//    achieved reduction; near-unique groups (no reduction) switch the
-//    rest of the split to direct emission, skipping the table entirely.
+//  * cardinality bypass — after the first 4096 pairs per basic measure it
+//    measures the achieved reduction; near-unique groups (no reduction)
+//    switch the rest of the split to direct emission, skipping the table
+//    entirely.
 
 #ifndef CASM_AGG_COMBINER_H_
 #define CASM_AGG_COMBINER_H_

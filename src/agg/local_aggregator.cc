@@ -2,9 +2,11 @@
 
 #include "agg/local_aggregator.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <chrono>
+#include <unordered_map>
 
-#include "agg/engines.h"
+#include "agg/batch.h"
 #include "common/logging.h"
 #include "local/derivation.h"
 #include "obs/metrics.h"
@@ -13,97 +15,70 @@
 namespace casm {
 namespace {
 
-/// Per-engine block counter family, resolved once per engine label.
+using AccMap = std::unordered_map<Coords, Accumulator, CoordsHash>;
+
+/// Rows the row path adds between cancellation polls (the batch path
+/// polls once per batch).
+constexpr int64_t kRowPathPollRows = 4096;
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Per-evaluator block counter family, resolved once per label.
 /// Increment() is self-guarded, so a disabled registry costs one relaxed
 /// load per evaluated block.
-MetricsRegistry::Counter* AggBlocksCounter(LocalAggEngine engine) {
-  static MetricsRegistry::Counter* const sortscan =
+MetricsRegistry::Counter* AggBlocksCounter(bool sortscan) {
+  static MetricsRegistry::Counter* const sortscan_blocks =
       MetricsRegistry::Global()->GetCounter(
           "casm_localagg_blocks_total",
           "Reducer blocks evaluated, by local aggregation engine.",
           {{"engine", "sortscan"}});
-  static MetricsRegistry::Counter* const morsel =
+  static MetricsRegistry::Counter* const morsel_blocks =
       MetricsRegistry::Global()->GetCounter(
           "casm_localagg_blocks_total",
           "Reducer blocks evaluated, by local aggregation engine.",
           {{"engine", "morsel"}});
-  static MetricsRegistry::Counter* const radix =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_localagg_blocks_total",
-          "Reducer blocks evaluated, by local aggregation engine.",
-          {{"engine", "radix"}});
-  switch (engine) {
-    case LocalAggEngine::kSortScan:
-      return sortscan;
-    case LocalAggEngine::kMorsel:
-      return morsel;
-    case LocalAggEngine::kRadix:
-      return radix;
-    case LocalAggEngine::kAdaptive:
-      break;
-  }
-  return nullptr;
+  return sortscan ? sortscan_blocks : morsel_blocks;
 }
 
 }  // namespace
 
-const char* LocalAggEngineName(LocalAggEngine engine) {
-  switch (engine) {
-    case LocalAggEngine::kSortScan:
-      return "sortscan";
-    case LocalAggEngine::kMorsel:
-      return "morsel";
-    case LocalAggEngine::kRadix:
-      return "radix";
-    case LocalAggEngine::kAdaptive:
-      return "adaptive";
+LocalAggregator::LocalAggregator(const Workflow* wf,
+                                 const SortScanEvaluator* sortscan,
+                                 const LocalAggOptions& options)
+    : wf_(wf), sortscan_(sortscan), options_(options) {
+  CASM_CHECK(wf != nullptr);
+  if (sortscan_ == nullptr) {
+    owned_sortscan_ = std::make_unique<SortScanEvaluator>(wf);
+    sortscan_ = owned_sortscan_.get();
   }
-  return "unknown";
-}
-
-Result<LocalAggEngine> ParseLocalAggEngine(const std::string& name) {
-  if (name == "sortscan") return LocalAggEngine::kSortScan;
-  if (name == "morsel") return LocalAggEngine::kMorsel;
-  if (name == "radix") return LocalAggEngine::kRadix;
-  if (name == "adaptive") return LocalAggEngine::kAdaptive;
-  return Status::InvalidArgument(
-      "unknown local aggregation engine '" + name +
-      "' (expected sortscan, morsel, radix or adaptive)");
-}
-
-LocalAggEngine LocalAggEngineFromEnv() {
-  const char* env = std::getenv("CASM_LOCAL_AGG");
-  if (env == nullptr || *env == '\0') return LocalAggEngine::kAdaptive;
-  Result<LocalAggEngine> parsed = ParseLocalAggEngine(env);
-  return parsed.ok() ? parsed.value() : LocalAggEngine::kAdaptive;
+  for (int i : wf->BasicMeasures()) {
+    const Measure& m = wf->measure(i);
+    basics_.push_back(BasicMeasure{i, m.fn, m.field, &m.granularity});
+  }
 }
 
 MeasureResultSet LocalAggregator::Evaluate(const LocalAggContext& ctx,
                                            LocalEvalStats* stats) const {
   const bool tracing = ctx.trace != nullptr && ctx.trace->enabled();
   const double start = tracing ? ctx.trace->NowSeconds() : 0;
-  LocalAggEngine chosen = engine();
-  MeasureResultSet results = DoEvaluate(ctx, stats, &chosen);
+  // The rule: sort/scan when its sort is free (combined sort) or is the
+  // thing being timed (kSortOnly); the hash group-by otherwise.
+  const bool sortscan =
+      ctx.assume_sorted || ctx.phase == LocalEvalPhase::kSortOnly;
+  MeasureResultSet results =
+      sortscan ? sortscan_->Evaluate(ctx.rows, ctx.n, ctx.assume_sorted,
+                                     ctx.phase, stats, ctx.cancel)
+               : HashGroupBy(ctx, stats);
   if (stats != nullptr) {
-    switch (chosen) {
-      case LocalAggEngine::kSortScan:
-        ++stats->agg_blocks_sortscan;
-        break;
-      case LocalAggEngine::kMorsel:
-        ++stats->agg_blocks_morsel;
-        break;
-      case LocalAggEngine::kRadix:
-        ++stats->agg_blocks_radix;
-        break;
-      case LocalAggEngine::kAdaptive:
-        break;  // the chooser always resolves to a concrete engine
-    }
+    ++(sortscan ? stats->agg_blocks_sortscan : stats->agg_blocks_morsel);
   }
-  if (MetricsRegistry::Counter* counter = AggBlocksCounter(chosen)) {
-    counter->Increment();
-  }
+  AggBlocksCounter(sortscan)->Increment();
   if (tracing) {
-    ctx.trace->RecordSpan("localagg", LocalAggEngineName(chosen), start,
+    ctx.trace->RecordSpan("localagg", sortscan ? "sortscan" : "morsel", start,
                           ctx.trace->NowSeconds(), ctx.task, /*attempt=*/0,
                           TraceOutcome::kNone,
                           "rows=" + std::to_string(ctx.n));
@@ -111,101 +86,102 @@ MeasureResultSet LocalAggregator::Evaluate(const LocalAggContext& ctx,
   return results;
 }
 
-std::unique_ptr<LocalAggregator> MakeLocalAggregator(
-    const Workflow* wf, const SortScanEvaluator* sortscan,
-    const LocalAggOptions& options) {
-  CASM_CHECK(wf != nullptr);
-  std::unique_ptr<const SortScanEvaluator> owned;
-  if (sortscan == nullptr) {
-    owned = std::make_unique<SortScanEvaluator>(wf);
-    sortscan = owned.get();
-  }
-  std::unique_ptr<LocalAggregator> out;
-  switch (options.engine) {
-    case LocalAggEngine::kSortScan:
-      out = std::make_unique<agg_internal::SortScanAggregator>(wf, sortscan);
-      break;
-    case LocalAggEngine::kMorsel:
-      out = std::make_unique<agg_internal::MorselAggregator>(wf, options);
-      break;
-    case LocalAggEngine::kRadix:
-      out = std::make_unique<agg_internal::RadixAggregator>(wf, sortscan,
-                                                            options);
-      break;
-    case LocalAggEngine::kAdaptive:
-      out = std::make_unique<agg_internal::AdaptiveAggregator>(wf, sortscan,
-                                                               options);
-      break;
-  }
-  out->owned_sortscan_ = std::move(owned);
-  return out;
-}
+MeasureResultSet LocalAggregator::HashGroupBy(const LocalAggContext& ctx,
+                                              LocalEvalStats* stats) const {
+  const auto start = std::chrono::steady_clock::now();
+  MeasureResultSet results(wf_->num_measures());
+  const Schema& schema = *wf_->schema();
+  const int width = schema.num_attributes();
+  const size_t num_basics = basics_.size();
+  auto cancelled = [&] {
+    return ctx.cancel != nullptr && ctx.cancel->cancelled();
+  };
 
-namespace agg_internal {
-
-std::vector<BasicMeasure> CollectBasics(const Workflow& wf) {
-  std::vector<BasicMeasure> basics;
-  for (int i : wf.BasicMeasures()) {
-    const Measure& m = wf.measure(i);
-    basics.push_back(BasicMeasure{i, m.fn, m.field, &m.granularity});
-  }
-  return basics;
-}
-
-void DeriveComposites(const Workflow& wf, const CancellationToken* cancel,
-                      MeasureResultSet* results) {
-  for (int i = 0; i < wf.num_measures(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) return;
-    if (wf.measure(i).op != MeasureOp::kAggregateRecords) {
-      DeriveCompositeMeasure(wf, i, results);
+  // Batch path (batch_cap > 0): the block is processed as columnar
+  // batches — one transpose plus one MapFromFinestColumn pass per
+  // (attribute, level) replaces a heap-allocating RegionOfRecord per row
+  // per measure; the per-row work shrinks to a scratch-Coords gather and
+  // the hash probe. Capacity is clamped to the block size (reducer blocks
+  // are often far smaller than the configured batch), and blocks under
+  // the batch_min_block_rows cutoff skip batching entirely: the mapper's
+  // fixed setup would cost more than the rows themselves.
+  const int64_t batch_cap =
+      ctx.n < options_.batch_min_block_rows
+          ? 0
+          : std::min(agg_internal::ResolveBatchRows(options_.batch_rows),
+                     ctx.n);
+  std::vector<AccMap> acc(num_basics);
+  int64_t batches = 0;
+  if (batch_cap > 0) {
+    agg_internal::RegionBatchMapper mapper(&schema, batch_cap);
+    std::vector<std::vector<const int64_t*>> gran_cols(num_basics);
+    Coords scratch(static_cast<size_t>(width));
+    for (int64_t begin = 0; begin < ctx.n; begin += batch_cap) {
+      if (cancelled()) return results;
+      const int64_t bn = std::min(batch_cap, ctx.n - begin);
+      mapper.Load(ctx.rows + begin * width, bn);
+      ++batches;
+      for (size_t b = 0; b < num_basics; ++b) {
+        mapper.GranularityColumns(*basics_[b].granularity, &gran_cols[b]);
+      }
+      for (int64_t i = 0; i < bn; ++i) {
+        for (size_t b = 0; b < num_basics; ++b) {
+          const BasicMeasure& info = basics_[b];
+          agg_internal::RegionBatchMapper::FillCoords(gran_cols[b], i,
+                                                      &scratch);
+          auto it = acc[b].find(scratch);
+          if (it == acc[b].end()) {
+            it = acc[b].emplace(scratch, Accumulator(info.fn)).first;
+          }
+          it->second.Add(
+              static_cast<double>(mapper.raw_column(info.field)[i]));
+        }
+      }
+    }
+  } else {
+    for (int64_t r = 0; r < ctx.n; ++r) {
+      if (r % kRowPathPollRows == 0 && cancelled()) return results;
+      const int64_t* row = ctx.rows + r * width;
+      for (size_t b = 0; b < num_basics; ++b) {
+        const BasicMeasure& info = basics_[b];
+        Coords coords = RegionOfRecord(schema, *info.granularity, row);
+        auto it = acc[b].find(coords);
+        if (it == acc[b].end()) {
+          it = acc[b].emplace(std::move(coords), Accumulator(info.fn)).first;
+        }
+        it->second.Add(static_cast<double>(row[info.field]));
+      }
     }
   }
-}
 
-void FinalizeAndDerive(const Workflow& wf,
-                       const std::vector<BasicMeasure>& basics,
-                       std::vector<AccMap>&& acc,
-                       const CancellationToken* cancel,
-                       MeasureResultSet* results) {
-  for (size_t b = 0; b < basics.size(); ++b) {
-    MeasureValueMap& out = results->mutable_values(basics[b].index);
-    for (auto& [coords, accumulator] : acc[b]) {
+  for (size_t b = 0; b < num_basics; ++b) {
+    MeasureValueMap& out = results.mutable_values(basics_[b].index);
+    out.reserve(acc[b].size());
+    for (const auto& [coords, accumulator] : acc[b]) {
       out.emplace(coords, accumulator.Result());
     }
   }
-  DeriveComposites(wf, cancel, results);
-}
-
-uint64_t FinestRegionHash(const Schema& schema,
-                          const std::vector<int>& attr_order,
-                          const std::vector<LevelId>& sort_levels,
-                          const int64_t* row) {
-  // FNV-1a over the mapped sort-level values, finished with an avalanche
-  // (fmix64) so the radix engine can take low bits as the partition id.
-  uint64_t h = 1469598103934665603ULL;
-  for (int attr : attr_order) {
-    const uint64_t v = static_cast<uint64_t>(schema.attribute(attr).MapFromFinest(
-        row[attr], sort_levels[static_cast<size_t>(attr)]));
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (v >> shift) & 0xffu;
-      h *= 1099511628211ULL;
+  // Composite measures in dependency order, from the finished tables.
+  for (int i = 0; i < wf_->num_measures(); ++i) {
+    if (cancelled()) return results;
+    if (wf_->measure(i).op != MeasureOp::kAggregateRecords) {
+      DeriveCompositeMeasure(*wf_, i, &results);
     }
   }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
+
+  if (stats != nullptr) {
+    stats->records += ctx.n;
+    stats->hashed_measures += static_cast<int64_t>(num_basics);
+    stats->agg_batches += batches;
+    stats->eval_seconds += SecondsSince(start);
+  }
+  return results;
 }
 
-MeasureResultSet SortScanAggregator::DoEvaluate(const LocalAggContext& ctx,
-                                                LocalEvalStats* stats,
-                                                LocalAggEngine* chosen) const {
-  (void)chosen;
-  return sortscan_->Evaluate(ctx.rows, ctx.n, ctx.assume_sorted, ctx.phase,
-                             stats, ctx.cancel);
+std::unique_ptr<LocalAggregator> MakeLocalAggregator(
+    const Workflow* wf, const SortScanEvaluator* sortscan,
+    const LocalAggOptions& options) {
+  return std::make_unique<LocalAggregator>(wf, sortscan, options);
 }
 
-}  // namespace agg_internal
 }  // namespace casm

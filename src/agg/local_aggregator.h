@@ -1,87 +1,47 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Competing parallel group-by engines behind one LocalAggregator
-// interface — the per-block local evaluation step of paper §III-A, no
-// longer welded to a single sort/scan strategy:
+// Per-block local evaluation (paper §III-A) behind one LocalAggregator,
+// which evaluates each block with one of two evaluators, picked by a rule
+// on what the block itself shows:
 //
-//  * kSortScan — the shared-sort-order sort/scan of Chen et al. [4]
-//    (local/sortscan_evaluator.h). Unbeatable when the framework sort
-//    already established the order (combined sort, §III-D): its "sort" is
-//    then free and every streamable measure costs one comparison per row.
-//  * kMorsel — morsel-driven thread-local pre-aggregation: each worker
-//    aggregates fixed-size morsels of rows into a bounded thread-local
-//    hash table and spills full tables into global hash partitions, which
-//    are merged per partition afterwards (the two-phase design of
-//    Leis et al., SIGMOD'14). Wins when groups are few or skewed: hot
-//    groups collapse inside the thread-local table and never contend.
-//  * kRadix — two-phase radix partitioning: rows are scattered into 2^k
-//    partitions by a hash of their finest-granularity region, each
-//    partition is aggregated independently (cache-sized hash tables),
-//    and coarse-granularity groups that span partitions are combined by
-//    a central Accumulator::Merge pass. Wins at high group cardinality,
-//    where one big hash table thrashes caches and sorting pays
-//    O(n log n) hierarchy lookups.
-//  * kAdaptive — a runtime chooser: per block it samples the first
-//    morsel for distinct-group ratio and skew, blends in the optimizer's
-//    cost-model prior (ExecutionPlan::predicted_block_groups), and
-//    dispatches to one of the engines above. See DESIGN.md §11.
+//  * sortscan — the shared-sort-order sort/scan of Chen et al. [4]
+//    (local/sortscan_evaluator.h), when the block is already in RowLess
+//    order (the combined framework sort of §III-D makes its sort free) or
+//    the phase is kSortOnly (the cost-breakdown phase times that sort).
+//  * morsel — otherwise, a serial hash group-by: one hash table per basic
+//    measure, each group's rows added in row order, then the composite
+//    measures derived from the finished tables. Blocks of at least
+//    LocalAggOptions::batch_min_block_rows rows are mapped batch-at-a-time
+//    (agg/batch.h); smaller ones row-at-a-time. Both paths add the same
+//    rows in the same order, so their results are bit-identical.
 //
-// Determinism: with a null ThreadPool every engine is serial and
-// bit-deterministic (checkpoint resume, ckpt/, depends on this). With a
-// pool, work is split into statically assigned shards that are merged in
-// fixed shard order, so results are deterministic for a given shard
-// count; floating-point sums may still differ across *engines* by
-// rounding, which is why differential tests compare with a tolerance.
+// Both evaluators are serial and bit-deterministic (checkpoint resume,
+// ckpt/, depends on this). They may differ from each other by float
+// rounding, since sort/scan adds a group's rows in sort order.
 
 #ifndef CASM_AGG_LOCAL_AGGREGATOR_H_
 #define CASM_AGG_LOCAL_AGGREGATOR_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "common/cancellation.h"
-#include "common/result.h"
 #include "local/measure_table.h"
 #include "local/sortscan_evaluator.h"
+#include "measure/aggregate.h"
 #include "measure/workflow.h"
 
 namespace casm {
 
-class ThreadPool;
 class TraceRecorder;
 
-namespace agg_internal {
-class AdaptiveAggregator;
-}  // namespace agg_internal
-
-enum class LocalAggEngine {
-  kSortScan,
-  kMorsel,
-  kRadix,
-  kAdaptive,
-};
-
-/// Stable lowercase name ("sortscan", "morsel", "radix", "adaptive").
-const char* LocalAggEngineName(LocalAggEngine engine);
-
-/// Parses a name produced by LocalAggEngineName.
-Result<LocalAggEngine> ParseLocalAggEngine(const std::string& name);
-
-/// The CASM_LOCAL_AGG environment knob: a valid engine name forces that
-/// engine for every block; unset or unparseable returns kAdaptive.
-LocalAggEngine LocalAggEngineFromEnv();
-
 struct LocalAggOptions {
-  /// Engine evaluating every block. kAdaptive chooses per block.
-  LocalAggEngine engine = LocalAggEngineFromEnv();
-
-  /// Rows per columnar batch in the hash engines' batch-at-a-time paths
-  /// (coordinate mapping and region hashing run vectorized over batch
-  /// columns — see agg/batch.h). 0 picks BatchSizeFromEnv() (the
-  /// CASM_BATCH_SIZE knob); negative forces the legacy row-at-a-time path
-  /// (differential tests, before/after benchmarks). Results are identical
-  /// either way.
+  /// Rows per columnar batch in the hash group-by's batch path
+  /// (coordinate mapping runs vectorized over batch columns — see
+  /// agg/batch.h). 0 picks BatchSizeFromEnv() (the CASM_BATCH_SIZE knob);
+  /// negative forces the legacy row-at-a-time path (differential tests,
+  /// before/after benchmarks). Results are identical either way.
   int64_t batch_rows = 0;
   /// Blocks with fewer rows than this keep the row-at-a-time path even
   /// when batch_rows enables batching: the batch path's fixed setup (the
@@ -90,119 +50,81 @@ struct LocalAggOptions {
   /// either way.
   int64_t batch_min_block_rows = 64;
 
-  // ---- Morsel engine.
-  /// Rows per morsel (the unit of work distribution and cancellation
-  /// polling).
-  int64_t morsel_rows = 4096;
-  /// Thread-local hash-table entries (across measures) before a spill to
-  /// the global hash partitions. Bounds per-worker memory regardless of
-  /// group cardinality.
-  int64_t max_local_entries = 1 << 15;
-  /// Global hash partitions (power of two).
-  int morsel_partitions = 64;
-
-  // ---- Radix engine.
-  /// log2 of the partition count.
-  int radix_bits = 5;
-
-  // ---- Adaptive chooser.
-  /// Rows of the first-morsel cardinality/skew sample.
-  int64_t sample_rows = 1024;
-  /// Blocks smaller than this skip sampling and use the morsel engine
-  /// (any engine finishes small blocks in microseconds).
-  int64_t min_choose_rows = 4096;
-  /// Choose sort/scan when the projected distinct-group ratio (block-wide
-  /// groups / rows, estimated from sample collisions and floored by the
-  /// cost-model prior) reaches this fraction. Hash aggregation pays one
-  /// hashed, heap-allocated key per row and only earns it back when each
-  /// group collapses many rows; below ~1/ratio = 8 rows per group,
-  /// sort+stream's O(n log n) is cheaper. At the extreme (near-unique
-  /// groups, ratio -> 1) aggregation buys nothing at all.
-  double sortscan_group_ratio = 0.125;
-  /// Choose morsel when the projected block-wide distinct-group count is
-  /// at most this (the groups collapse inside thread-local tables with no
-  /// partitioning pass); above it, radix partitioning keeps each
-  /// partition's table cache-sized.
-  int64_t morsel_group_limit = 2048;
-  /// Choose morsel regardless of cardinality when the heaviest sampled
-  /// group holds at least this fraction of the sample (skew: hot groups
-  /// collapse in thread-local tables, but imbalance radix partitions).
-  double skew_morsel_threshold = 0.2;
-
   // ---- Map-side adaptive combiner (early aggregation, §III-D).
   /// Entries the combiner's table may hold before flushing partials to
   /// the shuffle's global hash partitions (the reducers). Bounds map-side
-  /// memory under the PR 3 budget regardless of group cardinality.
+  /// memory under the memory budget (DESIGN.md §8) regardless of group
+  /// cardinality.
   int64_t combiner_max_entries = 1 << 16;
   /// Bypass combining for the rest of the split when, after the first
-  /// morsel of pairs, the table retained at least this fraction of them
+  /// window of pairs, the table retained at least this fraction of them
   /// (near-unique groups: combining buys nothing, the table just burns
   /// memory and hashing time).
   double combiner_bypass_ratio = 0.95;
 };
 
 /// Per-call inputs of LocalAggregator::Evaluate. `rows` is `n` contiguous
-/// row-major records of schema width.
+/// row-major records of schema width; neither evaluator writes to them,
+/// so several aggregators may read one buffer.
 struct LocalAggContext {
   const int64_t* rows = nullptr;
   int64_t n = 0;
   /// Records already in SortScanEvaluator::RowLess order (combined sort).
   bool assume_sorted = false;
   LocalEvalPhase phase = LocalEvalPhase::kFull;
-  /// Polled between morsels/partitions; on trip, engines return early
-  /// with incomplete results the caller is expected to discard.
+  /// Polled every batch (or every few thousand rows); on trip, Evaluate
+  /// returns early with incomplete results the caller is expected to
+  /// discard.
   const CancellationToken* cancel = nullptr;
-  /// Optional intra-block parallelism. Null = serial (bit-deterministic).
-  ThreadPool* pool = nullptr;
   /// Optional run tracing: every Evaluate records one "localagg" span
-  /// named after the engine that ran. Not owned; may be null.
+  /// named after the evaluator that ran. Not owned; may be null.
   TraceRecorder* trace = nullptr;
   int64_t task = -1;
-  /// Optimizer prior for the block's distinct finest-granularity groups
-  /// (ExecutionPlan::predicted_block_groups); 0 = unknown.
+  /// Unused: nothing reads it. Kept because perfbench/ still sets it
+  /// (from ExecutionPlan::predicted_block_groups).
   double expected_groups_hint = 0;
 };
 
-/// One group-by engine over one workflow. Thread-safe: Evaluate is const
-/// and instances are shared across concurrent reducer tasks.
+/// Local evaluation of one workflow. Thread-safe: Evaluate is const and
+/// one instance is shared across concurrent reducer tasks.
 class LocalAggregator {
  public:
-  virtual ~LocalAggregator() = default;
+  /// `sortscan` is the shared sort/scan plan (the parallel evaluator
+  /// already builds one for RowLess / combined sort); null makes the
+  /// aggregator build and own its own. `wf` and a non-null `sortscan`
+  /// must outlive the aggregator.
+  LocalAggregator(const Workflow* wf, const SortScanEvaluator* sortscan,
+                  const LocalAggOptions& options);
 
-  /// The engine this aggregator dispatches as (kAdaptive for the chooser).
-  virtual LocalAggEngine engine() const = 0;
-
-  /// Evaluates all measures of the workflow over the block. Updates
-  /// `stats` (may be null) including the per-engine block counters, and
-  /// records a "localagg" trace span when `ctx.trace` is enabled.
+  /// Evaluates all measures of the workflow over the block with the
+  /// evaluator the rule above picks. Updates `stats` (may be null),
+  /// including that evaluator's block counter, and records a "localagg"
+  /// trace span when `ctx.trace` is enabled.
   MeasureResultSet Evaluate(const LocalAggContext& ctx,
                             LocalEvalStats* stats) const;
 
- protected:
-  /// Engine body. `*chosen` is pre-set to engine(); the adaptive engine
-  /// overwrites it with the engine it dispatched to.
-  virtual MeasureResultSet DoEvaluate(const LocalAggContext& ctx,
-                                      LocalEvalStats* stats,
-                                      LocalAggEngine* chosen) const = 0;
+ private:
+  /// Flattened description of one basic measure (no Workflow indirection
+  /// per row).
+  struct BasicMeasure {
+    int index;  // measure index in the workflow
+    AggregateFn fn;
+    int field;
+    const Granularity* granularity;  // borrowed from the workflow
+  };
 
-  /// Set by MakeLocalAggregator when the aggregator owns its sort/scan
-  /// plan (caller passed none).
+  /// The morsel evaluator: serial hash group-by over the whole block.
+  MeasureResultSet HashGroupBy(const LocalAggContext& ctx,
+                               LocalEvalStats* stats) const;
+
+  const Workflow* wf_;
   std::unique_ptr<const SortScanEvaluator> owned_sortscan_;
-
-  /// The chooser dispatches into sibling engines' DoEvaluate directly so
-  /// the block is counted and traced exactly once (by the outer wrapper).
-  friend class agg_internal::AdaptiveAggregator;
-  /// The factory installs owned_sortscan_ after construction.
-  friend std::unique_ptr<LocalAggregator> MakeLocalAggregator(
-      const Workflow* wf, const SortScanEvaluator* sortscan,
-      const LocalAggOptions& options);
+  const SortScanEvaluator* sortscan_;
+  LocalAggOptions options_;
+  std::vector<BasicMeasure> basics_;
 };
 
-/// Builds the engine selected by `options.engine` over `wf`. `sortscan`
-/// is the shared sort/scan plan (the parallel evaluator already builds
-/// one for RowLess / combined sort); it must outlive the aggregator. Pass
-/// null to let the aggregator construct and own its own plan. `wf` must
-/// outlive the aggregator.
+/// Builds the aggregator over `wf`; see the LocalAggregator constructor.
 std::unique_ptr<LocalAggregator> MakeLocalAggregator(
     const Workflow* wf, const SortScanEvaluator* sortscan = nullptr,
     const LocalAggOptions& options = LocalAggOptions());

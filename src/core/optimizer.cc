@@ -53,7 +53,8 @@ ExecutionPlan MakePlan(const Schema& schema, const OptimizerOptions& options,
   plan.predicted_max_load =
       OverlappingMaxLoad(options.num_records, n_g, d, options.num_reducers,
                          cf);
-  // Per-block priors for the adaptive local aggregator: each of the
+  // Per-block priors (informational: local evaluation picks its
+  // evaluator from the block itself and does not read them): each of the
   // n_g / cf blocks receives N (d + cf) / n_g records drawn from the
   // finest-region domain's slice owned by the block.
   const double blocks =

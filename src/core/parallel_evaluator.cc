@@ -148,10 +148,10 @@ Result<ParallelEvalResult> EvaluateParallel(
   const int num_attrs = schema.num_attributes();
   const std::vector<KeyGenAttr> keygen = BuildKeyGen(schema, plan);
   const SortScanEvaluator local_eval(&wf);
-  // Group-by engine for per-block local evaluation (src/agg): adaptive by
-  // default, it dispatches each reducer block to sort/scan, morsel or
-  // radix aggregation. Shares the sort/scan plan with `local_eval` so
-  // RowLess (combined sort) and the engines can never disagree on order.
+  // Per-block local evaluation (src/agg): sort/scan for combined-sort
+  // blocks, the hash group-by otherwise. Shares the sort/scan plan with
+  // `local_eval` so RowLess (combined sort) and the evaluator can never
+  // disagree on order.
   const std::unique_ptr<LocalAggregator> local_agg =
       MakeLocalAggregator(&wf, &local_eval, options.local_agg);
   // Referenced by the map/reduce lambdas below: must outlive engine.Run().
@@ -217,7 +217,6 @@ Result<ParallelEvalResult> EvaluateParallel(
       ctx.cancel = group.cancellation_token();
       ctx.trace = trace;
       ctx.task = reducer;
-      ctx.expected_groups_hint = plan.predicted_block_groups;
       MeasureResultSet block_results = local_agg->Evaluate(ctx, &stats);
       // A cancelled attempt's partial results must never reach the sink;
       // the surrounding run is failing with Cancelled/DeadlineExceeded.

@@ -59,10 +59,8 @@ struct ParallelEvalOptions : EngineOptions {
   /// (phase kFull only). Verification failures degrade to recompute.
   CheckpointOptions checkpoint;
 
-  /// Local aggregation engine and chooser knobs (src/agg): which group-by
-  /// engine evaluates each reducer block, and how the map-side combiner
-  /// bounds and bypasses early aggregation. The engine defaults to the
-  /// adaptive chooser (or the CASM_LOCAL_AGG environment override).
+  /// Local aggregation knobs (src/agg): the hash group-by's batch size
+  /// and how the map-side combiner bounds and bypasses early aggregation.
   LocalAggOptions local_agg;
 
   /// Columnar map path: map tasks scan their split as RecordBatches

@@ -36,9 +36,8 @@ struct ExecutionPlan {
   double predicted_max_load = 0;
 
   /// Cost-model prediction of one block's record count and its distinct
-  /// finest-granularity groups (filled by the optimizer; 0 = unknown).
-  /// The adaptive local aggregator uses the group prior to pick a
-  /// group-by engine before sampling confirms the block's cardinality.
+  /// finest-granularity groups (filled by the optimizer; 0 = unknown;
+  /// informational — local evaluation does not read them).
   double predicted_block_records = 0;
   double predicted_block_groups = 0;
 

@@ -63,7 +63,7 @@ Result<SharedEvalResult> EvaluateParallelShared(
       options.trace != nullptr ? options.trace : TraceRecorder::Global();
 
   // Per-member local machinery: same construction as a solo run, so the
-  // per-block evaluation (engine choice included) cannot diverge from
+  // per-block evaluation (evaluator choice included) cannot diverge from
   // what EvaluateParallel would do under this plan.
   const size_t n_members = queries.size();
   std::vector<std::unique_ptr<SortScanEvaluator>> local_evals(n_members);
@@ -96,26 +96,23 @@ Result<SharedEvalResult> EvaluateParallelShared(
   spec.map_fn =
       eval_internal::RawRecordMapFn(table, schema, keygen, map_batch_rows);
 
-  // ---- Shared reduce phase: one block, every member. Each member
-  // evaluates a FRESH copy of the block's rows in shuffle order — the
-  // local engines permute their input in place, and handing member k the
-  // buffer member k-1 just sorted would change equal-key orderings (and
-  // therefore float fold order) relative to a solo run.
+  // ---- Shared reduce phase: one block, every member. Every member reads
+  // the same copy of the block's rows in shuffle order: local evaluation
+  // never writes to its input (sort/scan sorts an index permutation), so
+  // each member sees exactly the rows a solo run would.
   spec.reduce_fn = [&](int reducer, const GroupView& group) {
     const std::vector<int64_t> rows = group.CopyValues();
     for (size_t i = 0; i < n_members; ++i) {
       const Workflow& wf = *queries[i].workflow;
-      std::vector<int64_t> member_rows = rows;
       LocalEvalStats stats;
       LocalAggContext ctx;
-      ctx.rows = member_rows.data();
+      ctx.rows = rows.data();
       ctx.n = group.size();
       ctx.assume_sorted = false;
       ctx.phase = LocalEvalPhase::kFull;
       ctx.cancel = group.cancellation_token();
       ctx.trace = trace;
       ctx.task = reducer;
-      ctx.expected_groups_hint = plan.predicted_block_groups;
       MeasureResultSet block_results = local_aggs[i]->Evaluate(ctx, &stats);
       if (group.cancelled()) return;
       int64_t filtered = 0;

@@ -39,17 +39,15 @@ struct LocalEvalStats {
   int64_t hashed_measures = 0;
   double sort_seconds = 0;
   double eval_seconds = 0;
-  /// Blocks evaluated by each LocalAggregator engine (src/agg). A plain
-  /// SortScanEvaluator::Evaluate call counts under agg_blocks_sortscan so
-  /// the column is meaningful whether or not the agg layer is in front.
+  /// Blocks LocalAggregator (src/agg) evaluated with each evaluator; a
+  /// direct SortScanEvaluator::Evaluate call counts none.
   int64_t agg_blocks_sortscan = 0;
   int64_t agg_blocks_morsel = 0;
+  /// Always 0: no radix evaluator exists. Kept because perfbench/ still
+  /// reports it.
   int64_t agg_blocks_radix = 0;
-  /// Rows inspected by the adaptive chooser's first-morsel sample.
-  int64_t agg_sampled_rows = 0;
-  /// Columnar batches processed by the hash engines' batch-at-a-time
-  /// paths (0 when the legacy row path ran — see
-  /// LocalAggOptions::batch_rows).
+  /// Columnar batches processed by the hash group-by's batch path (0 when
+  /// the row path ran — see LocalAggOptions::batch_rows).
   int64_t agg_batches = 0;
 
   void Accumulate(const LocalEvalStats& other) {
@@ -62,7 +60,6 @@ struct LocalEvalStats {
     agg_blocks_sortscan += other.agg_blocks_sortscan;
     agg_blocks_morsel += other.agg_blocks_morsel;
     agg_blocks_radix += other.agg_blocks_radix;
-    agg_sampled_rows += other.agg_sampled_rows;
     agg_batches += other.agg_batches;
   }
 };

@@ -73,7 +73,6 @@ std::string RunReport::Summary() const {
     out += "\n  localagg: sortscan=" +
            std::to_string(localagg_blocks_sortscan) +
            " morsel=" + std::to_string(localagg_blocks_morsel) +
-           " radix=" + std::to_string(localagg_blocks_radix) +
            " block(s) (dominant " + local_agg_engine + ")";
   }
   if (dfs_reads > 0 || dfs_writes > 0 || dfs_scrubs > 0 ||
@@ -165,8 +164,6 @@ RunReport BuildRunReport(const std::vector<TraceEvent>& events) {
         ++report.localagg_blocks_sortscan;
       } else if (ev.name == "morsel") {
         ++report.localagg_blocks_morsel;
-      } else if (ev.name == "radix") {
-        ++report.localagg_blocks_radix;
       }
     } else if (std::strcmp(ev.category, "dfs") == 0) {
       if (ev.name == "dfs-read") {
@@ -197,16 +194,11 @@ RunReport BuildRunReport(const std::vector<TraceEvent>& events) {
     }
   }
   if (report.localagg_blocks_sortscan > 0 ||
-      report.localagg_blocks_morsel > 0 || report.localagg_blocks_radix > 0) {
-    report.local_agg_engine = "sortscan";
-    int64_t best = report.localagg_blocks_sortscan;
-    if (report.localagg_blocks_morsel > best) {
-      best = report.localagg_blocks_morsel;
-      report.local_agg_engine = "morsel";
-    }
-    if (report.localagg_blocks_radix > best) {
-      report.local_agg_engine = "radix";
-    }
+      report.localagg_blocks_morsel > 0) {
+    report.local_agg_engine =
+        report.localagg_blocks_morsel > report.localagg_blocks_sortscan
+            ? "morsel"
+            : "sortscan";
   }
   return report;
 }

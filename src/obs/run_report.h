@@ -45,12 +45,11 @@ struct RunReport {
   double pool_queue_seconds = 0;
 
   /// Local aggregation activity: "localagg" spans are one per evaluated
-  /// block, named after the group-by engine that ran it (src/agg).
+  /// block, named after the evaluator that ran it (src/agg).
   int64_t localagg_blocks_sortscan = 0;
   int64_t localagg_blocks_morsel = 0;
-  int64_t localagg_blocks_radix = 0;
-  /// Engine that evaluated the most blocks ("sortscan" / "morsel" /
-  /// "radix"; ties break in that order). Empty without localagg spans.
+  /// Evaluator that evaluated the most blocks ("sortscan" / "morsel"; a
+  /// tie reads "sortscan"). Empty without localagg spans.
   std::string local_agg_engine;
 
   /// Storage health: "dfs" category activity (dfs/volume.h) and

@@ -2,10 +2,10 @@
 //
 // Columnar batch tests: RecordBatch/TableScan mechanics, the vectorized
 // kernels' bit-identity to their row-at-a-time counterparts
-// (MapFromFinestColumn, PartitionHashColumns, FinestRegionHashColumns),
-// and differential runs of every aggregation engine and the full MR
-// pipeline across batch-size boundaries {1, 7, 4096, n+1} — including the
-// map-side spill path — against the row-path reference with tolerance 0.
+// (MapFromFinestColumn, PartitionHashColumns), and differential runs of
+// the hash group-by and the full MR pipeline across batch-size boundaries
+// {1, 7, 4096, n+1} — including the map-side spill path — against the
+// row-path reference with tolerance 0.
 
 #include <cstdlib>
 #include <vector>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "agg/batch.h"
-#include "agg/engines.h"
 #include "agg/local_aggregator.h"
 #include "core/key_derivation.h"
 #include "core/parallel_evaluator.h"
@@ -225,43 +224,15 @@ TEST(BatchKernelTest, PartitionHashColumnsMatchesScalar) {
   }
 }
 
-TEST(BatchKernelTest, FinestRegionHashColumnsMatchesScalar) {
-  SchemaPtr schema = PaperSchema();
-  Workflow wf = MakePaperQuery(PaperQuery::kQ5);
-  SortScanEvaluator sortscan(&wf);
-  Table table = PaperUniformTable(512, 29);
-  const int64_t n = table.num_rows();
-  const int width = schema->num_attributes();
-  const std::vector<int>& attr_order = sortscan.attr_order();
-  const std::vector<LevelId>& sort_levels = sortscan.sort_levels();
-  agg_internal::RegionBatchMapper mapper(schema.get(), n);
-  mapper.Load(table.row(0), n);
-  std::vector<const int64_t*> sort_cols(attr_order.size());
-  for (size_t j = 0; j < attr_order.size(); ++j) {
-    const int attr = attr_order[j];
-    sort_cols[j] =
-        mapper.MappedColumn(attr, sort_levels[static_cast<size_t>(attr)]);
-  }
-  std::vector<uint64_t> hashes(static_cast<size_t>(n));
-  agg_internal::FinestRegionHashColumns(
-      sort_cols.data(), static_cast<int>(attr_order.size()), n, hashes.data());
-  for (int64_t r = 0; r < n; ++r) {
-    ASSERT_EQ(hashes[static_cast<size_t>(r)],
-              agg_internal::FinestRegionHash(*schema, attr_order, sort_levels,
-                                             table.row(r)))
-        << "r=" << r;
-  }
-  (void)width;
-}
-
-// ---------------------------------------------------- engines (src/agg)
+// --------------------------------------------- hash group-by (src/agg)
 
 const int64_t kBatchSizes[] = {1, 7, 4096, /* num_rows + 1 */ 3001};
 
-MeasureResultSet RunEngineBatch(const Workflow& wf, const Table& table,
-                                LocalAggEngine engine, int64_t batch_rows) {
+/// Evaluates the whole table as one unsorted block, which LocalAggregator
+/// routes to the hash group-by.
+MeasureResultSet RunHashBatch(const Workflow& wf, const Table& table,
+                              int64_t batch_rows) {
   LocalAggOptions options;
-  options.engine = engine;
   options.batch_rows = batch_rows;
   options.batch_min_block_rows = 0;  // exercise batching at every size
   std::unique_ptr<LocalAggregator> agg =
@@ -277,21 +248,15 @@ TEST(BatchDifferentialTest, EnginesBitIdenticalToRowPathAtEveryBatchSize) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ5);
   Table table = PaperUniformTable(3000, 41);
   MeasureResultSet reference = EvaluateReference(wf, table);
-  for (LocalAggEngine engine :
-       {LocalAggEngine::kMorsel, LocalAggEngine::kRadix,
-        LocalAggEngine::kAdaptive}) {
-    MeasureResultSet row_path = RunEngineBatch(wf, table, engine, -1);
-    Status vs_ref = CompareResultSets(reference, row_path, kTol);
-    ASSERT_TRUE(vs_ref.ok()) << LocalAggEngineName(engine) << ": "
-                             << vs_ref.ToString();
-    for (int64_t batch_rows : kBatchSizes) {
-      MeasureResultSet batched = RunEngineBatch(wf, table, engine, batch_rows);
-      // Same engine, same Add/merge order: bit-identical, tolerance 0.
-      Status match = CompareResultSets(row_path, batched, 0.0);
-      EXPECT_TRUE(match.ok())
-          << LocalAggEngineName(engine) << " batch_rows=" << batch_rows
-          << ": " << match.ToString();
-    }
+  MeasureResultSet row_path = RunHashBatch(wf, table, -1);
+  Status vs_ref = CompareResultSets(reference, row_path, kTol);
+  ASSERT_TRUE(vs_ref.ok()) << vs_ref.ToString();
+  for (int64_t batch_rows : kBatchSizes) {
+    MeasureResultSet batched = RunHashBatch(wf, table, batch_rows);
+    // Same rows added in the same order: bit-identical, tolerance 0.
+    Status match = CompareResultSets(row_path, batched, 0.0);
+    EXPECT_TRUE(match.ok())
+        << "batch_rows=" << batch_rows << ": " << match.ToString();
   }
 }
 
@@ -299,7 +264,6 @@ TEST(BatchDifferentialTest, StatsCountBatches) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ1);
   Table table = PaperUniformTable(1000, 13);
   LocalAggOptions options;
-  options.engine = LocalAggEngine::kMorsel;
   options.batch_rows = 256;
   options.batch_min_block_rows = 0;
   std::unique_ptr<LocalAggregator> agg =

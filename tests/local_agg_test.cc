@@ -1,21 +1,22 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Randomized differential tests for the local aggregation engines
-// (src/agg): every engine — and the adaptive chooser under every forced
-// decision — must agree with the reference evaluator on every workload,
-// across cardinality and skew ladders, serially and under a thread pool.
-// Floating-point tolerance covers merge-order rounding differences
-// between engines; group sets and counts must match exactly.
+// Differential tests for local aggregation (src/agg): both evaluators —
+// sort/scan, called directly, and the hash group-by ("morsel") that
+// LocalAggregator routes unsorted blocks to — must agree with the
+// reference evaluator on every workload, across cardinality and skew
+// ladders. Floating-point tolerance covers fold-order rounding
+// differences between the evaluators; group sets and counts must match
+// exactly. Also pins LocalAggregator's routing rule and the map-side
+// combiner.
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "agg/local_aggregator.h"
-#include "common/thread_pool.h"
 #include "core/key_derivation.h"
 #include "core/parallel_evaluator.h"
 #include "local/reference_evaluator.h"
@@ -35,43 +36,61 @@ std::vector<int64_t> FlatRows(const Table& table) {
       first, first + table.num_rows() * table.row_width());
 }
 
-MeasureResultSet RunEngine(const Workflow& wf, std::vector<int64_t>& rows,
-                           int64_t n, LocalAggEngine engine, ThreadPool* pool,
-                           LocalAggOptions options = LocalAggOptions(),
-                           LocalEvalStats* stats = nullptr,
-                           bool assume_sorted = false) {
-  options.engine = engine;
+/// The two local evaluators. kSortScan calls SortScanEvaluator directly
+/// (on an unsorted block, so its sort runs); kMorsel goes through
+/// LocalAggregator, whose rule sends an unsorted full-phase block to the
+/// hash group-by.
+enum class Evaluator { kSortScan, kMorsel };
+const Evaluator kEvaluators[] = {Evaluator::kSortScan, Evaluator::kMorsel};
+
+const char* EvaluatorName(Evaluator evaluator) {
+  return evaluator == Evaluator::kSortScan ? "sortscan" : "morsel";
+}
+
+MeasureResultSet RunEvaluator(const Workflow& wf,
+                              const std::vector<int64_t>& rows, int64_t n,
+                              Evaluator evaluator,
+                              const LocalAggOptions& options = {},
+                              LocalEvalStats* stats = nullptr) {
+  LocalEvalStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  if (evaluator == Evaluator::kSortScan) {
+    const SortScanEvaluator sortscan(&wf);
+    return sortscan.Evaluate(rows.data(), n, /*assume_sorted=*/false,
+                             LocalEvalPhase::kFull, stats);
+  }
   std::unique_ptr<LocalAggregator> agg =
       MakeLocalAggregator(&wf, nullptr, options);
   LocalAggContext ctx;
   ctx.rows = rows.data();
   ctx.n = n;
-  ctx.assume_sorted = assume_sorted;
-  ctx.pool = pool;
-  LocalEvalStats local_stats;
-  return agg->Evaluate(ctx, stats != nullptr ? stats : &local_stats);
+  return agg->Evaluate(ctx, stats);
 }
 
-const LocalAggEngine kAllEngines[] = {
-    LocalAggEngine::kSortScan, LocalAggEngine::kMorsel,
-    LocalAggEngine::kRadix, LocalAggEngine::kAdaptive};
-
-TEST(LocalAggEngineTest, NameParseRoundTrip) {
-  for (LocalAggEngine engine : kAllEngines) {
-    Result<LocalAggEngine> parsed =
-        ParseLocalAggEngine(LocalAggEngineName(engine));
-    ASSERT_TRUE(parsed.ok()) << LocalAggEngineName(engine);
-    EXPECT_EQ(parsed.value(), engine);
+/// `rows` (row-major, `width` wide) reordered by the workflow's shared
+/// sort order, as the combined framework sort would deliver a block.
+std::vector<int64_t> SortedRows(const Workflow& wf,
+                                const std::vector<int64_t>& rows, int width) {
+  const SortScanEvaluator sortscan(&wf);
+  const int64_t n = static_cast<int64_t>(rows.size()) / width;
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return sortscan.RowLess(rows.data() + a * width, rows.data() + b * width);
+  });
+  std::vector<int64_t> sorted;
+  sorted.reserve(rows.size());
+  for (int64_t i : order) {
+    sorted.insert(sorted.end(), rows.begin() + i * width,
+                  rows.begin() + (i + 1) * width);
   }
-  EXPECT_FALSE(ParseLocalAggEngine("bogus").ok());
-  EXPECT_FALSE(ParseLocalAggEngine("").ok());
+  return sorted;
 }
 
 TEST(LocalAggDifferentialTest, PaperQueriesAllEnginesMatchReference) {
   // Q1 (independent fine basics), Q5 (sibling windows) and Q6 (all four
   // relations including holistic medians) over uniform and temporally
-  // skewed data, each engine serial and pooled.
-  ThreadPool pool(4);
+  // skewed data.
   for (PaperQuery q : {PaperQuery::kQ1, PaperQuery::kQ5, PaperQuery::kQ6}) {
     Workflow wf = MakePaperQuery(q);
     for (bool skewed : {false, true}) {
@@ -79,16 +98,14 @@ TEST(LocalAggDifferentialTest, PaperQueriesAllEnginesMatchReference) {
                              PaperUniformTable(3000, 17);
       MeasureResultSet expected = EvaluateReference(wf, table);
       std::vector<int64_t> rows = FlatRows(table);
-      for (LocalAggEngine engine : kAllEngines) {
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          MeasureResultSet got =
-              RunEngine(wf, rows, table.num_rows(), engine, p);
-          Status match = CompareResultSets(expected, got, kTol);
-          EXPECT_TRUE(match.ok())
-              << PaperQueryName(q) << " skewed=" << skewed << " engine="
-              << LocalAggEngineName(engine) << " pooled=" << (p != nullptr)
-              << ": " << match.ToString();
-        }
+      for (Evaluator evaluator : kEvaluators) {
+        MeasureResultSet got =
+            RunEvaluator(wf, rows, table.num_rows(), evaluator);
+        Status match = CompareResultSets(expected, got, kTol);
+        EXPECT_TRUE(match.ok())
+            << PaperQueryName(q) << " skewed=" << skewed
+            << " evaluator=" << EvaluatorName(evaluator) << ": "
+            << match.ToString();
       }
     }
   }
@@ -99,22 +116,17 @@ TEST(LocalAggDifferentialTest, WeblogWorkflowAllEnginesMatchReference) {
   Table table = WeblogTable(2500, 7);  // Zipf keywords: natural skew
   MeasureResultSet expected = EvaluateReference(wf, table);
   std::vector<int64_t> rows = FlatRows(table);
-  ThreadPool pool(3);
-  for (LocalAggEngine engine : kAllEngines) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      MeasureResultSet got = RunEngine(wf, rows, table.num_rows(), engine, p);
-      Status match = CompareResultSets(expected, got, kTol);
-      EXPECT_TRUE(match.ok())
-          << "engine=" << LocalAggEngineName(engine)
-          << " pooled=" << (p != nullptr) << ": " << match.ToString();
-    }
+  for (Evaluator evaluator : kEvaluators) {
+    MeasureResultSet got = RunEvaluator(wf, rows, table.num_rows(), evaluator);
+    Status match = CompareResultSets(expected, got, kTol);
+    EXPECT_TRUE(match.ok()) << "evaluator=" << EvaluatorName(evaluator)
+                            << ": " << match.ToString();
   }
 }
 
 /// Basic-measure workflows at three grouping granularities: day/tier3
 /// (few groups), hour/tier2 (middling), minute/value (nearly one group
-/// per record at test sizes) — the cardinality ladder the chooser
-/// navigates.
+/// per record at test sizes).
 Workflow LadderWorkflow(const SchemaPtr& schema, int rung) {
   const char* d_level = rung == 0 ? "tier3" : rung == 1 ? "tier2" : "value";
   const char* t_level = rung == 0 ? "day" : rung == 1 ? "hour" : "minute";
@@ -131,7 +143,6 @@ Workflow LadderWorkflow(const SchemaPtr& schema, int rung) {
 
 TEST(LocalAggDifferentialTest, CardinalitySkewLadder) {
   SchemaPtr schema = PaperSchema();
-  ThreadPool pool(4);
   for (int rung = 0; rung < 3; ++rung) {
     Workflow wf = LadderWorkflow(schema, rung);
     for (bool skewed : {false, true}) {
@@ -139,164 +150,160 @@ TEST(LocalAggDifferentialTest, CardinalitySkewLadder) {
                            : PaperUniformTable(6000, 41 + rung);
       MeasureResultSet expected = EvaluateReference(wf, table);
       std::vector<int64_t> rows = FlatRows(table);
-      for (LocalAggEngine engine : kAllEngines) {
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          MeasureResultSet got =
-              RunEngine(wf, rows, table.num_rows(), engine, p);
-          Status match = CompareResultSets(expected, got, kTol);
-          EXPECT_TRUE(match.ok())
-              << "rung=" << rung << " skewed=" << skewed << " engine="
-              << LocalAggEngineName(engine) << " pooled=" << (p != nullptr)
-              << ": " << match.ToString();
-        }
+      for (Evaluator evaluator : kEvaluators) {
+        MeasureResultSet got =
+            RunEvaluator(wf, rows, table.num_rows(), evaluator);
+        Status match = CompareResultSets(expected, got, kTol);
+        EXPECT_TRUE(match.ok())
+            << "rung=" << rung << " skewed=" << skewed
+            << " evaluator=" << EvaluatorName(evaluator) << ": "
+            << match.ToString();
       }
     }
   }
 }
 
 TEST(LocalAggDifferentialTest, StressedEngineKnobsStayCorrect) {
-  // Tiny thread-local tables (constant spilling), few partitions, tiny
-  // morsels, minimal radix bits: the overflow paths must produce the same
-  // answer as the fast paths.
+  // Three-row batches, with batching forced at any block size: each
+  // group's rows span many batches, and the hash tables must still add
+  // every row exactly once.
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
   Table table = PaperUniformTable(4000, 5);
   MeasureResultSet expected = EvaluateReference(wf, table);
   std::vector<int64_t> rows = FlatRows(table);
-  ThreadPool pool(4);
 
   LocalAggOptions stressed;
-  stressed.morsel_rows = 64;
-  stressed.max_local_entries = 8;  // spill nearly every morsel
-  stressed.morsel_partitions = 4;
-  stressed.radix_bits = 1;
-  stressed.sample_rows = 32;
-  stressed.min_choose_rows = 1;
-  for (LocalAggEngine engine : kAllEngines) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      MeasureResultSet got =
-          RunEngine(wf, rows, table.num_rows(), engine, p, stressed);
+  stressed.batch_rows = 3;
+  stressed.batch_min_block_rows = 0;
+  MeasureResultSet got = RunEvaluator(wf, rows, table.num_rows(),
+                                      Evaluator::kMorsel, stressed);
+  Status match = CompareResultSets(expected, got, kTol);
+  EXPECT_TRUE(match.ok()) << match.ToString();
+}
+
+TEST(LocalAggRuleTest, RoutesEachBlockByOrderAndPhase) {
+  // The rule: sort/scan for pre-sorted blocks and the kSortOnly phase,
+  // the hash group-by for everything else. Each block is counted and
+  // traced under the evaluator that ran it; the radix counter stays 0.
+  Workflow wf = MakePaperQuery(PaperQuery::kQ1);
+  Table table = PaperUniformTable(5000, 29);
+  MeasureResultSet expected = EvaluateReference(wf, table);
+  const std::vector<int64_t> rows = FlatRows(table);
+  const std::vector<int64_t> sorted =
+      SortedRows(wf, rows, table.row_width());
+  std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
+
+  struct Case {
+    const char* name;
+    const std::vector<int64_t>* rows;
+    bool assume_sorted;
+    LocalEvalPhase phase;
+    Evaluator routed;
+  };
+  const Case cases[] = {
+      {"unsorted/full", &rows, false, LocalEvalPhase::kFull,
+       Evaluator::kMorsel},
+      {"sorted/full", &sorted, true, LocalEvalPhase::kFull,
+       Evaluator::kSortScan},
+      {"unsorted/sort-only", &rows, false, LocalEvalPhase::kSortOnly,
+       Evaluator::kSortScan},
+  };
+  for (const Case& c : cases) {
+    TraceRecorder trace;
+    trace.set_enabled(true);
+    LocalAggContext ctx;
+    ctx.rows = c.rows->data();
+    ctx.n = table.num_rows();
+    ctx.assume_sorted = c.assume_sorted;
+    ctx.phase = c.phase;
+    ctx.trace = &trace;
+    LocalEvalStats stats;
+    MeasureResultSet got = agg->Evaluate(ctx, &stats);
+
+    const bool sortscan = c.routed == Evaluator::kSortScan;
+    EXPECT_EQ(stats.agg_blocks_sortscan, sortscan ? 1 : 0) << c.name;
+    EXPECT_EQ(stats.agg_blocks_morsel, sortscan ? 0 : 1) << c.name;
+    EXPECT_EQ(stats.agg_blocks_radix, 0) << c.name;
+    std::vector<std::string> spans;
+    for (const TraceEvent& ev : trace.Snapshot()) {
+      if (std::string(ev.category) == "localagg") spans.push_back(ev.name);
+    }
+    EXPECT_EQ(spans, std::vector<std::string>{EvaluatorName(c.routed)})
+        << c.name;
+    if (c.phase == LocalEvalPhase::kFull) {
       Status match = CompareResultSets(expected, got, kTol);
-      EXPECT_TRUE(match.ok())
-          << "engine=" << LocalAggEngineName(engine)
-          << " pooled=" << (p != nullptr) << ": " << match.ToString();
+      EXPECT_TRUE(match.ok()) << c.name << ": " << match.ToString();
+    } else {
+      EXPECT_EQ(got.TotalResults(), 0) << c.name;
     }
   }
 }
 
-TEST(LocalAggDifferentialTest, AdaptiveMatchesUnderEveryForcedDecision) {
-  // Drive the chooser into each branch by knob extremes; every decision
-  // must still be correct (the chooser may only affect speed).
-  Workflow wf = MakePaperQuery(PaperQuery::kQ1);
-  Table table = PaperUniformTable(5000, 3);
+TEST(LocalAggRuleTest, CombinedSortDecidesEveryBlock) {
+  // End to end: without the combined sort every reducer block reaches
+  // the hash group-by; with it, every block arrives sorted and takes
+  // sort/scan. Both plans must equal the reference.
+  Workflow wf = MakePaperQuery(PaperQuery::kQ5);
+  Table table = PaperUniformTable(4000, 83);
   MeasureResultSet expected = EvaluateReference(wf, table);
-  std::vector<int64_t> rows = FlatRows(table);
-
-  LocalAggOptions force_radix;
-  force_radix.min_choose_rows = 1;
-  force_radix.skew_morsel_threshold = 1.1;
-  force_radix.sortscan_group_ratio = 2.0;  // ratio can never reach it
-  force_radix.morsel_group_limit = 0;       // and no group count is <= 0
-
-  LocalAggOptions force_morsel;
-  force_morsel.sortscan_group_ratio = 2.0;
-  force_morsel.morsel_group_limit =
-      std::numeric_limits<int64_t>::max();  // every group count qualifies
-
-  LocalAggOptions force_skew_morsel;
-  force_skew_morsel.min_choose_rows = 1;
-  force_skew_morsel.skew_morsel_threshold = 0.0;  // everything "skewed"
-
-  int case_id = 0;
-  for (const LocalAggOptions& opts :
-       {force_radix, force_morsel, force_skew_morsel}) {
-    LocalEvalStats stats;
-    MeasureResultSet got = RunEngine(wf, rows, table.num_rows(),
-                                     LocalAggEngine::kAdaptive, nullptr, opts,
-                                     &stats);
-    Status match = CompareResultSets(expected, got, kTol);
-    EXPECT_TRUE(match.ok()) << "case=" << case_id << ": " << match.ToString();
-    EXPECT_EQ(stats.agg_blocks_sortscan, 0) << "case=" << case_id;
-    ++case_id;
+  for (bool combined_sort : {false, true}) {
+    ExecutionPlan plan;
+    plan.key = DeriveDistributionKeys(wf).query_key;
+    plan.combined_sort = combined_sort;
+    ParallelEvalOptions opts;
+    opts.num_mappers = 3;
+    opts.num_reducers = 3;
+    opts.num_threads = 2;
+    Result<ParallelEvalResult> result =
+        EvaluateParallel(wf, table, plan, opts);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const LocalEvalStats& stats = result->local_stats;
+    EXPECT_GT(combined_sort ? stats.agg_blocks_sortscan
+                            : stats.agg_blocks_morsel,
+              0)
+        << "combined_sort=" << combined_sort;
+    EXPECT_EQ(combined_sort ? stats.agg_blocks_morsel
+                            : stats.agg_blocks_sortscan,
+              0)
+        << "combined_sort=" << combined_sort;
+    EXPECT_EQ(stats.agg_blocks_radix, 0);
+    Status match = CompareResultSets(expected, result->results, kTol);
+    EXPECT_TRUE(match.ok()) << "combined_sort=" << combined_sort << ": "
+                            << match.ToString();
   }
-
-  // Near-unique routing: with the unique-ratio cutoff at 0 every unsorted
-  // block projects "near-unique" and must take the sort/scan path.
-  LocalAggOptions force_unique_sortscan;
-  force_unique_sortscan.min_choose_rows = 1;
-  force_unique_sortscan.skew_morsel_threshold = 1.1;
-  force_unique_sortscan.sortscan_group_ratio = 0.0;
-  LocalEvalStats stats;
-  MeasureResultSet got =
-      RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kAdaptive, nullptr,
-                force_unique_sortscan, &stats);
-  Status match = CompareResultSets(expected, got, kTol);
-  EXPECT_TRUE(match.ok()) << match.ToString();
-  EXPECT_EQ(stats.agg_blocks_sortscan, 1);
-  EXPECT_EQ(stats.agg_blocks_morsel, 0);
-  EXPECT_EQ(stats.agg_blocks_radix, 0);
-}
-
-TEST(LocalAggDifferentialTest, AdaptiveRoutesSortedInputToSortScan) {
-  Workflow wf = MakePaperQuery(PaperQuery::kQ1);
-  Table table = PaperUniformTable(5000, 29);
-  MeasureResultSet expected = EvaluateReference(wf, table);
-  std::vector<int64_t> rows = FlatRows(table);
-
-  // Pre-sort by the shared sort order, as the combined framework sort
-  // would, then assert the chooser takes the free-sort path.
-  const SortScanEvaluator sortscan(&wf);
-  const int width = table.row_width();
-  std::vector<int64_t> order(static_cast<size_t>(table.num_rows()));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    return sortscan.RowLess(rows.data() + a * width, rows.data() + b * width);
-  });
-  std::vector<int64_t> sorted;
-  sorted.reserve(rows.size());
-  for (int64_t i : order) {
-    sorted.insert(sorted.end(), rows.begin() + i * width,
-                  rows.begin() + (i + 1) * width);
-  }
-
-  LocalEvalStats stats;
-  MeasureResultSet got =
-      RunEngine(wf, sorted, table.num_rows(), LocalAggEngine::kAdaptive,
-                nullptr, LocalAggOptions(), &stats, /*assume_sorted=*/true);
-  Status match = CompareResultSets(expected, got, kTol);
-  EXPECT_TRUE(match.ok()) << match.ToString();
-  EXPECT_EQ(stats.agg_blocks_sortscan, 1);
-  EXPECT_EQ(stats.agg_blocks_morsel, 0);
-  EXPECT_EQ(stats.agg_blocks_radix, 0);
 }
 
 TEST(LocalAggDifferentialTest, EngineStatsCountBlocks) {
+  // Block counters accumulate across calls into one stats object.
   Workflow wf = MakePaperQuery(PaperQuery::kQ1);
   Table table = PaperUniformTable(2000, 13);
   std::vector<int64_t> rows = FlatRows(table);
+  std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
+  LocalAggContext ctx;
+  ctx.rows = rows.data();
+  ctx.n = table.num_rows();
   LocalEvalStats stats;
-  RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kRadix, nullptr,
-            LocalAggOptions(), &stats);
-  EXPECT_EQ(stats.agg_blocks_radix, 1);
-  RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kMorsel, nullptr,
-            LocalAggOptions(), &stats);
-  EXPECT_EQ(stats.agg_blocks_morsel, 1);
-  RunEngine(wf, rows, table.num_rows(), LocalAggEngine::kSortScan, nullptr,
-            LocalAggOptions(), &stats);
+  agg->Evaluate(ctx, &stats);
+  agg->Evaluate(ctx, &stats);
+  ctx.phase = LocalEvalPhase::kSortOnly;
+  agg->Evaluate(ctx, &stats);
+  EXPECT_EQ(stats.agg_blocks_morsel, 2);
   EXPECT_EQ(stats.agg_blocks_sortscan, 1);
+  EXPECT_EQ(stats.agg_blocks_radix, 0);
 }
 
 TEST(LocalAggDifferentialTest, SerialEvaluationIsDeterministic) {
-  // Serial (null pool) evaluation must be bit-deterministic: checkpoint
-  // verification (ckpt/) compares recomputed results exactly.
+  // Evaluation must be bit-deterministic: checkpoint verification (ckpt/)
+  // compares recomputed results exactly.
   Workflow wf = MakePaperQuery(PaperQuery::kQ5);
   Table table = PaperUniformTable(3000, 47);
   std::vector<int64_t> rows = FlatRows(table);
-  for (LocalAggEngine engine : kAllEngines) {
-    MeasureResultSet a = RunEngine(wf, rows, table.num_rows(), engine, nullptr);
-    MeasureResultSet b = RunEngine(wf, rows, table.num_rows(), engine, nullptr);
+  for (Evaluator evaluator : kEvaluators) {
+    MeasureResultSet a = RunEvaluator(wf, rows, table.num_rows(), evaluator);
+    MeasureResultSet b = RunEvaluator(wf, rows, table.num_rows(), evaluator);
     Status match = CompareResultSets(a, b, 0.0);
-    EXPECT_TRUE(match.ok()) << "engine=" << LocalAggEngineName(engine) << ": "
-                            << match.ToString();
+    EXPECT_TRUE(match.ok()) << "evaluator=" << EvaluatorName(evaluator)
+                            << ": " << match.ToString();
   }
 }
 
@@ -304,21 +311,27 @@ TEST(LocalAggDifferentialTest, CancelledBlockReturnsEarly) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ1);
   Table table = PaperUniformTable(3000, 53);
   std::vector<int64_t> rows = FlatRows(table);
+  const std::vector<int64_t> sorted =
+      SortedRows(wf, rows, table.row_width());
   CancellationToken cancel;
   cancel.Cancel();
-  for (LocalAggEngine engine : kAllEngines) {
-    std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
-    LocalAggOptions options;
-    options.engine = engine;
-    agg = MakeLocalAggregator(&wf, nullptr, options);
-    LocalAggContext ctx;
-    ctx.rows = rows.data();
-    ctx.n = table.num_rows();
-    ctx.cancel = &cancel;
-    LocalEvalStats stats;
-    // Incomplete results are fine (the caller discards them); the engine
-    // just must not crash or hang.
-    agg->Evaluate(ctx, &stats);
+  // Both evaluators, and both hash paths (row and batch).
+  for (bool assume_sorted : {false, true}) {
+    for (int64_t batch_rows : {int64_t{-1}, int64_t{0}}) {
+      LocalAggOptions options;
+      options.batch_rows = batch_rows;
+      std::unique_ptr<LocalAggregator> agg =
+          MakeLocalAggregator(&wf, nullptr, options);
+      LocalAggContext ctx;
+      ctx.rows = assume_sorted ? sorted.data() : rows.data();
+      ctx.n = table.num_rows();
+      ctx.assume_sorted = assume_sorted;
+      ctx.cancel = &cancel;
+      LocalEvalStats stats;
+      // Incomplete results are fine (the caller discards them); the
+      // evaluator just must not crash or hang.
+      agg->Evaluate(ctx, &stats);
+    }
   }
 }
 
@@ -344,11 +357,12 @@ TEST(LocalAggCombinerTest, BoundedCombinerStaysExactUnderTinyTable) {
 }
 
 TEST(LocalAggCombinerTest, CardinalityBypassStaysExact) {
-  // Forcing the bypass (ratio 0: every split trips it after the first
-  // check) turns the combiner into direct emission mid-split; the reduce
-  // side must still merge per-group partials exactly.
+  // Forcing the bypass (ratio 0: every split trips it at its one check,
+  // after 4096 pairs per basic measure) turns the combiner into direct
+  // emission mid-split; the reduce side must still merge per-group
+  // partials exactly. Splits of 5000 records pass the check point.
   Workflow wf = MakePaperQuery(PaperQuery::kDS2);
-  Table table = PaperUniformTable(4000, 67);
+  Table table = PaperUniformTable(10000, 67);
   MeasureResultSet expected = EvaluateReference(wf, table);
 
   ExecutionPlan plan;
@@ -359,11 +373,21 @@ TEST(LocalAggCombinerTest, CardinalityBypassStaysExact) {
   opts.num_reducers = 2;
   opts.num_threads = 2;
   opts.local_agg.combiner_bypass_ratio = 0.0;
-  opts.local_agg.morsel_rows = 64;  // check early
+  TraceRecorder trace;
+  trace.set_enabled(true);
+  opts.trace = &trace;
   Result<ParallelEvalResult> result = EvaluateParallel(wf, table, plan, opts);
   ASSERT_TRUE(result.ok()) << result.status();
   Status match = CompareResultSets(expected, result->results, kTol);
   EXPECT_TRUE(match.ok()) << match.ToString();
+  int bypasses = 0;
+  for (const TraceEvent& ev : trace.Snapshot()) {
+    if (std::string(ev.category) == "localagg" &&
+        ev.name == "combiner-bypass") {
+      ++bypasses;
+    }
+  }
+  EXPECT_EQ(bypasses, 2);  // one per split
 }
 
 TEST(LocalAggTraceTest, EvaluationRecordsEngineSpans) {
@@ -385,8 +409,7 @@ TEST(LocalAggTraceTest, EvaluationRecordsEngineSpans) {
     if (std::string(ev.category) == "localagg") {
       saw_localagg = true;
       EXPECT_EQ(ev.task, 7);
-      Result<LocalAggEngine> engine = ParseLocalAggEngine(ev.name);
-      EXPECT_TRUE(engine.ok()) << ev.name;
+      EXPECT_EQ(ev.name, "morsel");
     }
   }
   EXPECT_TRUE(saw_localagg);

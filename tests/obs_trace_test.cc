@@ -389,6 +389,13 @@ TEST(RunReportTest, GoldenSummaryOnSyntheticTrace) {
       span("pool", "queue-wait", 0.0, 0.01, TraceOutcome::kNone, -1, 0));
   events.push_back(
       span("pool", "queue-wait", 0.98, 0.02, TraceOutcome::kNone, -1, 0));
+  events.push_back(
+      span("localagg", "morsel", 0.5, 0.01, TraceOutcome::kNone, 4, 0));
+  events.push_back(
+      span("localagg", "morsel", 0.6, 0.01, TraceOutcome::kNone, 5, 0));
+  events.push_back(
+      span("localagg", "sortscan", 0.7, 0.01, TraceOutcome::kNone, 6, 0));
+  events.push_back(instant("localagg", "combiner-flush", 0.8));
 
   RunReport report = BuildRunReport(events);
   EXPECT_DOUBLE_EQ(report.trace_begin_seconds, 0.0);
@@ -407,7 +414,8 @@ TEST(RunReportTest, GoldenSummaryOnSyntheticTrace) {
       "1 cancelled] duration p50=0.2000s p90=0.3000s p99=0.3000s "
       "max=0.3000s\n"
       "  memory: 1 admission wait(s) (0.2500s waiting), 2 spill event(s)\n"
-      "  pool: 2 queue-wait(s) (0.0300s total)";
+      "  pool: 2 queue-wait(s) (0.0300s total)\n"
+      "  localagg: sortscan=1 morsel=2 block(s) (dominant morsel)";
   EXPECT_EQ(report.Summary(), expected);
 }
 
