@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full verification loop: configure, build, and run every test in one or
-# more build configurations, then (full runs only) run every figure/bench
-# harness. Mirrors what EXPERIMENTS.md's outputs were produced with, and
-# is exactly what CI's matrix invokes — one configuration per job.
+# Full verification loop: check that instrumentation goes through
+# obs::Observe, configure, build, and run every test in one or more build
+# configurations, then (full runs only) run every figure/bench harness.
+# Mirrors what EXPERIMENTS.md's outputs were produced with, and is exactly
+# what CI's matrix invokes — one configuration per job.
 #
 # Usage:
 #   scripts/check.sh                 # all configurations + bench harnesses
@@ -32,6 +33,23 @@
 # installed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The observability sinks (trace, flight ring, metrics registry, progress,
+# run reports) are written only by obs::Observe (src/obs/event.h): no
+# non-comment line outside src/obs/ may call them directly.
+check_obs_sinks() {
+  local pattern='RecordSpan\(|RecordInstant\(|flight->Record\(|FlightRecorder::Global\(\)|GetCounter\(|GetGauge\(|GetHistogram\(|progress_?->|PublishQueryMetrics\(|PublishSharedQueryMetrics\(|BuildRunReport\(|->Snapshot\(\)'
+  local hits
+  hits=$(grep -rnE --include='*.cc' --include='*.h' "$pattern" src |
+         grep -v '^src/obs/' |
+         grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+  if [ -n "$hits" ]; then
+    echo "observability sinks written outside src/obs/ (use obs::Observe):" >&2
+    echo "$hits" >&2
+    exit 1
+  fi
+}
+check_obs_sinks
 
 run_bench=0
 if [ "$#" -gt 0 ]; then

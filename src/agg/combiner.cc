@@ -6,7 +6,7 @@
 #include <bit>
 
 #include "mr/engine.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 
 namespace casm {
 namespace {
@@ -18,12 +18,10 @@ constexpr int64_t kBypassWindowPairs = 4096;
 }  // namespace
 
 EarlyAggCombiner::EarlyAggCombiner(const Workflow* wf,
-                                   const LocalAggOptions& options,
-                                   TraceRecorder* trace)
+                                   const LocalAggOptions& options)
     : wf_(wf),
       schema_(wf->schema().get()),
       options_(options),
-      trace_(trace),
       basics_(wf->BasicMeasures()),
       num_attrs_(schema_->num_attributes()),
       value_width_(1 + num_attrs_ + Accumulator::kPartialSize) {
@@ -54,10 +52,8 @@ void EarlyAggCombiner::Flush(Emitter* emitter) {
   for (const auto& [gk, acc] : partials_) EmitPartial(gk, acc, emitter);
   partials_.clear();
   ++flushes_;
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->RecordInstant("localagg", "combiner-flush", /*task=*/-1,
-                          "pairs=" + std::to_string(pairs_out_));
-  }
+  obs::Observe(emitter->obs(), {.kind = obs::Kind::kCombinerFlush,
+                                .n = {pairs_out_}});
 }
 
 void EarlyAggCombiner::AddRecord(const int64_t* block_key, const int64_t* row,
@@ -96,11 +92,9 @@ void EarlyAggCombiner::AddRecord(const int64_t* block_key, const int64_t* row,
                             static_cast<double>(pairs_in_);
     if (retained >= options_.combiner_bypass_ratio) {
       bypassed_ = true;
-      if (trace_ != nullptr && trace_->enabled()) {
-        trace_->RecordInstant(
-            "localagg", "combiner-bypass", /*task=*/-1,
-            "retained=" + std::to_string(retained));
-      }
+      obs::Observe(emitter->obs(),
+                   {.kind = obs::Kind::kCombinerBypass,
+                    .n = {static_cast<int64_t>(partials_.size()), pairs_in_}});
       Flush(emitter);
       return;
     }

@@ -30,15 +30,14 @@
 namespace casm {
 
 class Emitter;
-class TraceRecorder;
 
 class EarlyAggCombiner {
  public:
-  /// `wf` and `trace` (may be null) must outlive the combiner. Emitted
-  /// values are `1 + num_attrs + Accumulator::kPartialSize` int64s:
-  /// [measure id, region coords..., partial state bits...].
-  EarlyAggCombiner(const Workflow* wf, const LocalAggOptions& options,
-                   TraceRecorder* trace);
+  /// `wf` must outlive the combiner. Emitted values are
+  /// `1 + num_attrs + Accumulator::kPartialSize` int64s: [measure id,
+  /// region coords..., partial state bits...]. Flushes and the bypass are
+  /// observed through the emitter's run context.
+  EarlyAggCombiner(const Workflow* wf, const LocalAggOptions& options);
 
   /// Pre-aggregates `row` under block key `block_key` for every basic
   /// measure, flushing partials to `emitter` when the table fills.
@@ -67,7 +66,6 @@ class EarlyAggCombiner {
   const Workflow* wf_;
   const Schema* schema_;
   LocalAggOptions options_;
-  TraceRecorder* trace_;
   std::vector<int> basics_;
   int num_attrs_;
   int value_width_;

@@ -9,8 +9,7 @@
 #include "agg/batch.h"
 #include "common/logging.h"
 #include "local/derivation.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 
 namespace casm {
 namespace {
@@ -25,23 +24,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-/// Per-evaluator block counter family, resolved once per label.
-/// Increment() is self-guarded, so a disabled registry costs one relaxed
-/// load per evaluated block.
-MetricsRegistry::Counter* AggBlocksCounter(bool sortscan) {
-  static MetricsRegistry::Counter* const sortscan_blocks =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_localagg_blocks_total",
-          "Reducer blocks evaluated, by local aggregation engine.",
-          {{"engine", "sortscan"}});
-  static MetricsRegistry::Counter* const morsel_blocks =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_localagg_blocks_total",
-          "Reducer blocks evaluated, by local aggregation engine.",
-          {{"engine", "morsel"}});
-  return sortscan ? sortscan_blocks : morsel_blocks;
 }
 
 }  // namespace
@@ -63,8 +45,7 @@ LocalAggregator::LocalAggregator(const Workflow* wf,
 
 MeasureResultSet LocalAggregator::Evaluate(const LocalAggContext& ctx,
                                            LocalEvalStats* stats) const {
-  const bool tracing = ctx.trace != nullptr && ctx.trace->enabled();
-  const double start = tracing ? ctx.trace->NowSeconds() : 0;
+  const double start = ctx.obs != nullptr ? ctx.obs->Now() : 0;
   // The rule: sort/scan when its sort is free (combined sort) or is the
   // thing being timed (kSortOnly); the hash group-by otherwise.
   const bool sortscan =
@@ -76,13 +57,9 @@ MeasureResultSet LocalAggregator::Evaluate(const LocalAggContext& ctx,
   if (stats != nullptr) {
     ++(sortscan ? stats->agg_blocks_sortscan : stats->agg_blocks_morsel);
   }
-  AggBlocksCounter(sortscan)->Increment();
-  if (tracing) {
-    ctx.trace->RecordSpan("localagg", sortscan ? "sortscan" : "morsel", start,
-                          ctx.trace->NowSeconds(), ctx.task, /*attempt=*/0,
-                          TraceOutcome::kNone,
-                          "rows=" + std::to_string(ctx.n));
-  }
+  obs::Observe(ctx.obs, {.kind = sortscan ? obs::Kind::kSortScanBlock
+                                           : obs::Kind::kMorselBlock,
+                         .task = ctx.task, .start = start, .n = {ctx.n}});
   return results;
 }
 

@@ -34,7 +34,9 @@
 
 namespace casm {
 
-class TraceRecorder;
+namespace obs {
+class Context;
+}  // namespace obs
 
 struct LocalAggOptions {
   /// Rows per columnar batch in the hash group-by's batch path
@@ -76,9 +78,10 @@ struct LocalAggContext {
   /// returns early with incomplete results the caller is expected to
   /// discard.
   const CancellationToken* cancel = nullptr;
-  /// Optional run tracing: every Evaluate records one "localagg" span
-  /// named after the evaluator that ran. Not owned; may be null.
-  TraceRecorder* trace = nullptr;
+  /// The run's observability context (GroupView::obs()): every Evaluate
+  /// observes one block of the evaluator that ran it. Not owned; may be
+  /// null.
+  const obs::Context* obs = nullptr;
   int64_t task = -1;
   /// Unused: nothing reads it. Kept because perfbench/ still sets it
   /// (from ExecutionPlan::predicted_block_groups).
@@ -98,8 +101,8 @@ class LocalAggregator {
 
   /// Evaluates all measures of the workflow over the block with the
   /// evaluator the rule above picks. Updates `stats` (may be null),
-  /// including that evaluator's block counter, and records a "localagg"
-  /// trace span when `ctx.trace` is enabled.
+  /// including that evaluator's block counter, and observes the block
+  /// through `ctx.obs`.
   MeasureResultSet Evaluate(const LocalAggContext& ctx,
                             LocalEvalStats* stats) const;
 

@@ -11,7 +11,6 @@
 #include "data/table.h"
 #include "io/record_codec.h"
 #include "measure/workflow.h"
-#include "obs/metrics.h"
 
 namespace casm {
 namespace {
@@ -64,34 +63,6 @@ double SteadyNowSeconds() {
       .count();
 }
 
-/// Registry counters for checkpoint traffic, resolved once. Increment()
-/// is self-guarded, so a disabled registry costs one relaxed load.
-MetricsRegistry::Counter* CkptBytesWrittenCounter() {
-  static MetricsRegistry::Counter* const counter =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_ckpt_bytes_written_total",
-          "Bytes committed to the checkpoint volume (entry header + label "
-          "+ payload).");
-  return counter;
-}
-
-MetricsRegistry::Counter* CkptBytesRestoredCounter() {
-  static MetricsRegistry::Counter* const counter =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_ckpt_bytes_restored_total",
-          "Bytes restored from committed checkpoint entries instead of "
-          "recomputed.");
-  return counter;
-}
-
-MetricsRegistry::Counter* CkptCommitsSkippedCounter() {
-  static MetricsRegistry::Counter* const counter =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_ckpt_commits_skipped_total",
-          "Checkpoint commits skipped while the breaker was open.");
-  return counter;
-}
-
 }  // namespace
 
 CheckpointBreaker::CheckpointBreaker(int failure_threshold,
@@ -108,7 +79,6 @@ bool CheckpointBreaker::ShouldAttempt() {
   }
   ++commits_skipped_;
   degraded_ = true;
-  CkptCommitsSkippedCounter()->Increment();
   CASM_LOG(WARN) << "casm-ckpt: breaker open, skipping checkpoint commit "
                  << "(next probe in " << (next_probe_seconds_ - now)
                  << "s)";
@@ -231,7 +201,6 @@ Result<int64_t> CheckpointLog::CommitEntry(const std::string& name,
   bytes.append(label);
   bytes.append(payload);
   CASM_RETURN_IF_ERROR(volume_.WriteFile(name, bytes));
-  CkptBytesWrittenCounter()->Increment(static_cast<int64_t>(bytes.size()));
   return static_cast<int64_t>(bytes.size());
 }
 
@@ -261,8 +230,6 @@ Result<MeasureValueMap> CheckpointLog::TryRestoreJob(int job,
   CASM_ASSIGN_OR_RETURN(std::string payload,
                         RestoreEntry(JobEntryName(job), label));
   CASM_ASSIGN_OR_RETURN(MeasureValueMap values, DecodeMeasureValues(payload));
-  CkptBytesRestoredCounter()->Increment(
-      static_cast<int64_t>(20 + label.size() + payload.size()));
   if (bytes_restored != nullptr) {
     // Full entry size (header + label + payload) — the same accounting
     // as CommitJob's return, so written/restored byte counters match.
@@ -283,8 +250,6 @@ Result<MeasureResultSet> CheckpointLog::TryRestoreResultSet(
                         RestoreEntry(ResultEntryName(), label));
   CASM_ASSIGN_OR_RETURN(MeasureResultSet results,
                         DecodeMeasureResultSet(payload));
-  CkptBytesRestoredCounter()->Increment(
-      static_cast<int64_t>(20 + label.size() + payload.size()));
   if (bytes_restored != nullptr) {
     *bytes_restored =
         static_cast<int64_t>(20 + label.size() + payload.size());

@@ -3,12 +3,10 @@
 #include "core/eval_internal.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "data/record_batch.h"
 #include "mr/engine.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
+#include "obs/event.h"
 
 namespace casm {
 namespace eval_internal {
@@ -109,12 +107,7 @@ RawRecordMapFn(const Table& table, const Schema& schema,
 std::string QueryLabel(const ParallelEvalOptions& options, const Workflow& wf,
                        const Table& table) {
   if (!options.query_label.empty()) return options.query_label;
-  const char* progress = std::getenv("CASM_PROGRESS");
-  const bool observing = MetricsRegistry::Global()->enabled() ||
-                         FlightRecorder::Global()->enabled() ||
-                         !FlightRecorder::GlobalDiagDir().empty() ||
-                         (progress != nullptr && progress[0] != '\0');
-  if (!observing) return std::string();
+  if (!obs::QueryLabelsObserved()) return std::string();
   char buf[24];
   std::snprintf(buf, sizeof(buf), "q%016llx",
                 static_cast<unsigned long long>(FingerprintQuery(wf, table)));

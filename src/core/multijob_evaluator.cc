@@ -15,9 +15,8 @@
 #include "core/eval_internal.h"
 #include "mr/engine.h"
 #include "mr/external_sort.h"
+#include "obs/event.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace casm {
 namespace {
@@ -75,17 +74,14 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
     std::unique_lock<std::mutex> lock(mu);
     out.emplace(std::move(coords), acc.Result());
   };
-  TraceRecorder* const trace = options.trace;
-  const bool tracing = trace->enabled();
-  const double job_start = tracing ? trace->NowSeconds() : 0;
+  const obs::Context obs(options.trace);
+  const double job_start = obs.Now();
   Result<MapReduceMetrics> run = engine->Run(spec, table.num_rows());
-  if (tracing) {
-    trace->RecordSpan("job", "basic " + m.name, job_start, trace->NowSeconds(),
-                      /*task=*/-1, /*attempt=*/0,
-                      run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-                      "key=" + m.granularity.ToString(schema),
-                      /*job=*/index);
-  }
+  obs::Observe(&obs, {.kind = obs::Kind::kBasicJob, .job = index,
+                      .outcome = obs::Outcome(run.ok()), .start = job_start,
+                      .name = m.name,
+                      .text = obs.tracing() ? m.granularity.ToString(schema)
+                                            : std::string()});
   if (!run.ok()) {
     return AnnotateJobError(run.status(), "basic", m.name, index);
   }
@@ -290,17 +286,14 @@ Status RunCompositeJob(const Workflow& wf, int index,
     std::unique_lock<std::mutex> lock(mu);
     for (auto& [coords, value] : local) out.emplace(coords, value);
   };
-  TraceRecorder* const trace = options.trace;
-  const bool tracing = trace->enabled();
-  const double job_start = tracing ? trace->NowSeconds() : 0;
+  const obs::Context obs(options.trace);
+  const double job_start = obs.Now();
   Result<MapReduceMetrics> run = engine->Run(spec, num_input);
-  if (tracing) {
-    trace->RecordSpan("job", "composite " + m.name, job_start,
-                      trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
-                      run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-                      "key=" + join_gran.ToString(schema),
-                      /*job=*/index);
-  }
+  obs::Observe(&obs, {.kind = obs::Kind::kCompositeJob, .job = index,
+                      .outcome = obs::Outcome(run.ok()), .start = job_start,
+                      .name = m.name,
+                      .text = obs.tracing() ? join_gran.ToString(schema)
+                                            : std::string()});
   if (!run.ok()) {
     return AnnotateJobError(run.status(), "composite", m.name, index);
   }
@@ -325,10 +318,8 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
   // discipline as EvaluateParallel. Every job runs on `engine`, so one
   // progress tracker spans the whole sequence; each job's phases re-begin
   // under it.
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
-  FlightRecorder* const flight = FlightRecorder::Global();
   const std::string query_label = eval_internal::QueryLabel(options, wf, table);
+  const obs::Context obs(options.trace, query_label);
   const auto diagnose = [&](const Status& failure) {
     MaybeWriteDiagnosticBundle(query_label, failure, DescribeOptions(options));
   };
@@ -356,21 +347,14 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
       // the restored jobs. A failed restore (NotFound = never
       // committed; anything else = torn/corrupt/stale entry) simply
       // recomputes — corruption must never surface as wrong results.
-      const bool tracing = trace->enabled();
-      const double restore_start = tracing ? trace->NowSeconds() : 0;
+      const double restore_start = obs.Now();
       int64_t bytes_restored = 0;
       Result<MeasureValueMap> restored =
           ckpt->TryRestoreJob(i, name, &bytes_restored);
-      if (tracing) {
-        trace->RecordSpan("ckpt", "ckpt-restore " + name, restore_start,
-                          trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
-                          restored.ok() ? TraceOutcome::kOk
-                                        : TraceOutcome::kFailed,
-                          restored.ok()
-                              ? "bytes=" + std::to_string(bytes_restored)
-                              : restored.status().ToString(),
-                          /*job=*/i);
-      }
+      obs::Observe(&obs, {.kind = obs::Kind::kCkptRestore, .job = i,
+                          .outcome = obs::Outcome(restored.ok()),
+                          .start = restore_start, .n = {bytes_restored},
+                          .name = name, .text = restored.status().ToString()});
       if (restored.ok()) {
         out.results.mutable_values(i) = std::move(restored).value();
         ++out.jobs_restored;
@@ -390,7 +374,7 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
     ParallelEvalOptions job_options = options;
     // Every job stamps the sequence's resolved trace and label (both are
     // EngineOptions, copied into each job's spec).
-    job_options.trace = trace;
+    job_options.trace = obs.trace();
     job_options.query_label = query_label;
     if (options.deadline_seconds > 0) {
       const double remaining = options.deadline_seconds - SecondsSince(start);
@@ -422,45 +406,27 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
       // the breaker stops hammering a store that keeps failing — but
       // never fails the query: the caller loses durability, not
       // results, and the metrics say so.
-      const bool tracing = trace->enabled();
       if (!breaker.ShouldAttempt()) {
-        if (tracing) {
-          trace->RecordInstant("ckpt", "ckpt-skipped " + name, /*task=*/-1,
-                               "breaker open");
-        }
-        if (flight->enabled()) {
-          flight->Record("ckpt", "ckpt-skipped", /*task=*/i, /*attempt=*/0,
-                         "breaker open: commit of '" + name + "' skipped",
-                         query_label);
-        }
+        obs::Observe(&obs, {.kind = obs::Kind::kCkptSkipped, .job = i,
+                            .name = name});
       } else {
-        const double write_start = tracing ? trace->NowSeconds() : 0;
+        const double write_start = obs.Now();
         Result<int64_t> bytes =
             ckpt->CommitJob(i, name, out.results.values(i));
-        if (tracing) {
-          trace->RecordSpan(
-              "ckpt", "ckpt-write " + name, write_start, trace->NowSeconds(),
-              /*task=*/-1, /*attempt=*/0,
-              bytes.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-              bytes.ok() ? "bytes=" + std::to_string(bytes.value())
-                         : bytes.status().ToString(),
-              /*job=*/i);
-        }
+        obs::Observe(&obs, {.kind = obs::Kind::kCkptWrite, .job = i,
+                            .outcome = obs::Outcome(bytes.ok()),
+                            .start = write_start,
+                            .n = {bytes.ok() ? bytes.value() : 0}, .name = name,
+                            .text = bytes.status().ToString()});
         if (bytes.ok()) {
           breaker.RecordSuccess();
           out.total_metrics.checkpoint_bytes_written += bytes.value();
         } else {
           breaker.RecordFailure();
-          if (flight->enabled()) {
-            flight->Record("ckpt",
-                           breaker.open() ? "breaker-open" : "ckpt-commit-failed",
-                           /*task=*/i, /*attempt=*/0,
-                           bytes.status().ToString(), query_label);
-          }
-          if (tracing && breaker.open()) {
-            trace->RecordInstant("ckpt", "ckpt-degraded", /*task=*/-1,
-                                 "breaker open: " + bytes.status().ToString());
-          }
+          obs::Observe(&obs, {.kind = breaker.open()
+                                          ? obs::Kind::kCkptBreakerOpen
+                                          : obs::Kind::kCkptCommitFailed,
+                              .job = i, .text = bytes.status().ToString()});
         }
       }
     }
@@ -470,8 +436,8 @@ Result<MultiJobResult> EvaluateMultiJob(const Workflow& wf,
   out.total_metrics.checkpoint_degraded =
       out.total_metrics.checkpoint_degraded || breaker.degraded();
   eval_internal::ApplyDfsStats(ckpt, dfs_base, &out.total_metrics);
-  PublishQueryMetrics(MetricsRegistry::Global(), query_label,
-                      out.total_metrics);
+  obs::Observe(&obs, {.kind = obs::Kind::kQueryDone,
+                      .metrics = &out.total_metrics});
   return out;
 }
 

@@ -21,9 +21,8 @@
 #include "data/record_batch.h"
 #include "local/derivation.h"
 #include "mr/engine.h"
+#include "obs/event.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace casm {
 namespace {
@@ -94,9 +93,8 @@ Result<ParallelEvalResult> EvaluateParallel(
   // the query label stamped on everything the run reports. On every
   // non-OK exit below, a diagnostic bundle (the flight ring, a metrics
   // snapshot and the resolved options) goes to CASM_DIAG_DIR, if set.
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
   const std::string query_label = eval_internal::QueryLabel(options, wf, table);
+  const obs::Context obs(options.trace, query_label);
   const auto diagnose = [&](const Status& failure) {
     MaybeWriteDiagnosticBundle(query_label, failure, DescribeOptions(options));
   };
@@ -112,19 +110,15 @@ Result<ParallelEvalResult> EvaluateParallel(
       options.phase == ParallelEvalPhase::kFull) {
     CASM_RETURN_IF_ERROR(
         eval_internal::OpenCheckpoint(options, wf, table, &ckpt, &dfs_base));
-    const bool tracing = trace->enabled();
-    const double restore_start = tracing ? trace->NowSeconds() : 0;
+    const double restore_start = obs.Now();
     int64_t bytes_restored = 0;
     Result<MeasureResultSet> restored =
         ckpt->TryRestoreResultSet("result", &bytes_restored);
-    if (tracing) {
-      trace->RecordSpan(
-          "ckpt", "ckpt-restore result", restore_start, trace->NowSeconds(),
-          /*task=*/-1, /*attempt=*/0,
-          restored.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-          restored.ok() ? "bytes=" + std::to_string(bytes_restored)
-                        : restored.status().ToString());
-    }
+    obs::Observe(&obs, {.kind = obs::Kind::kCkptRestore,
+                        .outcome = obs::Outcome(restored.ok()),
+                        .start = restore_start, .n = {bytes_restored},
+                        .name = "result",
+                        .text = restored.status().ToString()});
     if (restored.ok() &&
         restored.value().num_measures() == wf.num_measures()) {
       // A failed restore (never committed, torn, stale) falls through
@@ -134,8 +128,8 @@ Result<ParallelEvalResult> EvaluateParallel(
       out.metrics.checkpoint_jobs_restored = 1;
       out.metrics.checkpoint_bytes_restored = bytes_restored;
       eval_internal::ApplyDfsStats(ckpt, dfs_base, &out.metrics);
-      PublishQueryMetrics(MetricsRegistry::Global(), query_label,
-                          out.metrics);
+      obs::Observe(&obs, {.kind = obs::Kind::kQueryDone,
+                          .metrics = &out.metrics});
       return out;
     }
     if (!restored.ok() &&
@@ -215,7 +209,7 @@ Result<ParallelEvalResult> EvaluateParallel(
                       ? LocalEvalPhase::kSortOnly
                       : LocalEvalPhase::kFull;
       ctx.cancel = group.cancellation_token();
-      ctx.trace = trace;
+      ctx.obs = group.obs();
       ctx.task = reducer;
       MeasureResultSet block_results = local_agg->Evaluate(ctx, &stats);
       // A cancelled attempt's partial results must never reach the sink;
@@ -241,7 +235,7 @@ Result<ParallelEvalResult> EvaluateParallel(
       // (block, measure, region) -> partial state, flushed to the shuffle
       // when full and bypassed outright when the split's groups turn out
       // near-unique.
-      EarlyAggCombiner combiner(&wf, options.local_agg, trace);
+      EarlyAggCombiner combiner(&wf, options.local_agg);
       std::vector<int64_t> g(static_cast<size_t>(num_attrs));
       std::vector<int64_t> key(static_cast<size_t>(num_attrs));
       if (map_batch_rows > 0) {
@@ -348,15 +342,12 @@ Result<ParallelEvalResult> EvaluateParallel(
     };
   }
 
-  const bool tracing = trace->enabled();
-  const double eval_start = tracing ? trace->NowSeconds() : 0;
+  const double eval_start = obs.Now();
   Result<MapReduceMetrics> run = engine.Run(spec, table.num_rows());
-  if (tracing) {
-    trace->RecordSpan("eval", "evaluate-parallel", eval_start,
-                      trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
-                      run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-                      "key=" + plan.key.ToString(schema));
-  }
+  obs::Observe(&obs, {.kind = obs::Kind::kEvaluate,
+                      .outcome = obs::Outcome(run.ok()), .start = eval_start,
+                      .text = obs.tracing() ? plan.key.ToString(schema)
+                                            : std::string()});
   if (!run.ok()) {
     // The engine message already names the failing phase and task id.
     Status failed(run.status().code(),
@@ -374,17 +365,13 @@ Result<ParallelEvalResult> EvaluateParallel(
   out.blocks_evaluated = sink.blocks;
   out.results_filtered = sink.filtered;
   if (ckpt.has_value()) {
-    const bool ckpt_tracing = trace->enabled();
-    const double write_start = ckpt_tracing ? trace->NowSeconds() : 0;
+    const double write_start = obs.Now();
     Result<int64_t> bytes = ckpt->CommitResultSet("result", out.results);
-    if (ckpt_tracing) {
-      trace->RecordSpan(
-          "ckpt", "ckpt-write result", write_start, trace->NowSeconds(),
-          /*task=*/-1, /*attempt=*/0,
-          bytes.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-          bytes.ok() ? "bytes=" + std::to_string(bytes.value())
-                     : bytes.status().ToString());
-    }
+    obs::Observe(&obs, {.kind = obs::Kind::kCkptWrite,
+                        .outcome = obs::Outcome(bytes.ok()),
+                        .start = write_start,
+                        .n = {bytes.ok() ? bytes.value() : 0}, .name = "result",
+                        .text = bytes.status().ToString()});
     if (bytes.ok()) {
       out.metrics.checkpoint_bytes_written = bytes.value();
     } else {
@@ -392,15 +379,13 @@ Result<ParallelEvalResult> EvaluateParallel(
       // loses durability, never the completed evaluation.
       out.metrics.checkpoint_commit_failures = 1;
       out.metrics.checkpoint_degraded = true;
-      if (ckpt_tracing) {
-        trace->RecordInstant("ckpt", "ckpt-degraded", /*task=*/-1,
-                             bytes.status().ToString());
-      }
+      obs::Observe(&obs, {.kind = obs::Kind::kCkptDegraded,
+                          .text = bytes.status().ToString()});
     }
   }
   out.metrics.checkpoint_restore_failures = ckpt_restore_failures;
   eval_internal::ApplyDfsStats(ckpt, dfs_base, &out.metrics);
-  PublishQueryMetrics(MetricsRegistry::Global(), query_label, out.metrics);
+  obs::Observe(&obs, {.kind = obs::Kind::kQueryDone, .metrics = &out.metrics});
   return out;
 }
 

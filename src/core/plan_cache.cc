@@ -6,23 +6,9 @@
 
 #include "core/cost_model.h"
 #include "core/coverage.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 
 namespace casm {
-
-void PlanCache::set_registry(MetricsRegistry* registry) {
-  std::unique_lock<std::mutex> lock(mu_);
-  registry_ = registry;
-}
-
-void PlanCache::RecordInstant(const char* name) const {
-  // mu_ held. Trace instants are cheap (one per cache operation, never
-  // per record) and gated on the recorder's own enabled() load.
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->RecordInstant("plancache", name);
-  }
-}
 
 void PlanCache::Remember(const ExecutionPlan& plan, double observed_max_load,
                          int64_t num_records, int num_reducers) {
@@ -41,25 +27,14 @@ void PlanCache::Remember(const ExecutionPlan& plan, double observed_max_load,
   }
   entries_.push_back(Entry{plan, observed_max_load, num_records, num_reducers});
   ++stats_.inserts;
-  if (registry_ != nullptr) {
-    registry_
-        ->GetCounter("casm_plan_cache_inserts_total",
-                     "Plans newly remembered by the plan cache")
-        ->Increment();
-  }
+  obs::Observe(obs_, {.kind = obs::Kind::kPlanCacheInsert});
   if (max_entries_ > 0 && static_cast<int>(entries_.size()) > max_entries_) {
     auto worst = std::max_element(
         entries_.begin(), entries_.end(),
         [](const Entry& a, const Entry& b) { return a.score < b.score; });
     entries_.erase(worst);
     ++stats_.evictions;
-    RecordInstant("evict");
-    if (registry_ != nullptr) {
-      registry_
-          ->GetCounter("casm_plan_cache_evictions_total",
-                       "Plans evicted from the plan cache at capacity")
-          ->Increment();
-    }
+    obs::Observe(obs_, {.kind = obs::Kind::kPlanCacheEvict});
   }
 }
 
@@ -74,23 +49,11 @@ std::optional<ExecutionPlan> PlanCache::FindFeasible(const Workflow& wf,
   }
   if (best == nullptr) {
     ++stats_.misses;
-    RecordInstant("miss");
-    if (registry_ != nullptr) {
-      registry_
-          ->GetCounter("casm_plan_cache_misses_total",
-                       "Plan-cache lookups that found no feasible plan")
-          ->Increment();
-    }
+    obs::Observe(obs_, {.kind = obs::Kind::kPlanCacheMiss});
     return std::nullopt;
   }
   ++stats_.hits;
-  RecordInstant("hit");
-  if (registry_ != nullptr) {
-    registry_
-        ->GetCounter("casm_plan_cache_hits_total",
-                     "Plan-cache lookups that returned a feasible plan")
-        ->Increment();
-  }
+  obs::Observe(obs_, {.kind = obs::Kind::kPlanCacheHit});
   ExecutionPlan plan = best->plan;
   // The cached clustering factor was observed on a specific table and
   // cluster; reusing it verbatim on a different one silently skews every

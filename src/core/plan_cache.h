@@ -15,10 +15,10 @@
 // Concurrency: the cache is shared by every worker of the multi-query
 // service (svc/query_service.h), so all operations are serialized on one
 // internal mutex and FindFeasible returns a copy, never a reference into
-// the store. Hit/miss/eviction activity is triple-published: internal
-// counters (stats()), casm_plan_cache_* counters in a MetricsRegistry,
-// and "plancache" trace instants so run reports can show cache behavior
-// for a traced run (obs/run_report.h).
+// the store. Hit/miss/insert/eviction activity is counted internally
+// (stats()) and, once a service hooks the cache up (set_observer),
+// observed (obs/event.h): casm_plan_cache_* counters and "plancache"
+// trace instants.
 
 #ifndef CASM_CORE_PLAN_CACHE_H_
 #define CASM_CORE_PLAN_CACHE_H_
@@ -33,8 +33,9 @@
 
 namespace casm {
 
-class MetricsRegistry;
-class TraceRecorder;
+namespace obs {
+class Context;
+}  // namespace obs
 
 /// One consistent snapshot of cache activity since construction.
 struct PlanCacheStats {
@@ -79,15 +80,11 @@ class PlanCache {
   int size() const;
   PlanCacheStats stats() const;
 
-  /// Publishes hit/miss/insert/eviction activity as casm_plan_cache_*
-  /// counters. Null detaches. Install before sharing the cache across
-  /// threads; the registry must outlive the cache.
-  void set_registry(MetricsRegistry* registry);
-
-  /// Records "plancache" instants ("hit"/"miss"/"evict") for run
-  /// reports. Null detaches (the default: caches used outside a traced
-  /// run stay silent). Install before sharing; must outlive the cache.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
+  /// The one observability hook: cache activity is observed through
+  /// `observer` ("plancache" instants, casm_plan_cache_* counters). Null
+  /// (the default) detaches. Install before sharing; `observer` must
+  /// outlive the cache.
+  void set_observer(const obs::Context* observer) { obs_ = observer; }
 
  private:
   struct Entry {
@@ -97,14 +94,11 @@ class PlanCache {
     int observed_reducers;
   };
 
-  void RecordInstant(const char* name) const;
-
   const int max_entries_;
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
   mutable PlanCacheStats stats_;
-  MetricsRegistry* registry_ = nullptr;
-  TraceRecorder* trace_ = nullptr;
+  const obs::Context* obs_ = nullptr;  // not owned; null = unobserved
 };
 
 }  // namespace casm

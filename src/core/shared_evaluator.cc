@@ -14,8 +14,7 @@
 #include "core/keygen.h"
 #include "local/sortscan_evaluator.h"
 #include "mr/engine.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 
 namespace casm {
 
@@ -59,8 +58,7 @@ Result<SharedEvalResult> EvaluateParallelShared(
   const Schema& schema = *queries[0].workflow->schema();
   const int num_attrs = schema.num_attributes();
   const std::vector<KeyGenAttr> keygen = BuildKeyGen(schema, plan);
-  TraceRecorder* const trace =
-      options.trace != nullptr ? options.trace : TraceRecorder::Global();
+  const obs::Context obs(options.trace, options.query_label);
 
   // Per-member local machinery: same construction as a solo run, so the
   // per-block evaluation (evaluator choice included) cannot diverge from
@@ -111,7 +109,7 @@ Result<SharedEvalResult> EvaluateParallelShared(
       ctx.assume_sorted = false;
       ctx.phase = LocalEvalPhase::kFull;
       ctx.cancel = group.cancellation_token();
-      ctx.trace = trace;
+      ctx.obs = group.obs();
       ctx.task = reducer;
       MeasureResultSet block_results = local_aggs[i]->Evaluate(ctx, &stats);
       if (group.cancelled()) return;
@@ -122,16 +120,13 @@ Result<SharedEvalResult> EvaluateParallelShared(
     }
   };
 
-  const bool tracing = trace->enabled();
-  const double eval_start = tracing ? trace->NowSeconds() : 0;
+  const double eval_start = obs.Now();
   Result<MapReduceMetrics> run = engine.Run(spec, table.num_rows());
-  if (tracing) {
-    trace->RecordSpan("eval", "evaluate-shared", eval_start,
-                      trace->NowSeconds(), /*task=*/-1, /*attempt=*/0,
-                      run.ok() ? TraceOutcome::kOk : TraceOutcome::kFailed,
-                      "queries=" + std::to_string(n_members) +
-                          " key=" + plan.key.ToString(schema));
-  }
+  obs::Observe(&obs, {.kind = obs::Kind::kEvaluateShared,
+                      .outcome = obs::Outcome(run.ok()), .start = eval_start,
+                      .n = {static_cast<int64_t>(n_members)},
+                      .text = obs.tracing() ? plan.key.ToString(schema)
+                                            : std::string()});
   if (!run.ok()) {
     return Status(run.status().code(),
                   "shared evaluation failed: " + run.status().message());
@@ -167,12 +162,12 @@ Result<SharedEvalResult> EvaluateParallelShared(
   }
   // The shared job's scan/shuffle counters publish once under the batch
   // label; members get exactly their own reduce-side work.
-  if (!options.query_label.empty()) {
-    PublishQueryMetrics(MetricsRegistry::Global(), options.query_label,
-                        out.metrics);
+  obs::Observe(&obs, {.kind = obs::Kind::kQueryDone, .metrics = &out.metrics});
+  for (const SharedQueryAttribution& attr : attributions) {
+    obs::Observe(&obs, {.kind = obs::Kind::kSharedQueryDone,
+                        .n = {static_cast<int64_t>(n_members)},
+                        .share = &attr});
   }
-  PublishSharedQueryMetrics(MetricsRegistry::Global(), attributions,
-                            static_cast<int>(n_members));
   return out;
 }
 

@@ -21,9 +21,7 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "dfs/dfs.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 
 namespace casm {
 namespace {
@@ -248,10 +246,6 @@ const FaultPlan* ResolvedPlan(const DfsVolumeOptions& options) {
                                        : FaultPlan::FromEnv();
 }
 
-TraceRecorder* ResolvedTrace(const DfsVolumeOptions& options) {
-  return options.trace != nullptr ? options.trace : TraceRecorder::Global();
-}
-
 /// Decorrelated-jitter backoff sleep before IO retry number `retry`
 /// (0-based): uniform in [base, min(cap, base * 3^retry)], jitter hashed
 /// from the site so replays are deterministic.
@@ -272,23 +266,6 @@ void SleepIoBackoff(const DfsVolumeOptions& options, int retry,
       UnitFromHash(MixBits(site ^ (0xb0ffull + static_cast<uint64_t>(retry))));
   const double delay = base + unit * (hi - base);
   std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-}
-
-/// Mirrors one DFS resilience incident into the process-wide metrics
-/// registry and flight recorder. Every call site is a failure path
-/// (retry, failover, rot) whose cost is dominated by the I/O it
-/// annotates, so the per-event instrument lookup is acceptable; with
-/// observability off this is two relaxed loads.
-void ObserveDfsIncident(const char* counter, const char* help,
-                        const char* event, int block, std::string detail) {
-  MetricsRegistry* const registry = MetricsRegistry::Global();
-  if (registry->enabled()) {
-    registry->GetCounter(counter, help)->IncrementAlways(1);
-  }
-  FlightRecorder* const flight = FlightRecorder::Global();
-  if (flight->enabled()) {
-    flight->Record("dfs", event, block, /*attempt=*/0, std::move(detail));
-  }
 }
 
 }  // namespace
@@ -366,7 +343,7 @@ using Runtime = DfsVolume::FileWriter::Runtime;
 Status WriteReplicaWithRetry(const std::string& root,
                              const DfsVolumeOptions& options,
                              const FaultPlan* plan, Runtime* runtime,
-                             TraceRecorder* trace, const std::string& name,
+                             const obs::Context& obs, const std::string& name,
                              int block, int node, std::string_view bytes) {
   if (plan != nullptr && plan->NodeDown(node)) {
     return Status::Internal("node " + std::to_string(node) + " is down");
@@ -407,16 +384,8 @@ Status WriteReplicaWithRetry(const std::string& root,
     if (runtime != nullptr) {
       runtime->io_retries.fetch_add(1, std::memory_order_relaxed);
     }
-    if (trace != nullptr && trace->enabled()) {
-      trace->RecordInstant("dfs", "dfs-retry", block,
-                           "write node=" + std::to_string(node) + " " +
-                               last.message());
-    }
-    ObserveDfsIncident("casm_dfs_io_retries_total",
-                       "DFS replica I/O attempts that were retried.",
-                       "dfs-retry", block,
-                       "write node=" + std::to_string(node) + " " +
-                           last.message());
+    obs::Observe(&obs, {.kind = obs::Kind::kDfsRetry, .task = block,
+                        .n = {node, 1}, .text = last.message()});
     SleepIoBackoff(options, retry, site);
   }
 }
@@ -428,7 +397,7 @@ Result<std::string> ReadReplicaWithRetry(const std::string& root,
                                          const DfsVolumeOptions& options,
                                          const FaultPlan* plan,
                                          Runtime* runtime,
-                                         TraceRecorder* trace,
+                                         const obs::Context& obs,
                                          const std::string& name, int block,
                                          int node) {
   const std::string path = BlockPath(root, node, name, block);
@@ -452,16 +421,8 @@ Result<std::string> ReadReplicaWithRetry(const std::string& root,
     if (runtime != nullptr) {
       runtime->io_retries.fetch_add(1, std::memory_order_relaxed);
     }
-    if (trace != nullptr && trace->enabled()) {
-      trace->RecordInstant("dfs", "dfs-retry", block,
-                           "read node=" + std::to_string(node) + " " +
-                               bytes.status().message());
-    }
-    ObserveDfsIncident("casm_dfs_io_retries_total",
-                       "DFS replica I/O attempts that were retried.",
-                       "dfs-retry", block,
-                       "read node=" + std::to_string(node) + " " +
-                           bytes.status().message());
+    obs::Observe(&obs, {.kind = obs::Kind::kDfsRetry, .task = block,
+                        .n = {node, 0}, .text = bytes.status().message()});
     SleepIoBackoff(options, retry, site);
   }
 }
@@ -661,9 +622,8 @@ Status DfsVolume::FileWriter::Commit() {
   }
 
   const FaultPlan* plan = ResolvedPlan(options_);
-  TraceRecorder* trace = ResolvedTrace(options_);
-  const bool tracing = trace != nullptr && trace->enabled();
-  const double span_start = tracing ? trace->NowSeconds() : 0;
+  const obs::Context obs(options_.trace);
+  const double span_start = obs.Now();
   Runtime* runtime = runtime_.get();
 
   // Preferred replica placement reuses the table-placement logic: one
@@ -740,7 +700,7 @@ Status DfsVolume::FileWriter::Commit() {
     std::vector<int>& placed = chosen[static_cast<size_t>(i)];
     for (int n : candidates) {
       if (static_cast<int>(placed.size()) >= target) break;
-      Status w = WriteReplicaWithRetry(root_, options_, plan, runtime, trace,
+      Status w = WriteReplicaWithRetry(root_, options_, plan, runtime, obs,
                                        name_, i, n, block_bytes);
       if (w.ok()) placed.push_back(n);
     }
@@ -756,25 +716,16 @@ Status DfsVolume::FileWriter::Commit() {
       if (runtime != nullptr) {
         runtime->write_failovers.fetch_add(1, std::memory_order_relaxed);
       }
-      if (tracing) {
-        trace->RecordInstant("dfs", "dfs-failover", i,
-                             name_ + " off node " + std::to_string(n));
-      }
-      ObserveDfsIncident(
-          "casm_dfs_write_failovers_total",
-          "Blocks whose preferred replica placement failed over to "
-          "another node.",
-          "dfs-failover", i, name_ + " off node " + std::to_string(n));
+      obs::Observe(&obs, {.kind = obs::Kind::kDfsFailover, .task = i, .n = {n},
+                          .text = name_});
     }
     if (static_cast<int>(placed.size()) < target) {
       if (runtime != nullptr) {
         runtime->under_replicated_blocks.fetch_add(1,
                                                    std::memory_order_relaxed);
       }
-      ObserveDfsIncident(
-          "casm_dfs_under_replicated_blocks_total",
-          "Blocks committed with fewer replicas than the target.",
-          "dfs-under-replicated", i, name_);
+      obs::Observe(&obs, {.kind = obs::Kind::kDfsUnderReplicated, .task = i,
+                          .text = name_});
     }
   }
   if (staged != nullptr) std::fclose(staged);
@@ -783,10 +734,8 @@ Status DfsVolume::FileWriter::Commit() {
   CASM_RETURN_IF_ERROR(PublishManifest(root_, name_, total_bytes_,
                                        options_.block_size_bytes, block_sizes_,
                                        block_crcs_, chosen));
-  if (tracing) {
-    trace->RecordSpan("dfs", "dfs-write", span_start, trace->NowSeconds(),
-                      /*task=*/-1, /*attempt=*/0, TraceOutcome::kNone, name_);
-  }
+  obs::Observe(&obs, {.kind = obs::Kind::kDfsWrite, .start = span_start,
+                      .text = name_});
 
   committed_ = true;
   std::remove(staging_path_.c_str());
@@ -868,9 +817,8 @@ Result<std::string> DfsVolume::ReadFile(const std::string& name,
   CASM_ASSIGN_OR_RETURN(Manifest manifest, ParseManifest(manifest_text, name));
 
   const FaultPlan* plan = ResolvedPlan(options_);
-  TraceRecorder* trace = ResolvedTrace(options_);
-  const bool tracing = trace != nullptr && trace->enabled();
-  const double span_start = tracing ? trace->NowSeconds() : 0;
+  const obs::Context obs(options_.trace);
+  const double span_start = obs.Now();
   Runtime* runtime = runtime_.get();
 
   std::string out;
@@ -888,7 +836,7 @@ Result<std::string> DfsVolume::ReadFile(const std::string& name,
         continue;
       }
       Result<std::string> bytes = ReadReplicaWithRetry(
-          root_, options_, plan, runtime, trace, name, block_index, node);
+          root_, options_, plan, runtime, obs, name, block_index, node);
       if (!bytes.ok()) {
         if (stats != nullptr) ++stats->replica_fallbacks;
         continue;
@@ -911,17 +859,13 @@ Result<std::string> DfsVolume::ReadFile(const std::string& name,
         runtime->corrupt_replicas.fetch_add(1, std::memory_order_relaxed);
         runtime->LogCorruptOnce(name, block_index, node);
       }
-      ObserveDfsIncident("casm_dfs_corrupt_replicas_total",
-                         "Replica reads that failed size/CRC verification.",
-                         "dfs-corrupt", block_index,
-                         name + " node " + std::to_string(node));
+      obs::Observe(&obs, {.kind = obs::Kind::kDfsCorrupt, .task = block_index,
+                          .n = {node}, .text = name});
     }
     if (!found) {
-      if (tracing) {
-        trace->RecordSpan("dfs", "dfs-read", span_start, trace->NowSeconds(),
-                          /*task=*/block_index, /*attempt=*/0,
-                          TraceOutcome::kFailed, name);
-      }
+      obs::Observe(&obs, {.kind = obs::Kind::kDfsRead, .task = block_index,
+                          .outcome = TraceOutcome::kFailed, .start = span_start,
+                          .text = name});
       return Status::Internal("block " + std::to_string(i) + " of '" + name +
                               "' failed checksum on all replicas");
     }
@@ -929,24 +873,15 @@ Result<std::string> DfsVolume::ReadFile(const std::string& name,
     // (best effort — the read already succeeded).
     for (int node : corrupt_nodes) {
       Status repaired =
-          WriteReplicaWithRetry(root_, options_, plan, runtime, trace, name,
+          WriteReplicaWithRetry(root_, options_, plan, runtime, obs, name,
                                 block_index, node, good_bytes);
       if (!repaired.ok()) continue;
       if (stats != nullptr) ++stats->repaired_replicas;
       if (runtime != nullptr) {
         runtime->repaired_replicas.fetch_add(1, std::memory_order_relaxed);
       }
-      if (tracing) {
-        trace->RecordInstant("dfs", "dfs-repair", block_index,
-                             name + " node " + std::to_string(node) +
-                                 " from node " + std::to_string(good_node));
-      }
-      ObserveDfsIncident(
-          "casm_dfs_repaired_replicas_total",
-          "Corrupt or missing replicas rewritten from a good copy.",
-          "dfs-repair", block_index,
-          name + " node " + std::to_string(node) + " from node " +
-              std::to_string(good_node));
+      obs::Observe(&obs, {.kind = obs::Kind::kDfsRepair, .task = block_index,
+                          .n = {node, good_node}, .text = name});
     }
     out.append(good_bytes);
     if (stats != nullptr) ++stats->blocks_read;
@@ -954,10 +889,8 @@ Result<std::string> DfsVolume::ReadFile(const std::string& name,
   if (static_cast<int64_t>(out.size()) != manifest.total_bytes) {
     return Status::Internal("reassembled size mismatch for '" + name + "'");
   }
-  if (tracing) {
-    trace->RecordSpan("dfs", "dfs-read", span_start, trace->NowSeconds(),
-                      /*task=*/-1, /*attempt=*/0, TraceOutcome::kNone, name);
-  }
+  obs::Observe(&obs, {.kind = obs::Kind::kDfsRead, .start = span_start,
+                      .text = name});
   return out;
 }
 
@@ -1001,9 +934,8 @@ std::vector<std::string> DfsVolume::ListFiles() const {
 
 Result<ScrubReport> DfsVolume::Scrub() const {
   const FaultPlan* plan = ResolvedPlan(options_);
-  TraceRecorder* trace = ResolvedTrace(options_);
-  const bool tracing = trace != nullptr && trace->enabled();
-  const double span_start = tracing ? trace->NowSeconds() : 0;
+  const obs::Context obs(options_.trace);
+  const double span_start = obs.Now();
   Runtime* runtime = runtime_.get();
 
   ScrubReport report;
@@ -1054,7 +986,7 @@ Result<ScrubReport> DfsVolume::Scrub() const {
           continue;
         }
         Result<std::string> bytes = ReadReplicaWithRetry(
-            root_, options_, plan, runtime, trace, name, block_index, node);
+            root_, options_, plan, runtime, obs, name, block_index, node);
         if (!bytes.ok()) {
           count_bad(/*corrupt=*/false);
           continue;
@@ -1072,12 +1004,9 @@ Result<ScrubReport> DfsVolume::Scrub() const {
             runtime->corrupt_replicas.fetch_add(1, std::memory_order_relaxed);
             runtime->LogCorruptOnce(name, block_index, node);
           }
-          ObserveDfsIncident("casm_dfs_corrupt_replicas_total",
-                             "Replica reads that failed size/CRC "
-                             "verification.",
-                             "dfs-corrupt", block_index,
-                             name + " node " + std::to_string(node) +
-                                 " (scrub)");
+          obs::Observe(&obs, {.kind = obs::Kind::kDfsCorrupt,
+                              .task = block_index, .n = {node, 0, 1},
+                              .text = name});
         }
       }
       if (!have_good) {
@@ -1101,7 +1030,7 @@ Result<ScrubReport> DfsVolume::Scrub() const {
         }
         if (plan != nullptr && plan->NodeDown(node)) return;
         Status written =
-            WriteReplicaWithRetry(root_, options_, plan, runtime, trace, name,
+            WriteReplicaWithRetry(root_, options_, plan, runtime, obs, name,
                                   block_index, node, good_bytes);
         if (!written.ok()) return;
         final_nodes.push_back(node);
@@ -1109,11 +1038,8 @@ Result<ScrubReport> DfsVolume::Scrub() const {
         if (runtime != nullptr) {
           runtime->repaired_replicas.fetch_add(1, std::memory_order_relaxed);
         }
-        ObserveDfsIncident(
-            "casm_dfs_repaired_replicas_total",
-            "Corrupt or missing replicas rewritten from a good copy.",
-            "dfs-repair", block_index,
-            name + " node " + std::to_string(node) + " (scrub)");
+        obs::Observe(&obs, {.kind = obs::Kind::kDfsRepair, .task = block_index,
+                            .n = {node, -1, 1}, .text = name});
       };
       for (int node : bad) try_place(node);
       for (int k = 0; k < options_.num_nodes; ++k) {
@@ -1137,11 +1063,10 @@ Result<ScrubReport> DfsVolume::Scrub() const {
           new_replicas));
     }
   }
-  if (tracing) {
-    trace->RecordSpan("dfs", "dfs-scrub", span_start, trace->NowSeconds(),
-                      /*task=*/-1, /*attempt=*/0, TraceOutcome::kNone,
-                      report.ToString());
-  }
+  obs::Observe(&obs, {.kind = obs::Kind::kDfsScrub,
+                      .start = span_start,
+                      .text = obs.tracing() ? report.ToString()
+                                            : std::string()});
   return report;
 }
 

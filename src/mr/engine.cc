@@ -23,11 +23,8 @@
 #include "common/thread_pool.h"
 #include "mr/cluster_model.h"
 #include "mr/external_sort.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
+#include "obs/event.h"
 #include "obs/progress.h"
-#include "obs/run_report.h"
-#include "obs/trace.h"
 
 namespace casm {
 namespace {
@@ -59,6 +56,12 @@ const char* TaskPhaseName(MapReduceTaskPhase phase) {
   return phase == MapReduceTaskPhase::kMap ? "map" : "reduce";
 }
 
+/// The engine's per-phase event kinds come in (map, reduce) pairs.
+obs::Kind ForPhase(MapReduceTaskPhase phase, obs::Kind map_kind) {
+  return static_cast<obs::Kind>(static_cast<int>(map_kind) +
+                                (phase == MapReduceTaskPhase::kReduce));
+}
+
 /// Shared failure/retry accounting across a job's task attempts.
 struct RetryCounters {
   std::mutex mu;
@@ -66,43 +69,12 @@ struct RetryCounters {
   int64_t retries = 0;
 };
 
-/// Live registry counters for rare engine events. The instruments are
-/// resolved once (GetCounter takes the registry lock) and cached in
-/// function-local statics; Increment() is inert while the registry is
-/// disabled, so the default path stays at one relaxed load.
-MetricsRegistry::Counter* TaskFailedCounter(MapReduceTaskPhase phase) {
-  static MetricsRegistry::Counter* const map_counter =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_tasks_failed_total",
-          "Task attempts that failed (both retried and terminal).",
-          {{"phase", "map"}});
-  static MetricsRegistry::Counter* const reduce_counter =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_tasks_failed_total",
-          "Task attempts that failed (both retried and terminal).",
-          {{"phase", "reduce"}});
-  return phase == MapReduceTaskPhase::kMap ? map_counter : reduce_counter;
-}
-
-MetricsRegistry::Counter* TaskRetriedCounter(MapReduceTaskPhase phase) {
-  static MetricsRegistry::Counter* const map_counter =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_tasks_retried_total",
-          "Failed task attempts that were replayed.", {{"phase", "map"}});
-  static MetricsRegistry::Counter* const reduce_counter =
-      MetricsRegistry::Global()->GetCounter(
-          "casm_tasks_retried_total",
-          "Failed task attempts that were replayed.", {{"phase", "reduce"}});
-  return phase == MapReduceTaskPhase::kMap ? map_counter : reduce_counter;
-}
-
 /// Timestamps (trace time base) of an execution's final, successful
 /// attempt. The retry loop cannot classify a success — whether it is an
 /// "ok", a "speculative-win", or a too-late "cancelled" loser is decided
 /// by the phase runner under its lock — so the span is handed back here
 /// and recorded by the caller once the race is settled.
 struct SuccessSpan {
-  bool valid = false;
   int attempt = 0;
   double start_seconds = 0;
   double end_seconds = 0;
@@ -145,30 +117,27 @@ double RetryBackoffSeconds(const MapReduceSpec& spec,
 /// distinguishable from the primary (offset = 0). `plan` is the resolved
 /// fault plan (null = no injection).
 ///
-/// Tracing: every attempt that reaches its fault point gets a span in
-/// `trace` (category = phase name) tagged retried / failed / cancelled;
-/// the successful attempt's span goes to `success_span` instead (see
-/// above).
+/// Observability: every attempt that reaches its fault point is observed
+/// as retried / failed / cancelled; the successful attempt's span goes to
+/// `success_span` instead (see above).
 Status RunTaskWithRetry(
     const MapReduceSpec& spec, const FaultPlan* plan,
     MapReduceTaskPhase phase, int task, int attempt_offset,
     const CancellationToken* token, RetryCounters* counters,
-    TraceRecorder* trace, SuccessSpan* success_span,
+    const obs::Context& obs, SuccessSpan* success_span,
     const std::function<Status(int attempt, bool* output_started)>&
         attempt_body) {
   const char* phase_name = TaskPhaseName(phase);
   const bool armed = plan != nullptr && plan->armed();
-  FlightRecorder* const flight = FlightRecorder::Global();
   for (int attempt = 1;; ++attempt) {
     if (token != nullptr && token->cancelled()) return token->status();
     const int injector_attempt = attempt_offset + attempt;
-    const bool tracing = trace != nullptr && trace->enabled();
-    const double span_start = tracing ? trace->NowSeconds() : 0;
-    auto record_attempt = [&](TraceOutcome outcome, std::string detail) {
-      trace->RecordSpan(phase_name,
-                        std::string(phase_name) + " t" + std::to_string(task),
-                        span_start, trace->NowSeconds(), task,
-                        injector_attempt, outcome, std::move(detail));
+    const double span_start = obs.Now();
+    auto observe = [&](TraceOutcome outcome, const Status& status) {
+      obs::Observe(&obs, {.kind = ForPhase(phase, obs::Kind::kMapAttempt),
+                          .task = task, .attempt = injector_attempt,
+                          .outcome = outcome, .start = span_start,
+                          .text = status.message()});
     };
     bool output_started = false;
     Status status;
@@ -177,11 +146,8 @@ Status RunTaskWithRetry(
           plan->TaskSlowdownSeconds(phase_name, task, injector_attempt);
       if (delay > 0 && !InterruptibleSleep(delay, token)) {
         // Cancelled inside the injected delay: the attempt was already in
-        // flight, so it still gets a span.
-        if (tracing) {
-          record_attempt(TraceOutcome::kCancelled,
-                         token->status().message());
-        }
+        // flight, so it is still observed.
+        observe(TraceOutcome::kCancelled, token->status());
         return token->status();
       }
       status = plan->OnTaskAttempt(phase_name, task, injector_attempt);
@@ -197,31 +163,20 @@ Status RunTaskWithRetry(
       }
     }
     if (status.ok()) {
-      if (tracing && success_span != nullptr) {
-        *success_span = SuccessSpan{true, injector_attempt, span_start,
-                                    trace->NowSeconds()};
-      }
+      *success_span = SuccessSpan{injector_attempt, span_start, obs.Now()};
       return status;
     }
     if (IsCancellation(status)) {
-      if (tracing) {
-        record_attempt(TraceOutcome::kCancelled, status.message());
-      }
+      observe(TraceOutcome::kCancelled, status);
       return status;
     }
     {
       std::unique_lock<std::mutex> lock(counters->mu);
       ++counters->failures;
     }
-    TaskFailedCounter(phase)->Increment();
     const bool budget_left = attempt < spec.max_task_attempts;
     if (output_started || !budget_left) {
-      if (tracing) record_attempt(TraceOutcome::kFailed, status.message());
-      if (flight->enabled()) {
-        flight->Record("task", "task-failed", task, injector_attempt,
-                       std::string(phase_name) + ": " + status.message(),
-                       spec.query_label);
-      }
+      observe(TraceOutcome::kFailed, status);
       std::string msg = std::string(TaskPhaseName(phase)) + " task " +
                         std::to_string(task) + " failed after " +
                         std::to_string(attempt) + " attempt(s): " +
@@ -231,17 +186,11 @@ Status RunTaskWithRetry(
       }
       return Status(status.code(), std::move(msg));
     }
-    if (tracing) record_attempt(TraceOutcome::kRetried, status.message());
-    if (flight->enabled()) {
-      flight->Record("task", "task-retried", task, injector_attempt,
-                     std::string(phase_name) + ": " + status.message(),
-                     spec.query_label);
-    }
+    observe(TraceOutcome::kRetried, status);
     {
       std::unique_lock<std::mutex> lock(counters->mu);
       ++counters->retries;
     }
-    TaskRetriedCounter(phase)->Increment();
     const double backoff =
         RetryBackoffSeconds(spec, phase, task, injector_attempt);
     if (backoff > 0 && !InterruptibleSleep(backoff, token)) {
@@ -293,15 +242,14 @@ class PhaseRunner {
   PhaseRunner(const MapReduceSpec& spec, const FaultPlan* plan,
               MapReduceTaskPhase phase, int num_tasks, ThreadPool* pool,
               const CancellationToken* job_token, RetryCounters* counters,
-              TraceRecorder* trace, ProgressTracker* progress)
+              const obs::Context& obs)
       : spec_(spec),
         plan_(plan),
         phase_(phase),
         num_tasks_(num_tasks),
         pool_(pool),
         counters_(counters),
-        trace_(trace),
-        progress_(progress),
+        obs_(obs),
         phase_token_(job_token) {
     tasks_.reserve(static_cast<size_t>(num_tasks));
     for (int t = 0; t < num_tasks; ++t) {
@@ -331,11 +279,9 @@ class PhaseRunner {
   Status Run(const AttemptBody& body, PhaseStats* out) {
     body_ = &body;
     stats_.winner_exec.assign(static_cast<size_t>(num_tasks_), -1);
-    if (progress_ != nullptr) {
-      progress_->BeginPhase(TaskPhaseName(phase_), num_tasks_);
-    }
-    const bool tracing = trace_ != nullptr && trace_->enabled();
-    const double phase_span_start = tracing ? trace_->NowSeconds() : 0;
+    obs::Observe(&obs_, {.kind = ForPhase(phase_, obs::Kind::kMapPhaseBegin),
+                         .n = {num_tasks_}});
+    const double phase_span_start = obs_.Now();
     {
       std::unique_lock<std::mutex> lock(mu_);
       for (int t = 0; t < num_tasks_; ++t) LaunchLocked(t, 0);
@@ -362,12 +308,8 @@ class PhaseRunner {
       stats_.attempt_max_seconds = attempt_sketch_.Max();
     }
     stats_.attempt_durations = attempt_sketch_;
-    if (tracing) {
-      trace_->RecordSpan("phase", TaskPhaseName(phase_), phase_span_start,
-                         trace_->NowSeconds(), /*task=*/-1, /*attempt=*/0,
-                         TraceOutcome::kNone,
-                         "tasks=" + std::to_string(num_tasks_));
-    }
+    obs::Observe(&obs_, {.kind = ForPhase(phase_, obs::Kind::kMapPhase),
+                         .start = phase_span_start, .n = {num_tasks_}});
     *out = std::move(stats_);
     if (!first_failure_.ok()) {
       if (IsCancellation(first_failure_)) {
@@ -427,18 +369,13 @@ class PhaseRunner {
     // straggler to the speculation policy. A reservation that can never
     // fit fails the execution with the budget's descriptive status; a
     // cancellation (deadline, lost race) while waiting unparks promptly.
-    const bool tracing = trace_ != nullptr && trace_->enabled();
     const int64_t admission =
         budget_ != nullptr && projected_bytes_ ? projected_bytes_(t) : 0;
     if (admission > 0) {
-      const double wait_start = tracing ? trace_->NowSeconds() : 0;
+      const double wait_start = obs_.Now();
       Status s = budget_->Reserve(admission, token);
-      if (tracing) {
-        trace_->RecordSpan("memory", "admission", wait_start,
-                           trace_->NowSeconds(), t, /*attempt=*/0,
-                           TraceOutcome::kNone,
-                           "bytes=" + std::to_string(admission));
-      }
+      obs::Observe(&obs_, {.kind = obs::Kind::kAdmission, .task = t,
+                           .start = wait_start, .n = {admission}});
       if (!s.ok()) {
         std::unique_lock<std::mutex> lock(mu_);
         FinishLocked(t, e, std::move(s), /*ran=*/false, 0.0);
@@ -462,7 +399,7 @@ class PhaseRunner {
     Status s = RunTaskWithRetry(
         spec_, plan_, phase_, t,
         /*attempt_offset=*/e * spec_.max_task_attempts,
-        token, counters_, trace_, &success_span,
+        token, counters_, obs_, &success_span,
         [&](int attempt, bool* output_started) {
           return (*body_)(t, e, attempt, token, output_started);
         });
@@ -471,18 +408,18 @@ class PhaseRunner {
     const bool succeeded = s.ok();
     std::unique_lock<std::mutex> lock(mu_);
     FinishLocked(t, e, std::move(s), /*ran=*/true, seconds);
-    if (succeeded && success_span.valid) {
+    if (succeeded) {
       // Only now is the race settled: a success that did not win its
       // task is a speculation loser whose output was discarded.
       const bool won = stats_.winner_exec[static_cast<size_t>(t)] == e;
       const TraceOutcome outcome =
           !won ? TraceOutcome::kCancelled
                : (e == 1 ? TraceOutcome::kSpeculativeWin : TraceOutcome::kOk);
-      trace_->RecordSpan(TaskPhaseName(phase_),
-                         std::string(TaskPhaseName(phase_)) + " t" +
-                             std::to_string(t),
-                         success_span.start_seconds, success_span.end_seconds,
-                         t, success_span.attempt, outcome);
+      obs::Observe(&obs_, {.kind = ForPhase(phase_, obs::Kind::kMapAttempt),
+                           .task = t, .attempt = success_span.attempt,
+                           .outcome = outcome,
+                           .start = success_span.start_seconds,
+                           .end = success_span.end_seconds});
     }
   }
 
@@ -500,9 +437,6 @@ class PhaseRunner {
         task.resolved = true;
         ++resolved_;
         stats_.winner_exec[static_cast<size_t>(t)] = e;
-        if (progress_ != nullptr) {
-          progress_->TaskFinished(TaskPhaseName(phase_));
-        }
         completed_sketch_.Add(seconds);
         if (e == 1) ++stats_.speculative_wins;
         for (int other = 0; other < 2; ++other) {
@@ -597,8 +531,7 @@ class PhaseRunner {
   int num_tasks_;
   ThreadPool* pool_;
   RetryCounters* counters_;
-  TraceRecorder* trace_;  // not owned; engine-resolved, never null
-  ProgressTracker* progress_;  // not owned; null = untracked run
+  const obs::Context& obs_;  // the run's observability context
   const AttemptBody* body_ = nullptr;
   MemoryBudget* budget_ = nullptr;  // not owned; null = no admission
   std::function<int64_t(int)> projected_bytes_;
@@ -807,36 +740,11 @@ void Emitter::SpillBuffers() {
   if (budget_ != nullptr) budget_->Release(extra_reserved_bytes_);
   extra_reserved_bytes_ = 0;
   if (spilled_runs_ > runs_before) {
-    const int64_t runs = spilled_runs_ - runs_before;
     const int64_t records = spilled_records_ - records_before;
-    const std::string detail =
-        "runs=" + std::to_string(runs) + " records=" + std::to_string(records);
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->RecordInstant("memory", "emitter-spill", /*task=*/-1, detail);
-    }
-    FlightRecorder* const flight = FlightRecorder::Global();
-    if (flight->enabled()) {
-      flight->Record("memory", "emitter-spill", /*task=*/-1, /*attempt=*/0,
-                     detail, query_label_);
-    }
-    MetricsRegistry* const registry = MetricsRegistry::Global();
-    if (registry->enabled()) {
-      static MetricsRegistry::Counter* const spills = registry->GetCounter(
-          "casm_emitter_spills_total",
-          "Map-side spill events (each writes >= 1 sorted run to disk).");
-      static MetricsRegistry::Counter* const spilled_records =
-          registry->GetCounter(
-              "casm_emitter_spilled_records_total",
-              "Pairs written to disk by map-side emitter spills.");
-      static MetricsRegistry::Counter* const spilled_bytes =
-          registry->GetCounter(
-              "casm_emitter_spilled_bytes_total",
-              "Bytes written to disk by map-side emitter spills.");
-      spills->IncrementAlways(1);
-      spilled_records->IncrementAlways(records);
-      spilled_bytes->IncrementAlways(records * pair_width *
-                                     static_cast<int64_t>(sizeof(int64_t)));
-    }
+    obs::Observe(obs_, {.kind = obs::Kind::kEmitterSpill,
+                        .n = {spilled_runs_ - runs_before, records,
+                              records * pair_width *
+                                  static_cast<int64_t>(sizeof(int64_t))}});
   }
 }
 
@@ -926,20 +834,6 @@ MapReduceEngine::MapReduceEngine(int num_threads) {
 
 MapReduceEngine::~MapReduceEngine() = default;
 
-ProgressTracker* MapReduceEngine::ProgressFor(const std::string& query_label) {
-  if (query_label.empty()) return nullptr;
-  if (progress_ == nullptr || progress_->query() != query_label) {
-    progress_.reset();
-    const double ticker_seconds = ProgressTracker::TickerSecondsFromEnv();
-    if (!MetricsRegistry::Global()->enabled() && ticker_seconds <= 0) {
-      return nullptr;
-    }
-    progress_ = std::make_unique<ProgressTracker>(query_label);
-    progress_->StartTicker(ticker_seconds);  // no-op at 0
-  }
-  return progress_.get();
-}
-
 Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
                                               int64_t num_input_rows) {
   if (spec.num_mappers < 1 || spec.num_reducers < 1) {
@@ -1001,20 +895,15 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
   ThreadPool& pool = *pool_;
 
-  // Run tracing: resolve the recorder once (the global one answers a
-  // single relaxed load when CASM_TRACE is unset) and freeze `tracing`
-  // for the run. The pool's queue-latency hook is installed only while a
-  // traced run is in flight and removed on every exit path.
-  TraceRecorder* const trace =
-      spec.trace != nullptr ? spec.trace : TraceRecorder::Global();
-  const bool tracing = trace->enabled();
-  const double trace_run_start = tracing ? trace->NowSeconds() : 0;
-  const int64_t trace_dropped_at_start = tracing ? trace->dropped_events() : 0;
-  ProgressTracker* const progress = ProgressFor(spec.query_label);
-  if (tracing) {
-    pool.set_queue_latency_hook([trace](double queued_seconds) {
-      const double now = trace->NowSeconds();
-      trace->RecordSpan("pool", "queue-wait", now - queued_seconds, now);
+  // The run's observability context, which also folds its report. The
+  // pool's queue-latency hook lives only while a traced run is in flight.
+  obs::Context obs(spec.trace, spec.query_label, &progress_);
+  const double run_start = obs.Now();
+  if (obs.tracing()) {
+    pool.set_queue_latency_hook([&obs](double queued_seconds) {
+      const double now = obs.Now();
+      obs::Observe(&obs, {.kind = obs::Kind::kQueueWait,
+                          .start = now - queued_seconds, .end = now});
     });
   }
   struct TraceGuard {
@@ -1023,7 +912,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
     ~TraceGuard() {
       if (active) pool->set_queue_latency_hook({});
     }
-  } trace_guard{&pool, tracing};
+  } trace_guard{&pool, obs.tracing()};
 
   // The job token chains the caller's token (external cancellation) and
   // the wall-clock deadline; every execution token descends from it.
@@ -1049,21 +938,11 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   // before starting. With no capacity the budget never blocks and
   // peak_tracked_bytes measures the unbounded run.
   MemoryBudget budget(spec.memory_budget_bytes);
-  // Bridge admission waits into the live registry (the budget cannot
-  // depend on obs/ itself). Instruments resolve lazily so a disabled
-  // registry never pays the lookup.
-  budget.set_wait_observer([](double waited_seconds) {
-    MetricsRegistry* const registry = MetricsRegistry::Global();
-    if (!registry->enabled()) return;
-    static MetricsRegistry::Counter* const waits = registry->GetCounter(
-        "casm_admission_waits_total",
-        "Memory reservations that had to queue for admission.");
-    static MetricsRegistry::Histogram* const wait_seconds =
-        registry->GetHistogram(
-            "casm_admission_wait_seconds",
-            "Seconds individual reservations spent queued for admission.");
-    waits->IncrementAlways(1);
-    wait_seconds->ObserveAlways(waited_seconds);
+  // The budget (which cannot depend on obs/) reports every reservation
+  // it queues, so the report's admission count is the budget's own.
+  budget.set_wait_observer([&obs](double waited_seconds) {
+    obs::Observe(&obs, {.kind = obs::Kind::kAdmissionWait,
+                        .end = waited_seconds});
   });
   int64_t spill_threshold = spec.emitter_spill_threshold_bytes;
   if (spill_threshold <= 0 && spec.memory_budget_bytes > 0) {
@@ -1104,8 +983,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
     // attempt produced.
     emitter->Clear();
     emitter->cancel_ = token;
-    emitter->trace_ = tracing ? trace : nullptr;
-    emitter->query_label_ = spec.query_label;
+    emitter->obs_ = &obs;
     emitter->set_record_throttle(
         plan_armed ? plan->RecordThrottleSeconds("map", m, attempt) : 0);
     if (spec.split_fn) {
@@ -1132,7 +1010,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   PhaseStats map_stats;
   {
     PhaseRunner runner(spec, plan, MapReduceTaskPhase::kMap, num_mappers,
-                       &pool, &job_token, &counters, trace, progress);
+                       &pool, &job_token, &counters, obs);
     runner.set_admission(&budget,
                          [map_reservation](int) { return map_reservation; });
     Status map_status = runner.Run(map_body, &map_stats);
@@ -1170,14 +1048,14 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   // Seed the reduce-phase ETA from the cluster cost model: once the
   // shuffle counts are known, the modeled per-reducer costs stand in for
   // an observed rate until the first reduce task actually completes.
-  if (progress != nullptr && !spec.map_only) {
+  if (obs.active() && !spec.map_only) {
     const ClusterCostParams model = ClusterCostParams::Default();
     double modeled = 0;
     for (int64_t pairs : metrics.reducer_pairs) {
       modeled += ReducerCostSeconds(static_cast<double>(pairs), model);
     }
-    progress->SetModeledRemainingSeconds(
-        "reduce", modeled / std::max(1, num_threads_));
+    obs::Observe(&obs, {.kind = obs::Kind::kReduceModeled,
+                        .end = modeled / std::max(1, num_threads_)});
   }
 
   // Budget accounting for the metrics: spill activity counts every
@@ -1200,38 +1078,12 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
                                     static_cast<int64_t>(sizeof(int64_t));
   };
 
-  // On success: close the run's "job" span and digest this run's events
-  // into the human-readable report carried by the metrics. The snapshot
-  // is filtered by time because the global recorder accumulates across
-  // runs in one process.
+  // On success: close the run's "job" span; the report this run folded
+  // from its own events rides in the metrics.
   auto finalize_trace = [&] {
-    if (!tracing) return;
-    trace->RecordSpan("job", "mr-run", trace_run_start, trace->NowSeconds(),
-                      /*task=*/-1, /*attempt=*/0, TraceOutcome::kNone,
-                      "mappers=" + std::to_string(num_mappers) +
-                          " reducers=" + std::to_string(num_reducers));
-    std::vector<TraceEvent> events = trace->Snapshot();
-    events.erase(std::remove_if(events.begin(), events.end(),
-                                [&](const TraceEvent& ev) {
-                                  return ev.end_seconds() < trace_run_start;
-                                }),
-                 events.end());
-    RunReport report = BuildRunReport(events);
-    // Spans dropped *during this run* at the recorder's per-thread cap:
-    // the delta against the run-start count, so one process running many
-    // jobs does not re-report old losses.
-    report.trace_dropped_events =
-        trace->dropped_events() - trace_dropped_at_start;
-    if (report.trace_dropped_events > 0) {
-      MetricsRegistry* const registry = MetricsRegistry::Global();
-      if (registry->enabled()) {
-        registry
-            ->GetCounter("casm_trace_dropped_spans_total",
-                         "Trace spans dropped at the per-thread event cap.")
-            ->IncrementAlways(report.trace_dropped_events);
-      }
-    }
-    metrics.run_report_summary = report.Summary();
+    obs::Observe(&obs, {.kind = obs::Kind::kRun, .start = run_start,
+                        .n = {num_mappers, num_reducers}});
+    metrics.run_report_summary = obs.ReportSummary();
   };
 
   if (spec.map_only) {
@@ -1259,7 +1111,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
       static_cast<size_t>(num_reducers));
 
   PhaseRunner runner(spec, plan, MapReduceTaskPhase::kReduce, num_reducers,
-                     &pool, &job_token, &counters, trace, progress);
+                     &pool, &job_token, &counters, obs);
   // Reduce admission: the gather buffer plus the sorted copy, both sized
   // by the reducer's exact pair count (known after the map phase). The
   // local evaluation behind reduce_fn is the user's to account.
@@ -1311,7 +1163,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
       ExternalSortOptions sort_options;
       sort_options.memory_limit_records = spec.reducer_memory_limit_pairs;
       sort_options.temp_dir = spec.spill_dir;
-      sort_options.trace = tracing ? trace : nullptr;
+      sort_options.obs = &obs;
       Result<std::vector<int64_t>> sort_result = ExternalSort(
           std::move(pairs), pair_width, pair_less, sort_options, &spill);
       CASM_RETURN_IF_ERROR(sort_result.status());
@@ -1373,7 +1225,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
         // of this attempt is terminal (no replay).
         *output_started = true;
         GroupView group(first, end - begin, spec.key_width, spec.value_width,
-                        token);
+                        token, &obs);
         spec.reduce_fn(r, group);
       }
       begin = end;

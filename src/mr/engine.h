@@ -79,6 +79,9 @@ namespace casm {
 class ProgressTracker;
 class ThreadPool;
 class TraceRecorder;
+namespace obs {
+class Context;
+}  // namespace obs
 
 /// The engine's key-to-reducer hash (reducer = hash % num_reducers).
 /// Exposed so that the skew module's simulated dispatch predicts exactly
@@ -200,6 +203,8 @@ class Emitter {
   /// The driving attempt's token (null outside an engine run), for
   /// forwarding into nested cancellable work.
   const CancellationToken* cancellation_token() const { return cancel_; }
+  /// The run's observability context (obs/event.h; null outside a run).
+  const obs::Context* obs() const { return obs_; }
 
  private:
   friend class MapReduceEngine;
@@ -233,12 +238,9 @@ class Emitter {
   int key_width_;
   int value_width_;
   int64_t emitted_ = 0;
-  // Set per attempt by the engine. A spill records a "memory" instant in
-  // `trace_` (null = untraced) and a ring event in the global flight
-  // recorder stamped with `query_label_`.
+  // Set per attempt by the engine; spills are observed through `obs_`.
   const CancellationToken* cancel_ = nullptr;  // not owned
-  TraceRecorder* trace_ = nullptr;             // not owned
-  std::string query_label_;
+  const obs::Context* obs_ = nullptr;          // not owned
   // Per-reducer buffer of flattened [key..., value...] entries.
   std::vector<std::vector<int64_t>> buffers_;
 
@@ -270,12 +272,14 @@ class Emitter {
 class GroupView {
  public:
   GroupView(const int64_t* base, int64_t count, int key_width,
-            int value_width, const CancellationToken* cancel = nullptr)
+            int value_width, const CancellationToken* cancel = nullptr,
+            const obs::Context* obs = nullptr)
       : base_(base),
         count_(count),
         key_width_(key_width),
         pair_width_(key_width + value_width),
-        cancel_(cancel) {}
+        cancel_(cancel),
+        obs_(obs) {}
 
   const int64_t* key() const { return base_; }
   int64_t size() const { return count_; }
@@ -292,6 +296,9 @@ class GroupView {
   bool cancelled() const { return cancel_ != nullptr && cancel_->cancelled(); }
   /// The delivering attempt's token (null outside an engine run).
   const CancellationToken* cancellation_token() const { return cancel_; }
+  /// The run's observability context (null outside a run), so the
+  /// reduce function's own events fold into the run's report.
+  const obs::Context* obs() const { return obs_; }
 
  private:
   const int64_t* base_;
@@ -299,6 +306,7 @@ class GroupView {
   int key_width_;
   int pair_width_;
   const CancellationToken* cancel_ = nullptr;  // not owned
+  const obs::Context* obs_ = nullptr;          // not owned
 };
 
 /// The engine's robustness and observability knobs: memory limits,
@@ -386,8 +394,8 @@ struct EngineOptions {
   /// Run-trace recorder (obs/trace.h): the engine records per-attempt
   /// spans (task id, attempt number, outcome), admission waits, spills,
   /// and pool queue latency into it. null = use TraceRecorder::Global(),
-  /// which is enabled only when CASM_TRACE is set — so the default costs
-  /// one relaxed load per would-be event. Not owned; must outlive Run().
+  /// which is enabled only when CASM_TRACE is set; a run freezes whether
+  /// it traces when it starts. Not owned; must outlive Run().
   TraceRecorder* trace = nullptr;
 
   /// Query label stamped on flight events, progress gauges and per-query
@@ -461,15 +469,9 @@ class MapReduceEngine {
   int num_threads() const { return num_threads_; }
 
  private:
-  /// The live-progress tracker of a run labeled `query_label` (the
-  /// casm_progress_* gauges and the CASM_PROGRESS stderr ticker read it):
-  /// created on the first such run while a reader exists, and kept across
-  /// runs with the same label so a job sequence shares one tracker. Null
-  /// for an unlabeled run or when nothing would read it.
-  ProgressTracker* ProgressFor(const std::string& query_label);
-
   int num_threads_;
   std::unique_ptr<ThreadPool> pool_;
+  /// The last labeled run's live-progress tracker (obs::Context).
   std::unique_ptr<ProgressTracker> progress_;
 };
 

@@ -14,7 +14,7 @@
 #include <random>
 
 #include "common/logging.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 
 namespace casm {
 namespace {
@@ -336,11 +336,8 @@ Result<std::vector<int64_t>> ExternalSort(std::vector<int64_t> records,
       ++stats->runs_spilled;
       stats->records_spilled += run_count;
     }
-    if (options.trace != nullptr && options.trace->enabled()) {
-      options.trace->RecordInstant(
-          "memory", "sort-spill", /*task=*/-1,
-          "records=" + std::to_string(run_count));
-    }
+    obs::Observe(options.obs, {.kind = obs::Kind::kSortSpill,
+                               .n = {run_count}});
   }
   records.clear();
   records.shrink_to_fit();

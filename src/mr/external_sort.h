@@ -19,7 +19,9 @@
 
 namespace casm {
 
-class TraceRecorder;
+namespace obs {
+class Context;
+}  // namespace obs
 
 struct ExternalSortOptions {
   /// Maximum records held in memory at once; 0 = unlimited (pure
@@ -27,9 +29,9 @@ struct ExternalSortOptions {
   int64_t memory_limit_records = 0;
   /// Directory for spill files; empty = std::filesystem::temp_directory_path().
   std::string temp_dir;
-  /// Optional run-trace recorder (obs/trace.h): each spilled run is
-  /// recorded as a "memory" instant. Not owned; may be null.
-  TraceRecorder* trace = nullptr;
+  /// The run's observability context (obs/event.h): each spilled run is
+  /// observed as a sort spill. Not owned; may be null.
+  const obs::Context* obs = nullptr;
   /// Test-only: invoked after all runs have been spilled, before the
   /// merge opens them. Lets fault-injection tests corrupt or truncate a
   /// run on disk to exercise the merge's error paths.

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace casm {
 
 int64_t MapReduceMetrics::MaxReducerPairs() const {
@@ -172,134 +170,6 @@ void MapReduceMetrics::Accumulate(const MapReduceMetrics& other) {
   reduce_seconds += other.reduce_seconds;
   reduce_phase_wall_seconds += other.reduce_phase_wall_seconds;
   total_seconds += other.total_seconds;
-}
-
-void PublishQueryMetrics(MetricsRegistry* registry, const std::string& query,
-                         const MapReduceMetrics& metrics) {
-  if (registry == nullptr || !registry->enabled()) return;
-  const MetricLabels labels = {{"query", query}};
-  auto count = [&](const char* name, const char* help, int64_t value) {
-    registry->GetCounter(name, help, labels)->Increment(value);
-  };
-  count("casm_query_input_rows_total", "Input rows consumed by the query",
-        metrics.input_rows);
-  count("casm_query_emitted_pairs_total",
-        "Key/value pairs emitted by the query's mappers",
-        metrics.emitted_pairs);
-  count("casm_query_spilled_runs_total",
-        "Reduce-side external-sort runs spilled to disk",
-        metrics.spilled_runs);
-  count("casm_query_spilled_records_total",
-        "Reduce-side records spilled to disk", metrics.spilled_records);
-  count("casm_query_emitter_spilled_runs_total",
-        "Map-side emitter runs spilled to disk",
-        metrics.emitter_spilled_runs);
-  count("casm_query_emitter_spilled_records_total",
-        "Map-side pairs spilled to disk", metrics.emitter_spilled_records);
-  count("casm_query_emitter_spilled_bytes_total",
-        "Bytes of map-side pairs spilled to disk",
-        metrics.emitter_spilled_bytes);
-  count("casm_query_admission_waits_total",
-        "Task launches that queued for memory-budget admission",
-        metrics.admission_waits);
-  count("casm_query_task_failures_total",
-        "Task attempts that failed (faults, non-OK statuses, exceptions)",
-        metrics.task_failures);
-  count("casm_query_task_retries_total",
-        "Task attempts re-run after a failure", metrics.task_retries);
-  count("casm_query_speculative_attempts_total",
-        "Speculative backup attempts launched", metrics.speculative_attempts);
-  count("casm_query_speculative_wins_total",
-        "Speculative attempts that beat the primary",
-        metrics.speculative_wins);
-  count("casm_query_cancelled_attempts_total",
-        "Attempts cancelled mid-flight or after losing the race",
-        metrics.cancelled_attempts);
-  count("casm_query_checkpoint_jobs_restored_total",
-        "Jobs restored from the checkpoint log instead of recomputed",
-        metrics.checkpoint_jobs_restored);
-  count("casm_query_checkpoint_bytes_written_total",
-        "Checkpoint payload bytes committed",
-        metrics.checkpoint_bytes_written);
-  count("casm_query_checkpoint_bytes_restored_total",
-        "Checkpoint payload bytes restored",
-        metrics.checkpoint_bytes_restored);
-  count("casm_query_checkpoint_commit_failures_total",
-        "Checkpoint commits that failed",
-        metrics.checkpoint_commit_failures);
-  count("casm_query_checkpoint_commits_skipped_total",
-        "Checkpoint commits skipped by the open circuit breaker",
-        metrics.checkpoint_commits_skipped);
-  count("casm_query_checkpoint_restore_failures_total",
-        "Checkpoint restores that failed verification",
-        metrics.checkpoint_restore_failures);
-  count("casm_query_dfs_io_retries_total",
-        "DFS replica operations replayed after backoff",
-        metrics.dfs_io_retries);
-  count("casm_query_dfs_write_failovers_total",
-        "DFS replicas placed off their preferred node",
-        metrics.dfs_write_failovers);
-  count("casm_query_dfs_corrupt_replicas_total",
-        "DFS replica checksum mismatches observed",
-        metrics.dfs_corrupt_replicas);
-  count("casm_query_dfs_repaired_replicas_total",
-        "DFS replicas rewritten from a good copy",
-        metrics.dfs_repaired_replicas);
-  count("casm_query_dfs_under_replicated_blocks_total",
-        "DFS blocks observed below their replication target",
-        metrics.dfs_under_replicated_blocks);
-  auto gauge = [&](const char* name, const char* help, double value) {
-    registry->GetGauge(name, help, labels)->Set(value);
-  };
-  gauge("casm_query_peak_tracked_bytes",
-        "High-water mark of bytes tracked against the query's budget",
-        static_cast<double>(metrics.peak_tracked_bytes));
-  gauge("casm_query_admission_wait_seconds",
-        "Total seconds the query's tasks waited for admission",
-        metrics.admission_wait_seconds);
-  gauge("casm_query_total_seconds",
-        "Wall-clock seconds of the query's last run", metrics.total_seconds);
-}
-
-void PublishSharedQueryMetrics(
-    MetricsRegistry* registry,
-    const std::vector<SharedQueryAttribution>& queries, int batch_queries) {
-  if (registry == nullptr || !registry->enabled()) return;
-  for (const SharedQueryAttribution& q : queries) {
-    const MetricLabels labels = {{"query", q.query}};
-    registry
-        ->GetCounter("casm_query_shared_jobs_total",
-                     "Shared multi-query jobs this query rode in", labels)
-        ->Increment(1);
-    registry
-        ->GetCounter("casm_query_shared_local_records_total",
-                     "Rows this query's local evaluation scanned inside "
-                     "shared jobs",
-                     labels)
-        ->Increment(q.local_records);
-    registry
-        ->GetCounter("casm_query_shared_result_values_total",
-                     "Measure values delivered to this query by shared jobs",
-                     labels)
-        ->Increment(q.result_values);
-    registry
-        ->GetCounter("casm_query_shared_results_filtered_total",
-                     "Values dropped by this query's ownership filter inside "
-                     "shared jobs",
-                     labels)
-        ->Increment(q.results_filtered);
-    registry
-        ->GetGauge("casm_query_shared_local_eval_seconds",
-                   "Local sort+evaluate seconds this query spent in its last "
-                   "shared job",
-                   labels)
-        ->Set(q.local_eval_seconds);
-    registry
-        ->GetGauge("casm_query_shared_batch_queries",
-                   "Queries in the last shared batch this query rode in",
-                   labels)
-        ->Set(static_cast<double>(batch_queries));
-  }
 }
 
 }  // namespace casm

@@ -163,23 +163,12 @@ struct MapReduceMetrics {
   void Accumulate(const MapReduceMetrics& other);
 };
 
-class MetricsRegistry;
-
-/// Publishes every counter of a completed run's `metrics` into `registry`
-/// under {query=`query`} labels (`casm_query_*` families), making the
-/// run's resource footprint scrapeable per concurrent query. Counters are
-/// *added*, so a fresh query label reads back exactly equal to the
-/// MapReduceMetrics fields; re-running under the same label accumulates,
-/// like any Prometheus counter. No-op while the registry is disabled.
-void PublishQueryMetrics(MetricsRegistry* registry, const std::string& query,
-                         const MapReduceMetrics& metrics);
-
 /// Exact per-query attribution inside a shared multi-query job
 /// (core/shared_evaluator.h). The shared scan/shuffle counters belong to
-/// the batch and are published once under the batch's own label via
-/// PublishQueryMetrics; each member query publishes only work that is
-/// genuinely its own — the records its local evaluation scanned, the
-/// seconds it spent, the result values it produced, the records its
+/// the batch and are published once under the batch's own label
+/// (`casm_query_*`, obs/event.h); each member query publishes only work
+/// that is genuinely its own — the records its local evaluation scanned,
+/// the seconds it spent, the result values it produced, the records its
 /// ownership filter dropped — so summing `casm_query_*` families across
 /// concurrent queries never double-counts the shared pass.
 struct SharedQueryAttribution {
@@ -189,13 +178,6 @@ struct SharedQueryAttribution {
   int64_t result_values = 0;   // measure values delivered to this member
   int64_t results_filtered = 0;  // values dropped by its ownership filter
 };
-
-/// Publishes each member's exact share of a shared job
-/// (casm_query_shared_* families) plus the batch size it rode in.
-/// No-op while the registry is disabled.
-void PublishSharedQueryMetrics(
-    MetricsRegistry* registry,
-    const std::vector<SharedQueryAttribution>& queries, int batch_queries);
 
 }  // namespace casm
 

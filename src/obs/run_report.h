@@ -1,10 +1,9 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Run reports: digest a recorded trace (obs/trace.h) into per-phase
-// attempt-duration histograms and a short human-readable timeline
-// summary. The engine builds one per traced run and carries the summary
-// in MapReduceMetrics::run_report_summary; tests and tools can call
-// BuildRunReport on any event snapshot (e.g. a filtered sub-trace).
+// Run reports: each traced engine run folds its own observed events
+// (obs/event.h) as they arrive into per-phase attempt-duration
+// histograms and a short human-readable timeline summary, carried in
+// MapReduceMetrics::run_report_summary.
 
 #ifndef CASM_OBS_RUN_REPORT_H_
 #define CASM_OBS_RUN_REPORT_H_
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "common/math.h"
+#include "obs/event.h"
 #include "obs/trace.h"
 
 namespace casm {
@@ -33,47 +33,31 @@ struct PhaseAttemptHistogram {
   QuantileSketch durations;
 };
 
-/// A digested trace: per-phase histograms plus memory/pool activity.
+/// A folded run: per-phase histograms plus memory/pool activity.
 struct RunReport {
-  double trace_begin_seconds = 0;
+  double trace_begin_seconds = 0;  // the run's "job"/"mr-run" span
   double trace_end_seconds = 0;
   std::vector<PhaseAttemptHistogram> phases;  // encounter order (map first)
-  int64_t admission_waits = 0;       // "memory"/"admission" spans
+  int64_t admission_reservations = 0;  // budget reservations (kAdmission)
+  int64_t admission_waits = 0;         // reservations the budget queued
   double admission_wait_seconds = 0;
-  int64_t spill_events = 0;          // emitter-spill / sort-spill instants
-  int64_t pool_queue_spans = 0;      // "pool"/"queue-wait" spans
+  int64_t spill_events = 0;          // emitter and sort spills
+  int64_t pool_queue_spans = 0;      // tasks that queued in the pool
   double pool_queue_seconds = 0;
 
-  /// Local aggregation activity: "localagg" spans are one per evaluated
-  /// block, named after the evaluator that ran it (src/agg).
+  /// Local aggregation activity: one block per evaluated reducer group,
+  /// by the evaluator that ran it (src/agg).
   int64_t localagg_blocks_sortscan = 0;
   int64_t localagg_blocks_morsel = 0;
-  /// Evaluator that evaluated the most blocks ("sortscan" / "morsel"; a
-  /// tie reads "sortscan"). Empty without localagg spans.
-  std::string local_agg_engine;
 
-  /// Storage health: "dfs" category activity (dfs/volume.h) and
-  /// checkpoint degradation instants ("ckpt-degraded"/"ckpt-skipped").
-  int64_t dfs_reads = 0;           // "dfs-read" spans
-  int64_t dfs_writes = 0;          // "dfs-write" spans
-  int64_t dfs_scrubs = 0;          // "dfs-scrub" spans
-  int64_t dfs_io_retries = 0;      // "dfs-retry" instants
-  int64_t dfs_failovers = 0;       // "dfs-failover" instants
-  int64_t dfs_repairs = 0;         // "dfs-repair" instants
-  int64_t ckpt_degraded_events = 0;  // breaker opened / commit skipped
-
-  /// Plan-cache activity: "plancache" instants (core/plan_cache.h with a
-  /// trace recorder installed, e.g. by the multi-query service).
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_misses = 0;
-  int64_t plan_cache_evictions = 0;
-
-  /// Spans the recorder dropped because a thread hit its per-thread event
-  /// cap (obs/trace.h). Set by the engine from
-  /// TraceRecorder::dropped_events(), not derivable from the snapshot
-  /// itself. Non-zero means every trace-derived number above — and
-  /// downstream fits like FitStragglerSlowdown — saw truncated data.
+  /// Spans the recorder dropped during the run because a thread hit its
+  /// per-thread event cap (obs/trace.h). Non-zero means every
+  /// trace-derived number above — and downstream fits like
+  /// FitStragglerSlowdown — saw truncated data.
   int64_t trace_dropped_events = 0;
+
+  /// Folds one event. Not thread-safe (obs::Context serializes folds).
+  void Add(const obs::Event& event);
 
   /// The histogram for `phase` ("map" / "reduce"), or null when the trace
   /// held no attempts of that phase.
@@ -84,11 +68,6 @@ struct RunReport {
   /// and pool activity lines when present. Empty for an empty report.
   std::string Summary() const;
 };
-
-/// Digests `events` (a TraceRecorder::Snapshot, possibly filtered) into a
-/// RunReport. Attempt spans are recognized by a non-kNone outcome on a
-/// "map" or "reduce" category event.
-RunReport BuildRunReport(const std::vector<TraceEvent>& events);
 
 }  // namespace casm
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "obs/event.h"
 
 namespace casm {
 namespace {
@@ -149,38 +150,6 @@ void TraceRecorder::Record(TraceEvent event) {
   buf->events.push_back(std::move(event));
 }
 
-void TraceRecorder::RecordSpan(const char* category, std::string name,
-                               double start_seconds, double end_seconds,
-                               int64_t task, int64_t attempt,
-                               TraceOutcome outcome, std::string detail,
-                               int64_t job) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.category = category;
-  ev.name = std::move(name);
-  ev.start_seconds = start_seconds;
-  ev.duration_seconds = std::max(0.0, end_seconds - start_seconds);
-  ev.task = task;
-  ev.attempt = attempt;
-  ev.job = job;
-  ev.outcome = outcome;
-  ev.detail = std::move(detail);
-  Record(std::move(ev));
-}
-
-void TraceRecorder::RecordInstant(const char* category, std::string name,
-                                  int64_t task, std::string detail) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.instant = true;
-  ev.category = category;
-  ev.name = std::move(name);
-  ev.start_seconds = NowSeconds();
-  ev.task = task;
-  ev.detail = std::move(detail);
-  Record(std::move(ev));
-}
-
 std::vector<TraceEvent> TraceRecorder::Snapshot() const {
   std::vector<TraceEvent> out;
   {
@@ -259,7 +228,11 @@ std::string TraceEventsToChromeJson(const std::vector<TraceEvent>& events) {
     if (ev.outcome != TraceOutcome::kNone) {
       arg("outcome", TraceOutcomeName(ev.outcome), true);
     }
-    if (!ev.detail.empty()) arg("detail", ev.detail, true);
+    const std::string detail =
+        ev.kind == obs::Kind::kRaw
+            ? ev.detail
+            : obs::RenderDetail(ev.kind, ev.payload, ev.outcome, ev.detail);
+    if (!detail.empty()) arg("detail", detail, true);
     out += "}}";
   }
   out += "\n]}\n";

@@ -1,10 +1,9 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Run tracing: a low-overhead flight recorder for the execution substrate.
-// The MapReduce engine, the memory budget's admission path, the thread
-// pool, and both evaluators record *spans* (named intervals with a task
-// id, attempt number, and outcome) and *instant events* (spills,
-// admission waits) into a TraceRecorder; consumers turn the recorded
+// Run tracing: a low-overhead recorder for the execution substrate.
+// Observed events (obs/event.h) that have a trace form land here as
+// *spans* (named intervals with a task id, attempt number, and outcome)
+// and *instant events* (spills, retries); consumers turn the recorded
 // timeline into Chrome trace-event JSON (chrome://tracing / Perfetto),
 // per-phase attempt-duration histograms (obs/run_report.h), and a fitted
 // cluster-model straggler parameter (mr/cluster_model.h).
@@ -13,9 +12,8 @@
 //
 //   * disabled (the default): every Record* call is one relaxed atomic
 //     load and an immediate return — no allocation, no locking, no
-//     clock read. Instrumented hot paths additionally guard their own
-//     argument construction behind `enabled()`, so a disabled recorder
-//     costs the same one load there too.
+//     clock read. Instrumented sites go through obs::Observe, whose
+//     context froze `enabled()` once for the run.
 //   * enabled: each event is one clock read plus an append to a
 //     per-thread buffer; the buffer's mutex is only ever contended by a
 //     drain (Snapshot/WriteJson), so recording threads never contend
@@ -53,6 +51,9 @@
 #include "common/status.h"
 
 namespace casm {
+namespace obs {
+enum class Kind : uint8_t;  // obs/event.h
+}  // namespace obs
 
 /// How a recorded task attempt ended. kNone marks events that are not
 /// attempts (phase/job spans, spills, queue waits).
@@ -85,9 +86,11 @@ struct TraceEvent {
   int64_t attempt = 0;          // 1-based injector attempt number, 0 = n/a
   int64_t job = -1;             // multi-job sequence index, -1 = n/a
   TraceOutcome outcome = TraceOutcome::kNone;
-  std::string detail;  // free-form tag (distribution key, spill counts)
-
-  double end_seconds() const { return start_seconds + duration_seconds; }
+  /// Free-form tag of a raw event; for an observed one (kind != kRaw),
+  /// the event's text, which the exporter completes from the payload.
+  std::string detail;
+  obs::Kind kind{};  // obs::Kind::kRaw
+  int64_t payload[3] = {0, 0, 0};
 };
 
 /// Thread-safe span/instant recorder. Share by pointer; not copyable.
@@ -113,22 +116,10 @@ class TraceRecorder {
         .count();
   }
 
-  /// Records `event`, filling `thread_id` with the calling thread's
-  /// ordinal when 0. No-op when disabled.
+  /// Records `event` (obs::Observe is the one caller in the library),
+  /// filling `thread_id` with the calling thread's ordinal when 0. No-op
+  /// when disabled.
   void Record(TraceEvent event);
-
-  /// Records a span [start_seconds, end_seconds] (timestamps from
-  /// NowSeconds()). No-op when disabled.
-  void RecordSpan(const char* category, std::string name,
-                  double start_seconds, double end_seconds,
-                  int64_t task = -1, int64_t attempt = 0,
-                  TraceOutcome outcome = TraceOutcome::kNone,
-                  std::string detail = std::string(), int64_t job = -1);
-
-  /// Records an instant event stamped with NowSeconds(). No-op when
-  /// disabled.
-  void RecordInstant(const char* category, std::string name,
-                     int64_t task = -1, std::string detail = std::string());
 
   /// Copies out every recorded event, ordered by start time. Safe to call
   /// while other threads record (events recorded concurrently with the

@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "core/optimizer.h"
-#include "obs/trace.h"
 
 namespace casm {
 namespace {
@@ -84,27 +83,17 @@ QueryServiceOptions QueryServiceOptionsFromEnv() {
 }
 
 QueryService::QueryService(QueryServiceOptions options)
-    : options_(std::move(options)),
-      trace_(options_.trace != nullptr ? options_.trace
-                                       : TraceRecorder::Global()) {
+    : options_(std::move(options)), obs_(options_.trace) {
   if (options_.memory_budget_bytes > 0) {
     budget_ = std::make_unique<MemoryBudget>(options_.memory_budget_bytes);
   }
-  MetricsRegistry* const registry = MetricsRegistry::Global();
   if (options_.plan_cache != nullptr) {
     cache_ = options_.plan_cache;
   } else {
     owned_cache_ = std::make_unique<PlanCache>(/*max_entries=*/64);
-    owned_cache_->set_registry(registry);
-    owned_cache_->set_trace(trace_);
+    owned_cache_->set_observer(&obs_);
     cache_ = owned_cache_.get();
   }
-  queue_depth_gauge_ = registry->GetGauge(
-      "casm_svc_queue_depth", "Queries waiting in the admission queue");
-  inflight_gauge_ = registry->GetGauge(
-      "casm_svc_inflight", "Queries currently being evaluated");
-  batch_size_gauge_ = registry->GetGauge(
-      "casm_svc_batch_queries", "Members of the most recent shared batch");
   paused_ = options_.start_paused;
   const int workers = std::max(1, options_.num_workers);
   workers_.reserve(static_cast<size_t>(workers));
@@ -392,7 +381,7 @@ ParallelEvalOptions QueryService::BaseEvalOptions() const {
   eval.local_agg = options_.local_agg;
   eval.columnar = options_.columnar;
   eval.fault_plan = options_.fault_plan;
-  eval.trace = trace_;
+  eval.trace = obs_.trace();
   return eval;
 }
 
@@ -409,8 +398,9 @@ int64_t QueryService::ReserveBytesFor(const Table& table) const {
 }
 
 void QueryService::UpdateGaugesLocked() {
-  queue_depth_gauge_->Set(static_cast<double>(pending_.size()));
-  inflight_gauge_->Set(static_cast<double>(in_flight_));
+  obs::Observe(&obs_, {.kind = obs::Kind::kSvcQueue,
+                       .n = {static_cast<int64_t>(pending_.size()),
+                             in_flight_}});
 }
 
 void QueryService::CompleteLocked(Record& record, QueryState state,
@@ -453,8 +443,9 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Record>> batch) {
         live.push_back(record);
       }
     }
-    if (!live.empty() && live.size() > 1) {
-      batch_size_gauge_->Set(static_cast<double>(live.size()));
+    if (live.size() > 1) {
+      obs::Observe(&obs_, {.kind = obs::Kind::kSvcBatch,
+                           .n = {static_cast<int64_t>(live.size())}});
     }
   }
   if (live.empty()) return;
@@ -562,10 +553,8 @@ void QueryService::RunShared(
   eval.cancel = &control->token;
   eval.query_label = "svcb" + std::to_string(members[0]->id);
 
-  if (trace_->enabled()) {
-    trace_->RecordInstant("svc", "svc-shared-batch", /*task=*/-1,
-                          "queries=" + std::to_string(members.size()));
-  }
+  obs::Observe(&obs_, {.kind = obs::Kind::kSvcSharedBatch,
+                       .n = {static_cast<int64_t>(members.size())}});
 
   Result<SharedEvalResult> run =
       EvaluateParallelShared(queries, table, *plan, eval);

@@ -65,7 +65,7 @@
 #include "core/shared_evaluator.h"
 #include "data/table.h"
 #include "measure/workflow.h"
-#include "obs/metrics.h"
+#include "obs/event.h"
 
 namespace casm {
 
@@ -158,8 +158,9 @@ struct QueryServiceOptions {
   /// casm_svc_* gauges and per-query counters go to
   /// MetricsRegistry::Global().
   PlanCache* plan_cache = nullptr;
-  /// Trace recorder for "svc" spans, forwarded to every evaluation; null
-  /// = the CASM_TRACE global.
+  /// Trace recorder for "svc" events, forwarded to every evaluation; null
+  /// = the CASM_TRACE global. The service freezes which sinks are on when
+  /// it is built.
   TraceRecorder* trace = nullptr;
   /// Fault plan forwarded to every evaluation (chaos tests); null = the
   /// process-global CASM_FAULT_PLAN plan.
@@ -297,10 +298,7 @@ class QueryService {
   std::unique_ptr<MemoryBudget> budget_;      // null without a capacity
   std::unique_ptr<PlanCache> owned_cache_;
   PlanCache* cache_ = nullptr;
-  TraceRecorder* const trace_;  // options_.trace resolved; never null
-  MetricsRegistry::Gauge* queue_depth_gauge_ = nullptr;
-  MetricsRegistry::Gauge* inflight_gauge_ = nullptr;
-  MetricsRegistry::Gauge* batch_size_gauge_ = nullptr;
+  const obs::Context obs_;  // options_.trace resolved; the svc events
 
   /// Parent of every per-query token: Shutdown() cancels the fleet.
   CancellationToken stop_token_;

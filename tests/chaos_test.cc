@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <random>
 #include <sstream>
 #include <string>
@@ -27,15 +26,10 @@
 #include "core/parallel_evaluator.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
+#include "scoped_test_dir.h"
 
 namespace casm {
 namespace {
-
-std::string TestDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "casm_chaos_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 std::vector<uint64_t> ChaosSeeds() {
   const char* env = std::getenv("CASM_CHAOS_SEEDS");
@@ -135,8 +129,8 @@ TEST(ChaosTest, MultiDomainChaosFailsCleanlyOrMatchesReferenceExactly) {
     SCOPED_TRACE("chaos seed=" + std::to_string(seed) +
                  " (replay: CASM_CHAOS_SEEDS=" + std::to_string(seed) + ")");
     FaultPlan plan = MakeChaosPlan(seed);
-    ParallelEvalOptions opts =
-        ChaosOpts(TestDir("seed" + std::to_string(seed)));
+    const ScopedTestDir dir("seed" + std::to_string(seed));
+    ParallelEvalOptions opts = ChaosOpts(dir.path());
     opts.fault_plan = &plan;
 
     Result<MultiJobResult> run = EvaluateMultiJob(wf, table, opts);
@@ -174,8 +168,8 @@ TEST(ChaosTest, PermanentSingleNodeOutageNeverChangesResults) {
     FaultPlan::NodeOutage outage;
     outage.node = node;
     plan.Add(outage);
-    ParallelEvalOptions opts =
-        ChaosOpts(TestDir("outage" + std::to_string(node)));
+    const ScopedTestDir dir("outage" + std::to_string(node));
+    ParallelEvalOptions opts = ChaosOpts(dir.path());
     opts.fault_plan = &plan;
 
     Result<MultiJobResult> run = EvaluateMultiJob(wf, table, opts);

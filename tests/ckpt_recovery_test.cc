@@ -31,17 +31,12 @@
 #include "obs/trace.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
+#include "scoped_test_dir.h"
 
 namespace casm {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TestDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "casm_ckpt_" + tag;
-  fs::remove_all(dir);
-  return dir;
-}
 
 ParallelEvalOptions EvalOpts(const std::string& ckpt_dir = "") {
   ParallelEvalOptions o;
@@ -176,7 +171,8 @@ TEST(FingerprintTest, StableAndDiscriminating) {
 
 TEST(CheckpointLogTest, CommitRestoreRoundtrip) {
   CheckpointOptions options;
-  options.dir = TestDir("log");
+  const ScopedTestDir dir("log");
+  options.dir = dir.path();
   options.volume.block_size_bytes = 128;
   Result<CheckpointLog> log = CheckpointLog::Open(options, 0xfeed);
   ASSERT_TRUE(log.ok()) << log.status();
@@ -206,7 +202,8 @@ TEST(CheckpointLogTest, CommitRestoreRoundtrip) {
 
 TEST(CheckpointLogTest, EntriesAreScopedByFingerprint) {
   CheckpointOptions options;
-  options.dir = TestDir("scoped");
+  const ScopedTestDir dir("scoped");
+  options.dir = dir.path();
   Result<CheckpointLog> log_a = CheckpointLog::Open(options, 0xa);
   Result<CheckpointLog> log_b = CheckpointLog::Open(options, 0xb);
   ASSERT_TRUE(log_a.ok() && log_b.ok());
@@ -220,7 +217,8 @@ TEST(CheckpointLogTest, EntriesAreScopedByFingerprint) {
 
 TEST(CheckpointLogTest, OverwriteModeDiscardsCommittedEntries) {
   CheckpointOptions options;
-  options.dir = TestDir("overwrite");
+  const ScopedTestDir dir("overwrite");
+  options.dir = dir.path();
   Result<CheckpointLog> log = CheckpointLog::Open(options, 0xc0de);
   ASSERT_TRUE(log.ok());
   MeasureValueMap values{{{9}, 9.0}};
@@ -238,7 +236,8 @@ TEST(CheckpointLogTest, OverwriteModeDiscardsCommittedEntries) {
 TEST(CkptRecoveryTest, ResumesAfterMidSequenceFaultBitIdentical) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);  // five measures
   Table table = PaperUniformTable(1500, 77);
-  const std::string dir = TestDir("resume");
+  const ScopedTestDir test_dir("resume");
+  const std::string& dir = test_dir.path();
 
   // Reference: one uninterrupted run without checkpointing.
   Result<MultiJobResult> clean = EvaluateMultiJob(wf, table, EvalOpts());
@@ -273,7 +272,8 @@ TEST(CkptRecoveryTest, ResumesAfterMidSequenceFaultBitIdentical) {
 TEST(CkptRecoveryTest, FullyCheckpointedRunKeepsMetricsHonest) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
   Table table = PaperUniformTable(1200, 5);
-  const std::string dir = TestDir("honest");
+  const ScopedTestDir test_dir("honest");
+  const std::string& dir = test_dir.path();
 
   Result<MultiJobResult> first = EvaluateMultiJob(wf, table, EvalOpts(dir));
   ASSERT_TRUE(first.ok()) << first.status();
@@ -300,7 +300,8 @@ TEST(CkptRecoveryTest, FullyCheckpointedRunKeepsMetricsHonest) {
 TEST(CkptRecoveryTest, CorruptedEntryDegradesToRecompute) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
   Table table = PaperUniformTable(1200, 9);
-  const std::string dir = TestDir("corrupt");
+  const ScopedTestDir test_dir("corrupt");
+  const std::string& dir = test_dir.path();
 
   Result<MultiJobResult> first = EvaluateMultiJob(wf, table, EvalOpts(dir));
   ASSERT_TRUE(first.ok()) << first.status();
@@ -324,7 +325,8 @@ TEST(CkptRecoveryTest, CorruptedEntryDegradesToRecompute) {
 TEST(CkptRecoveryTest, TornManifestDegradesToRecompute) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
   Table table = PaperUniformTable(1200, 13);
-  const std::string dir = TestDir("torn");
+  const ScopedTestDir test_dir("torn");
+  const std::string& dir = test_dir.path();
 
   ASSERT_TRUE(EvaluateMultiJob(wf, table, EvalOpts(dir)).ok());
   Result<CheckpointLog> log = CheckpointLog::Open(
@@ -342,7 +344,8 @@ TEST(CkptRecoveryTest, TornManifestDegradesToRecompute) {
 
 TEST(CkptRecoveryTest, ChangedInputInvalidatesOldEntries) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
-  const std::string dir = TestDir("stale");
+  const ScopedTestDir test_dir("stale");
+  const std::string& dir = test_dir.path();
   Table table_a = PaperUniformTable(1000, 21);
   Table table_b = PaperUniformTable(1000, 22);
 
@@ -360,7 +363,8 @@ TEST(CkptRecoveryTest, ChangedInputInvalidatesOldEntries) {
 TEST(CkptRecoveryTest, RestoredJobsFinishUnderExhaustedDeadline) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ2);
   Table table = PaperUniformTable(800, 31);
-  const std::string dir = TestDir("deadline");
+  const ScopedTestDir test_dir("deadline");
+  const std::string& dir = test_dir.path();
   ASSERT_TRUE(EvaluateMultiJob(wf, table, EvalOpts(dir)).ok());
 
   // With every job committed, a resumed run does no compute — it must
@@ -375,7 +379,8 @@ TEST(CkptRecoveryTest, RestoredJobsFinishUnderExhaustedDeadline) {
 TEST(CkptRecoveryTest, RestoreAndWriteEmitTraceSpans) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ2);
   Table table = PaperUniformTable(800, 41);
-  const std::string dir = TestDir("spans");
+  const ScopedTestDir test_dir("spans");
+  const std::string& dir = test_dir.path();
 
   TraceRecorder recorder;
   recorder.set_enabled(true);
@@ -401,7 +406,8 @@ TEST(CkptRecoveryTest, RestoreAndWriteEmitTraceSpans) {
 TEST(CkptRecoveryTest, SinglePassEvaluatorCheckpointsWholeResult) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
   Table table = PaperUniformTable(1200, 55);
-  const std::string dir = TestDir("singlepass");
+  const ScopedTestDir test_dir("singlepass");
+  const std::string& dir = test_dir.path();
   ExecutionPlan plan;
   plan.key = DeriveDistributionKeys(wf).query_key;
 
@@ -471,7 +477,8 @@ TEST(CheckpointBreakerTest, SuccessBeforeThresholdResetsTheCount) {
 TEST(CkptRecoveryTest, FailingCheckpointStoreDegradesNeverFailsTheQuery) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);  // five measures
   Table table = PaperUniformTable(1200, 71);
-  const std::string dir = TestDir("breaker");
+  const ScopedTestDir test_dir("breaker");
+  const std::string& dir = test_dir.path();
 
   Result<MultiJobResult> clean = EvaluateMultiJob(wf, table, EvalOpts());
   ASSERT_TRUE(clean.ok()) << clean.status();
@@ -511,7 +518,8 @@ TEST(CkptRecoveryTest, FailingCheckpointStoreDegradesNeverFailsTheQuery) {
 TEST(CkptRecoveryTest, RestoreFailuresAreCountedNotFatal) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
   Table table = PaperUniformTable(1200, 81);
-  const std::string dir = TestDir("restorecount");
+  const ScopedTestDir test_dir("restorecount");
+  const std::string& dir = test_dir.path();
 
   ASSERT_TRUE(EvaluateMultiJob(wf, table, EvalOpts(dir)).ok());
   Result<CheckpointLog> log = CheckpointLog::Open(
@@ -531,7 +539,8 @@ TEST(CkptRecoveryTest, RestoreFailuresAreCountedNotFatal) {
 TEST(CkptRecoveryTest, SinglePassCommitFailureDegradesNotFails) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ2);
   Table table = PaperUniformTable(800, 91);
-  const std::string dir = TestDir("singlepassdegraded");
+  const ScopedTestDir test_dir("singlepassdegraded");
+  const std::string& dir = test_dir.path();
   ExecutionPlan plan;
   plan.key = DeriveDistributionKeys(wf).query_key;
 
@@ -565,7 +574,8 @@ TEST(CkptRecoveryTest, StagingGcSkipsLiveWritersInSharedCheckpointDir) {
   // stalled past the age in production); A's Commit() then failed
   // reopening it. Live writers now register their staging paths
   // process-wide and GC must skip them regardless of age.
-  const std::string dir = TestDir("staginggc");
+  const ScopedTestDir test_dir("staginggc");
+  const std::string& dir = test_dir.path();
   DfsVolumeOptions options;
   options.block_size_bytes = 256;
   options.staging_gc_age_seconds = 0;  // every staging file is "stale"

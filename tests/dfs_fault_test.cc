@@ -18,17 +18,12 @@
 
 #include "common/fault.h"
 #include "dfs/volume.h"
+#include "scoped_test_dir.h"
 
 namespace casm {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TestDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "casm_dfsfault_" + tag;
-  fs::remove_all(dir);
-  return dir;
-}
 
 DfsVolumeOptions SmallBlocks() {
   DfsVolumeOptions o;
@@ -104,7 +99,8 @@ void FlipByte(const std::string& path, int64_t offset) {
 }
 
 TEST(DfsFaultTest, WriteFailoverPlacesReplicasOffDownNode) {
-  const std::string dir = TestDir("failover");
+  const ScopedTestDir test_dir("failover");
+  const std::string& dir = test_dir.path();
   FaultPlan down(1);
   FaultPlan::NodeOutage outage;
   outage.node = 1;  // node 1 down for the whole write
@@ -141,7 +137,8 @@ TEST(DfsFaultTest, WriteFailoverPlacesReplicasOffDownNode) {
 }
 
 TEST(DfsFaultTest, TransientReadErrorsAreRetriedWithBoundedBudget) {
-  const std::string dir = TestDir("readretry");
+  const ScopedTestDir test_dir("readretry");
+  const std::string& dir = test_dir.path();
   {
     Result<DfsVolume> v = DfsVolume::Open(dir, SmallBlocks());
     ASSERT_TRUE(v.ok());
@@ -164,7 +161,8 @@ TEST(DfsFaultTest, TransientReadErrorsAreRetriedWithBoundedBudget) {
 }
 
 TEST(DfsFaultTest, CorruptReplicaIsCountedAndRepairedOnRead) {
-  const std::string dir = TestDir("repair");
+  const ScopedTestDir test_dir("repair");
+  const std::string& dir = test_dir.path();
   Result<DfsVolume> v = DfsVolume::Open(dir, SmallBlocks());
   ASSERT_TRUE(v.ok());
   const std::string payload = Payload(64);  // one block, two replicas
@@ -195,7 +193,8 @@ TEST(DfsFaultTest, CorruptReplicaIsCountedAndRepairedOnRead) {
 }
 
 TEST(DfsFaultTest, InjectedSilentRotOnAllReplicasFailsCleanly) {
-  const std::string dir = TestDir("rotall");
+  const ScopedTestDir test_dir("rotall");
+  const std::string& dir = test_dir.path();
   FaultPlan rot(5);
   FaultPlan::BlockCorruption spec;
   spec.probability = 1.0;  // every replica of every block rots
@@ -211,7 +210,8 @@ TEST(DfsFaultTest, InjectedSilentRotOnAllReplicasFailsCleanly) {
 }
 
 TEST(DfsFaultTest, ScrubRestoresFullReplication) {
-  const std::string dir = TestDir("scrub");
+  const ScopedTestDir test_dir("scrub");
+  const std::string& dir = test_dir.path();
   Result<DfsVolume> v = DfsVolume::Open(dir, SmallBlocks());
   ASSERT_TRUE(v.ok());
   const std::string payload = Payload(64 * 3);  // three blocks
@@ -255,7 +255,8 @@ TEST(DfsFaultTest, ScrubRestoresFullReplication) {
 }
 
 TEST(DfsFaultTest, ScrubReportsUnrecoverableBlocks) {
-  const std::string dir = TestDir("unrecoverable");
+  const ScopedTestDir test_dir("unrecoverable");
+  const std::string& dir = test_dir.path();
   Result<DfsVolume> v = DfsVolume::Open(dir, SmallBlocks());
   ASSERT_TRUE(v.ok());
   ASSERT_TRUE(v.value().WriteFile("data", Payload(64)).ok());
@@ -269,7 +270,8 @@ TEST(DfsFaultTest, ScrubReportsUnrecoverableBlocks) {
 }
 
 TEST(DfsFaultTest, RepeatedNodeFailuresMarkNodeSuspect) {
-  const std::string dir = TestDir("suspect");
+  const ScopedTestDir test_dir("suspect");
+  const std::string& dir = test_dir.path();
   FaultPlan broken(9);
   FaultPlan::IoError spec;
   spec.node = 2;
@@ -293,7 +295,8 @@ TEST(DfsFaultTest, RepeatedNodeFailuresMarkNodeSuspect) {
 }
 
 TEST(DfsFaultTest, StagingOrphansAreGarbageCollectedByAge) {
-  const std::string dir = TestDir("staginggc");
+  const ScopedTestDir test_dir("staginggc");
+  const std::string& dir = test_dir.path();
   {
     Result<DfsVolume> v = DfsVolume::Open(dir, SmallBlocks());
     ASSERT_TRUE(v.ok());
@@ -337,7 +340,8 @@ TEST(DfsFaultTest, ReadRetryBackoffRespectsNotFoundFastPath) {
   // A missing replica is deterministic — the volume must not burn its
   // retry budget on it. A volume whose file was fully deleted returns
   // NotFound without any retries.
-  const std::string dir = TestDir("notfound");
+  const ScopedTestDir test_dir("notfound");
+  const std::string& dir = test_dir.path();
   Result<DfsVolume> v = DfsVolume::Open(dir, SmallBlocks());
   ASSERT_TRUE(v.ok());
   Result<std::string> read = v.value().ReadFile("never-written");

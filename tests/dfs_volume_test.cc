@@ -16,17 +16,12 @@
 
 #include "common/crc32.h"
 #include "dfs/volume.h"
+#include "scoped_test_dir.h"
 
 namespace casm {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TestDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "casm_volume_" + tag;
-  fs::remove_all(dir);
-  return dir;
-}
 
 DfsVolumeOptions SmallBlocks() {
   DfsVolumeOptions o;
@@ -86,8 +81,8 @@ TEST(Crc32Test, KnownVectorAndIncremental) {
 }
 
 TEST(DfsVolumeTest, MultiBlockRoundtrip) {
-  Result<DfsVolume> volume =
-      DfsVolume::Open(TestDir("roundtrip"), SmallBlocks());
+  const ScopedTestDir dir("roundtrip");
+  Result<DfsVolume> volume = DfsVolume::Open(dir.path(), SmallBlocks());
   ASSERT_TRUE(volume.ok()) << volume.status();
   const std::string payload = Payload(1000);  // 16 blocks of 64 bytes
   ASSERT_TRUE(volume->WriteFile("table.bin", payload).ok());
@@ -103,8 +98,8 @@ TEST(DfsVolumeTest, MultiBlockRoundtrip) {
 }
 
 TEST(DfsVolumeTest, StreamingAppendsEqualOneShotWrite) {
-  Result<DfsVolume> volume =
-      DfsVolume::Open(TestDir("stream"), SmallBlocks());
+  const ScopedTestDir dir("stream");
+  Result<DfsVolume> volume = DfsVolume::Open(dir.path(), SmallBlocks());
   ASSERT_TRUE(volume.ok());
   const std::string payload = Payload(777);
   Result<DfsVolume::FileWriter> writer = volume->CreateFile("s.bin");
@@ -123,7 +118,8 @@ TEST(DfsVolumeTest, StreamingAppendsEqualOneShotWrite) {
 }
 
 TEST(DfsVolumeTest, UncommittedFileIsInvisible) {
-  Result<DfsVolume> volume = DfsVolume::Open(TestDir("atomic"), SmallBlocks());
+  const ScopedTestDir dir("atomic");
+  Result<DfsVolume> volume = DfsVolume::Open(dir.path(), SmallBlocks());
   ASSERT_TRUE(volume.ok());
   {
     Result<DfsVolume::FileWriter> writer = volume->CreateFile("ghost.bin");
@@ -138,8 +134,8 @@ TEST(DfsVolumeTest, UncommittedFileIsInvisible) {
 }
 
 TEST(DfsVolumeTest, CommitReplacesPreviousFile) {
-  Result<DfsVolume> volume =
-      DfsVolume::Open(TestDir("replace"), SmallBlocks());
+  const ScopedTestDir dir("replace");
+  Result<DfsVolume> volume = DfsVolume::Open(dir.path(), SmallBlocks());
   ASSERT_TRUE(volume.ok());
   ASSERT_TRUE(volume->WriteFile("f.bin", Payload(500)).ok());
   const std::string second = Payload(90);  // shorter: fewer blocks
@@ -150,8 +146,8 @@ TEST(DfsVolumeTest, CommitReplacesPreviousFile) {
 }
 
 TEST(DfsVolumeTest, CorruptReplicaFallsBackToGoodCopy) {
-  Result<DfsVolume> volume =
-      DfsVolume::Open(TestDir("fallback"), SmallBlocks());
+  const ScopedTestDir dir("fallback");
+  Result<DfsVolume> volume = DfsVolume::Open(dir.path(), SmallBlocks());
   ASSERT_TRUE(volume.ok());
   const std::string payload = Payload(640);
   ASSERT_TRUE(volume->WriteFile("r.bin", payload).ok());
@@ -177,7 +173,8 @@ TEST(DfsVolumeTest, CorruptReplicaFallsBackToGoodCopy) {
 }
 
 TEST(DfsVolumeTest, AllReplicasCorruptFailsCleanly) {
-  Result<DfsVolume> volume = DfsVolume::Open(TestDir("dead"), SmallBlocks());
+  const ScopedTestDir dir("dead");
+  Result<DfsVolume> volume = DfsVolume::Open(dir.path(), SmallBlocks());
   ASSERT_TRUE(volume.ok());
   ASSERT_TRUE(volume->WriteFile("d.bin", Payload(200)).ok());
   for (const std::string& path : BlockReplicaPaths(*volume, "d.bin")) {
@@ -189,7 +186,8 @@ TEST(DfsVolumeTest, AllReplicasCorruptFailsCleanly) {
 }
 
 TEST(DfsVolumeTest, TornManifestFailsCleanly) {
-  const std::string dir = TestDir("torn");
+  const ScopedTestDir test_dir("torn");
+  const std::string& dir = test_dir.path();
   Result<DfsVolume> volume = DfsVolume::Open(dir, SmallBlocks());
   ASSERT_TRUE(volume.ok());
   ASSERT_TRUE(volume->WriteFile("t.bin", Payload(200)).ok());
@@ -204,7 +202,8 @@ TEST(DfsVolumeTest, TornManifestFailsCleanly) {
 }
 
 TEST(DfsVolumeTest, DeleteAndList) {
-  Result<DfsVolume> volume = DfsVolume::Open(TestDir("list"), SmallBlocks());
+  const ScopedTestDir dir("list");
+  Result<DfsVolume> volume = DfsVolume::Open(dir.path(), SmallBlocks());
   ASSERT_TRUE(volume.ok());
   ASSERT_TRUE(volume->WriteFile("b.bin", Payload(10)).ok());
   ASSERT_TRUE(volume->WriteFile("a.bin", Payload(10)).ok());
@@ -221,7 +220,8 @@ TEST(DfsVolumeTest, DeleteAndList) {
 }
 
 TEST(DfsVolumeTest, RejectsUnsafeNames) {
-  Result<DfsVolume> volume = DfsVolume::Open(TestDir("names"));
+  const ScopedTestDir dir("names");
+  Result<DfsVolume> volume = DfsVolume::Open(dir.path());
   ASSERT_TRUE(volume.ok());
   for (const char* bad : {"", "../evil", "a/b", ".hidden", "sp ace"}) {
     EXPECT_EQ(volume->CreateFile(bad).status().code(),
@@ -233,8 +233,9 @@ TEST(DfsVolumeTest, RejectsUnsafeNames) {
 TEST(DfsVolumeTest, ReplicationClampedToNodeCount) {
   DfsVolumeOptions o;
   o.num_nodes = 2;
+  const ScopedTestDir dir("clamp");
   o.replication = 5;  // clamped to 2
-  Result<DfsVolume> volume = DfsVolume::Open(TestDir("clamp"), o);
+  Result<DfsVolume> volume = DfsVolume::Open(dir.path(), o);
   ASSERT_TRUE(volume.ok());
   ASSERT_TRUE(volume->WriteFile("x.bin", Payload(10)).ok());
   EXPECT_EQ(BlockReplicaPaths(*volume, "x.bin").size(), 2u);

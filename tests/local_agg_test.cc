@@ -21,6 +21,7 @@
 #include "core/parallel_evaluator.h"
 #include "local/reference_evaluator.h"
 #include "local/sortscan_evaluator.h"
+#include "obs/event.h"
 #include "obs/trace.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
@@ -211,12 +212,13 @@ TEST(LocalAggRuleTest, RoutesEachBlockByOrderAndPhase) {
   for (const Case& c : cases) {
     TraceRecorder trace;
     trace.set_enabled(true);
+    const obs::Context obs(&trace);
     LocalAggContext ctx;
     ctx.rows = c.rows->data();
     ctx.n = table.num_rows();
     ctx.assume_sorted = c.assume_sorted;
     ctx.phase = c.phase;
-    ctx.trace = &trace;
+    ctx.obs = &obs;
     LocalEvalStats stats;
     MeasureResultSet got = agg->Evaluate(ctx, &stats);
 
@@ -396,11 +398,12 @@ TEST(LocalAggTraceTest, EvaluationRecordsEngineSpans) {
   std::vector<int64_t> rows = FlatRows(table);
   TraceRecorder trace;
   trace.set_enabled(true);
+  const obs::Context obs(&trace);
   std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
   LocalAggContext ctx;
   ctx.rows = rows.data();
   ctx.n = table.num_rows();
-  ctx.trace = &trace;
+  ctx.obs = &obs;
   ctx.task = 7;
   LocalEvalStats stats;
   agg->Evaluate(ctx, &stats);

@@ -24,6 +24,7 @@
 #include "common/fault.h"
 #include "common/memory_budget.h"
 #include "mr/engine.h"
+#include "obs/trace.h"
 
 namespace casm {
 namespace {
@@ -284,6 +285,27 @@ TEST(MemoryBudgetEngineTest, TightBudgetQueuesTaskAdmission) {
   EXPECT_LE(metrics->peak_tracked_bytes, tight.spec.memory_budget_bytes);
   EXPECT_EQ(tight.sums, clean.sums);
   for (const auto& [key, count] : tight.deliveries) EXPECT_EQ(count, 1);
+}
+
+TEST(MemoryBudgetEngineTest, TracedReportCountsTheBudgetsAdmissionWaits) {
+  // TightBudgetQueuesTaskAdmission's setup, traced: the run report's
+  // admission count is the one the budget keeps, not a count of spans.
+  CountJob tight;
+  tight.spec.memory_budget_bytes = 100 * 1024;
+  FaultPlan plan = FaultPlan::Parse("slow_task=map:*:*:0.05").value();
+  plan.set_parent(FaultPlan::FromEnv());
+  tight.spec.fault_plan = &plan;
+  TraceRecorder trace;
+  trace.set_enabled(true);
+  tight.spec.trace = &trace;
+  Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(tight.spec, 1300);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  const std::string& report = metrics->run_report_summary;
+  const size_t at = report.find("memory: ");
+  ASSERT_NE(at, std::string::npos) << report;
+  const int64_t reported = std::stoll(report.substr(at + 8));
+  EXPECT_GT(metrics->admission_waits, 0);
+  EXPECT_EQ(reported, metrics->admission_waits) << report;
 }
 
 TEST(MemoryBudgetEngineTest, BudgetBelowOneTaskReservationFailsCleanly) {

@@ -4,14 +4,19 @@
 // (disabled no-op, per-thread buffers, concurrent emission from many
 // threads — the TSan leg's target), Chrome trace-event JSON export,
 // per-attempt span coverage of engine runs including retried /
-// speculative-win / cancelled outcomes, run reports (with a golden
-// summary on a synthetic trace), and FitStragglerSlowdown recovering an
-// injected slowdown from measured attempt durations.
+// speculative-win / cancelled outcomes, run reports (a golden summary on
+// synthetic events; each run folds only its own events), the golden
+// obs::Observe table (every event kind's trace, flight and registry
+// names), and FitStragglerSlowdown recovering an injected slowdown from
+// measured attempt durations.
 
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,10 +24,19 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "core/key_derivation.h"
+#include "core/parallel_evaluator.h"
 #include "mr/cluster_model.h"
 #include "mr/engine.h"
+#include "mr/metrics.h"
+#include "obs/event.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/progress.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "queries/paper_data.h"
+#include "queries/paper_queries.h"
 
 namespace casm {
 namespace {
@@ -74,6 +88,39 @@ int CountOccurrences(const std::string& haystack, const std::string& needle) {
   return count;
 }
 
+/// Records a raw span / instant straight into `recorder` (the library
+/// records only observed events; these tests exercise the recorder).
+void RecordSpan(TraceRecorder* recorder, const char* category,
+                std::string name, double start, double end, int64_t task = -1,
+                int64_t attempt = 0,
+                TraceOutcome outcome = TraceOutcome::kNone,
+                std::string detail = "", int64_t job = -1) {
+  TraceEvent ev;
+  ev.category = category;
+  ev.name = std::move(name);
+  ev.start_seconds = start;
+  ev.duration_seconds = end - start;
+  ev.task = task;
+  ev.attempt = attempt;
+  ev.job = job;
+  ev.outcome = outcome;
+  ev.detail = std::move(detail);
+  recorder->Record(std::move(ev));
+}
+
+void RecordInstant(TraceRecorder* recorder, const char* category,
+                   std::string name, int64_t task = -1,
+                   std::string detail = "") {
+  TraceEvent ev;
+  ev.instant = true;
+  ev.category = category;
+  ev.name = std::move(name);
+  ev.start_seconds = recorder->NowSeconds();
+  ev.task = task;
+  ev.detail = std::move(detail);
+  recorder->Record(std::move(ev));
+}
+
 /// Word-count job collecting reduce output, same shape as the fault and
 /// straggler test jobs, with a local recorder wired through the spec.
 struct TracedJob {
@@ -108,8 +155,8 @@ struct TracedJob {
 TEST(TraceRecorderTest, DisabledRecorderRecordsNothing) {
   TraceRecorder recorder;
   ASSERT_FALSE(recorder.enabled());
-  recorder.RecordSpan("map", "t0", 0.0, 1.0, 0, 1, TraceOutcome::kOk);
-  recorder.RecordInstant("memory", "emitter-spill");
+  RecordSpan(&recorder, "map", "t0", 0.0, 1.0, 0, 1, TraceOutcome::kOk);
+  RecordInstant(&recorder, "memory", "emitter-spill");
   TraceEvent ev;
   ev.category = "phase";
   ev.name = "map";
@@ -121,11 +168,11 @@ TEST(TraceRecorderTest, DisabledRecorderRecordsNothing) {
 TEST(TraceRecorderTest, RecordsSpansAndInstantsOrderedByStart) {
   TraceRecorder recorder;
   recorder.set_enabled(true);
-  recorder.RecordSpan("reduce", "reduce t1", 2.0, 2.5, /*task=*/1,
-                      /*attempt=*/2, TraceOutcome::kRetried, "boom");
-  recorder.RecordSpan("map", "map t0", 1.0, 1.25, /*task=*/0, /*attempt=*/1,
-                      TraceOutcome::kOk, "", /*job=*/3);
-  recorder.RecordInstant("memory", "sort-spill", /*task=*/-1, "records=7");
+  RecordSpan(&recorder, "reduce", "reduce t1", 2.0, 2.5, /*task=*/1,
+             /*attempt=*/2, TraceOutcome::kRetried, "boom");
+  RecordSpan(&recorder, "map", "map t0", 1.0, 1.25, /*task=*/0,
+             /*attempt=*/1, TraceOutcome::kOk, "", /*job=*/3);
+  RecordInstant(&recorder, "memory", "sort-spill", /*task=*/-1, "records=7");
 
   // Sorted by start time: the instant is stamped with NowSeconds()
   // (fractions of a second since construction), well before the
@@ -165,8 +212,8 @@ TEST(TraceRecorderTest, ConcurrentEmissionFromManyThreads) {
     threads.emplace_back([&recorder, t] {
       for (int i = 0; i < kEventsPerThread; ++i) {
         const double now = recorder.NowSeconds();
-        recorder.RecordSpan("map", "map t" + std::to_string(t), now, now,
-                            /*task=*/t, /*attempt=*/1, TraceOutcome::kOk);
+        RecordSpan(&recorder, "map", "map t" + std::to_string(t), now, now,
+                   /*task=*/t, /*attempt=*/1, TraceOutcome::kOk);
       }
     });
   }
@@ -195,8 +242,8 @@ TEST(TraceRecorderTest, ThreadReusesBufferAcrossRecorderSwitches) {
   a.set_enabled(true);
   b.set_enabled(true);
   for (int i = 0; i < 3; ++i) {
-    a.RecordInstant("memory", "in-a");
-    b.RecordInstant("memory", "in-b");
+    RecordInstant(&a, "memory", "in-a");
+    RecordInstant(&b, "memory", "in-b");
   }
   EXPECT_EQ(a.Snapshot().size(), 3u);
   EXPECT_EQ(b.Snapshot().size(), 3u);
@@ -207,10 +254,10 @@ TEST(TraceRecorderTest, ThreadReusesBufferAcrossRecorderSwitches) {
 TEST(TraceJsonTest, ChromeJsonIsWellFormedAndEscapes) {
   TraceRecorder recorder;
   recorder.set_enabled(true);
-  recorder.RecordSpan("map", "name with \"quotes\" and \\slash\n", 0.0, 0.5,
-                      /*task=*/7, /*attempt=*/2, TraceOutcome::kSpeculativeWin,
-                      "detail\twith\ttabs");
-  recorder.RecordInstant("memory", "emitter-spill", /*task=*/-1, "runs=1");
+  RecordSpan(&recorder, "map", "name with \"quotes\" and \\slash\n", 0.0,
+             0.5, /*task=*/7, /*attempt=*/2, TraceOutcome::kSpeculativeWin,
+             "detail\twith\ttabs");
+  RecordInstant(&recorder, "memory", "emitter-spill", /*task=*/-1, "runs=1");
 
   const std::string json = recorder.ToChromeJson();
   EXPECT_TRUE(JsonIsBalanced(json)) << json;
@@ -298,17 +345,13 @@ TEST(EngineTraceTest, RecordsEveryAttemptOfInjectedFaultRunWithOutcomes) {
   EXPECT_EQ(metrics->map_attempt_digest.count(), 3);     // per execution
   EXPECT_EQ(metrics->reduce_attempt_digest.count(), 4);  // per execution
 
-  RunReport report = BuildRunReport(events);
-  const PhaseAttemptHistogram* map = report.FindPhase("map");
-  ASSERT_NE(map, nullptr);
-  EXPECT_EQ(map->attempts, 4);
-  EXPECT_EQ(map->ok, 3);
-  EXPECT_EQ(map->retried, 1);
-  const PhaseAttemptHistogram* reduce = report.FindPhase("reduce");
-  ASSERT_NE(reduce, nullptr);
-  EXPECT_EQ(reduce->attempts, 5);
-  EXPECT_EQ(reduce->ok, 4);
-  EXPECT_EQ(reduce->retried, 1);
+  // The run's own report: the same attempt and outcome counts.
+  EXPECT_NE(metrics->run_report_summary.find(
+                "map: 4 attempt(s) [3 ok, 1 retried, "),
+            std::string::npos);
+  EXPECT_NE(metrics->run_report_summary.find(
+                "reduce: 5 attempt(s) [4 ok, 1 retried, "),
+            std::string::npos);
 
   const std::string json = TraceEventsToChromeJson(events);
   EXPECT_TRUE(JsonIsBalanced(json));
@@ -350,54 +393,367 @@ TEST(EngineTraceTest, SpeculativeWinAndCancelledLoserAreTagged) {
   EXPECT_GE(cancelled, 1);  // the slow primary lost the race
 }
 
-TEST(RunReportTest, GoldenSummaryOnSyntheticTrace) {
-  auto span = [](const char* category, std::string name, double start,
-                 double dur, TraceOutcome outcome, int64_t task,
-                 int64_t attempt) {
-    TraceEvent ev;
-    ev.category = category;
-    ev.name = std::move(name);
-    ev.start_seconds = start;
-    ev.duration_seconds = dur;
-    ev.task = task;
-    ev.attempt = attempt;
-    ev.outcome = outcome;
-    return ev;
-  };
-  auto instant = [](const char* category, std::string name, double start) {
-    TraceEvent ev;
-    ev.instant = true;
-    ev.category = category;
-    ev.name = std::move(name);
-    ev.start_seconds = start;
-    return ev;
-  };
-  std::vector<TraceEvent> events;
-  events.push_back(
-      span("map", "map t0", 0.0, 0.1, TraceOutcome::kOk, 0, 1));
-  events.push_back(
-      span("map", "map t1", 0.05, 0.2, TraceOutcome::kRetried, 1, 1));
-  events.push_back(
-      span("map", "map t1", 0.3, 0.3, TraceOutcome::kOk, 1, 2));
-  events.push_back(
-      span("map", "map t2", 0.2, 0.45, TraceOutcome::kCancelled, 2, 1));
-  events.push_back(
-      span("memory", "admission", 0.1, 0.25, TraceOutcome::kNone, 3, 0));
-  events.push_back(instant("memory", "emitter-spill", 0.4));
-  events.push_back(instant("memory", "sort-spill", 0.45));
-  events.push_back(
-      span("pool", "queue-wait", 0.0, 0.01, TraceOutcome::kNone, -1, 0));
-  events.push_back(
-      span("pool", "queue-wait", 0.98, 0.02, TraceOutcome::kNone, -1, 0));
-  events.push_back(
-      span("localagg", "morsel", 0.5, 0.01, TraceOutcome::kNone, 4, 0));
-  events.push_back(
-      span("localagg", "morsel", 0.6, 0.01, TraceOutcome::kNone, 5, 0));
-  events.push_back(
-      span("localagg", "sortscan", 0.7, 0.01, TraceOutcome::kNone, 6, 0));
-  events.push_back(instant("localagg", "combiner-flush", 0.8));
+/// Q3 over the paper's uniform table, traced into `trace`: the setup of
+/// the per-run report tests below.
+struct TracedQ3 {
+  Workflow wf = MakePaperQuery(PaperQuery::kQ3);
+  Table table = PaperUniformTable(20000, 1);
+  ExecutionPlan plan;
 
-  RunReport report = BuildRunReport(events);
+  TracedQ3() {
+    plan.key = DeriveDistributionKeys(wf).query_key;
+    plan.clustering_factor = 1;
+  }
+
+  ParallelEvalOptions Options(TraceRecorder* trace, int mappers) const {
+    ParallelEvalOptions o;
+    o.num_mappers = mappers;
+    o.num_reducers = 4;
+    o.num_threads = 2;
+    o.trace = trace;
+    return o;
+  }
+};
+
+TEST(EngineTraceTest, ConcurrentRunsSharingARecorderKeepTheirOwnReports) {
+  // Two evaluations share one recorder, as QueryService workers do. A's
+  // slowed map task keeps A in flight while B starts and finishes; each
+  // report must count only its own run's attempts.
+  TracedQ3 q3;
+  TraceRecorder trace;
+  trace.set_enabled(true);
+  FaultPlan slow;
+  slow.set_parent(FaultPlan::FromEnv());
+  slow.Add(FaultPlan::TaskSlowdown{.phase = "map", .task = 0, .seconds = 0.5});
+  ParallelEvalOptions a = q3.Options(&trace, 3);
+  a.fault_plan = &slow;
+  std::optional<Result<ParallelEvalResult>> run_a;
+  std::thread thread_a(
+      [&] { run_a.emplace(EvaluateParallel(q3.wf, q3.table, q3.plan, a)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Result<ParallelEvalResult> run_b =
+      EvaluateParallel(q3.wf, q3.table, q3.plan, q3.Options(&trace, 5));
+  thread_a.join();
+  ASSERT_TRUE(run_a->ok()) << run_a->status();
+  ASSERT_TRUE(run_b.ok()) << run_b.status();
+  const std::string& report_a = (*run_a)->metrics.run_report_summary;
+  const std::string& report_b = run_b->metrics.run_report_summary;
+  EXPECT_NE(report_a.find("map: 3 attempt(s)"), std::string::npos)
+      << report_a;
+  EXPECT_NE(report_b.find("map: 5 attempt(s)"), std::string::npos)
+      << report_b;
+}
+
+TEST(EngineTraceTest, ReportCountsTheBudgetsAdmissionWaits) {
+  // A budget that never fills: every task still reserves (and gets a
+  // "memory"/"admission" span), but no reservation queues.
+  TracedQ3 q3;
+  TraceRecorder trace;
+  trace.set_enabled(true);
+  ParallelEvalOptions options = q3.Options(&trace, 4);
+  options.memory_budget_bytes = int64_t{1} << 30;
+  Result<ParallelEvalResult> run =
+      EvaluateParallel(q3.wf, q3.table, q3.plan, options);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->metrics.admission_waits, 0);
+  const std::string& report = run->metrics.run_report_summary;
+  EXPECT_NE(report.find("memory: 0 admission wait(s)"), std::string::npos)
+      << report;
+}
+
+/// What one observed event must leave in each sink.
+struct GoldenFamily {
+  const char* name;
+  MetricLabels labels;
+  double value;  // the counter's increase, or the gauge's value
+  bool gauge = false;
+};
+
+struct GoldenKind {
+  obs::Event event;
+  const char* trace;   // "category/name" of its one trace event, or null
+  const char* args;    // that event's exported args object
+  const char* flight;  // "category/name" of its flight event, or null
+  std::vector<GoldenFamily> families;
+};
+
+/// The args object of the one event in `json` (Chrome trace JSON).
+std::string ArgsOf(const std::string& json) {
+  const size_t begin = json.find("\"args\": ");
+  const size_t end = json.find("}}", begin);
+  if (begin == std::string::npos || end == std::string::npos) return "";
+  return json.substr(begin + 8, end + 1 - (begin + 8));
+}
+
+TEST(ObsEventTest, EveryKindKeepsItsSinkNames) {
+  MetricsRegistry& registry = *MetricsRegistry::Global();
+  FlightRecorder& flight = *FlightRecorder::Global();
+  const bool registry_was_enabled = registry.enabled();
+  const bool flight_was_enabled = flight.enabled();
+  registry.set_enabled(true);
+  flight.set_enabled(true);
+  TraceRecorder trace;
+  trace.set_enabled(true);
+  std::unique_ptr<ProgressTracker> progress;
+  obs::Context context(&trace, "golden", &progress);
+  ASSERT_NE(progress, nullptr);
+
+  MapReduceMetrics metrics;
+  metrics.input_rows = 11;
+  metrics.emitted_pairs = 13;
+  metrics.peak_tracked_bytes = 4096;
+  SharedQueryAttribution share;
+  share.query = "golden-member";
+  share.local_records = 5;
+
+  using K = obs::Kind;
+  using O = TraceOutcome;
+  const MetricLabels golden = {{"query", "golden"}};
+  auto phase = [](const char* p) {
+    return MetricLabels{{"query", "golden"}, {"phase", p}};
+  };
+  const std::vector<GoldenKind> table = {
+      {{.kind = K::kMapAttempt, .task = 2, .attempt = 1,
+        .outcome = O::kRetried, .text = "boom"},
+       "map/map t2",
+       R"({"task": 2, "attempt": 1, "outcome": "retried", "detail": "boom"})",
+       "task/task-retried",
+       {{"casm_tasks_failed_total", {{"phase", "map"}}, 1},
+        {"casm_tasks_retried_total", {{"phase", "map"}}, 1}}},
+      {{.kind = K::kReduceAttempt, .task = 1, .attempt = 2,
+        .outcome = O::kFailed, .text = "boom"},
+       "reduce/reduce t1",
+       R"({"task": 1, "attempt": 2, "outcome": "failed", "detail": "boom"})",
+       "task/task-failed",
+       {{"casm_tasks_failed_total", {{"phase", "reduce"}}, 1}}},
+      {{.kind = K::kMapPhaseBegin, .n = {3}}, nullptr, "", nullptr,
+       {{"casm_progress_tasks_total", phase("map"), 3, true}}},
+      {{.kind = K::kReducePhaseBegin, .n = {4}}, nullptr, "", nullptr,
+       {{"casm_progress_tasks_total", phase("reduce"), 4, true}}},
+      {{.kind = K::kMapPhase, .n = {3}}, "phase/map",
+       R"({"detail": "tasks=3"})", nullptr, {}},
+      {{.kind = K::kReducePhase, .n = {4}}, "phase/reduce",
+       R"({"detail": "tasks=4"})", nullptr, {}},
+      {{.kind = K::kReduceModeled, .end = 2.0}, nullptr, "", nullptr, {}},
+      {{.kind = K::kRun, .n = {3, 4}}, "job/mr-run",
+       R"({"detail": "mappers=3 reducers=4"})", nullptr, {}},
+      {{.kind = K::kQueueWait}, "pool/queue-wait", "{}", nullptr, {}},
+      {{.kind = K::kAdmission, .task = 1, .n = {4096}}, "memory/admission",
+       R"({"task": 1, "detail": "bytes=4096"})", nullptr, {}},
+      {{.kind = K::kAdmissionWait, .end = 0.25}, nullptr, "", nullptr,
+       {{"casm_admission_waits_total", {}, 1}}},
+      {{.kind = K::kEmitterSpill, .n = {2, 10, 160}}, "memory/emitter-spill",
+       R"({"detail": "runs=2 records=10"})", "memory/emitter-spill",
+       {{"casm_emitter_spills_total", {}, 1},
+        {"casm_emitter_spilled_records_total", {}, 10},
+        {"casm_emitter_spilled_bytes_total", {}, 160}}},
+      {{.kind = K::kSortSpill, .n = {7}}, "memory/sort-spill",
+       R"({"detail": "records=7"})", nullptr, {}},
+      {{.kind = K::kTraceDropped, .n = {5}}, nullptr, "", nullptr,
+       {{"casm_trace_dropped_spans_total", {}, 5}}},
+      {{.kind = K::kSortScanBlock, .task = 6, .n = {9}}, "localagg/sortscan",
+       R"({"task": 6, "detail": "rows=9"})", nullptr,
+       {{"casm_localagg_blocks_total", {{"engine", "sortscan"}}, 1}}},
+      {{.kind = K::kMorselBlock, .task = 6, .n = {9}}, "localagg/morsel",
+       R"({"task": 6, "detail": "rows=9"})", nullptr,
+       {{"casm_localagg_blocks_total", {{"engine", "morsel"}}, 1}}},
+      {{.kind = K::kCombinerFlush, .n = {12}}, "localagg/combiner-flush",
+       R"({"detail": "pairs=12"})", nullptr, {}},
+      {{.kind = K::kCombinerBypass, .n = {3, 4}}, "localagg/combiner-bypass",
+       R"({"detail": "retained=0.750000"})", nullptr, {}},
+      {{.kind = K::kEvaluate, .outcome = O::kOk, .text = "<k>"},
+       "eval/evaluate-parallel", R"({"outcome": "ok", "detail": "key=<k>"})",
+       nullptr, {}},
+      {{.kind = K::kEvaluateShared, .outcome = O::kOk, .n = {2},
+        .text = "<k>"},
+       "eval/evaluate-shared",
+       R"({"outcome": "ok", "detail": "queries=2 key=<k>"})", nullptr, {}},
+      {{.kind = K::kBasicJob, .job = 0, .outcome = O::kOk, .name = "m1",
+        .text = "<k>"},
+       "job/basic m1", R"({"job": 0, "outcome": "ok", "detail": "key=<k>"})",
+       nullptr, {}},
+      {{.kind = K::kCompositeJob, .job = 1, .outcome = O::kFailed,
+        .name = "m3", .text = "<k>"},
+       "job/composite m3",
+       R"({"job": 1, "outcome": "failed", "detail": "key=<k>"})", nullptr,
+       {}},
+      {{.kind = K::kCkptRestore, .job = 0, .outcome = O::kOk, .n = {64},
+        .name = "m1"},
+       "ckpt/ckpt-restore m1",
+       R"({"job": 0, "outcome": "ok", "detail": "bytes=64"})", nullptr,
+       {{"casm_ckpt_bytes_restored_total", {}, 64}}},
+      {{.kind = K::kCkptWrite, .job = 0, .outcome = O::kOk, .n = {64},
+        .name = "m1"},
+       "ckpt/ckpt-write m1",
+       R"({"job": 0, "outcome": "ok", "detail": "bytes=64"})", nullptr,
+       {{"casm_ckpt_bytes_written_total", {}, 64}}},
+      {{.kind = K::kCkptSkipped, .job = 2, .name = "m2"},
+       "ckpt/ckpt-skipped m2", R"({"detail": "breaker open"})",
+       "ckpt/ckpt-skipped", {{"casm_ckpt_commits_skipped_total", {}, 1}}},
+      {{.kind = K::kCkptCommitFailed, .job = 2, .text = "io error"}, nullptr,
+       "", "ckpt/ckpt-commit-failed", {}},
+      {{.kind = K::kCkptBreakerOpen, .job = 2, .text = "io error"},
+       "ckpt/ckpt-degraded", R"({"detail": "breaker open: io error"})",
+       "ckpt/breaker-open", {}},
+      {{.kind = K::kCkptDegraded, .text = "io error"}, "ckpt/ckpt-degraded",
+       R"({"detail": "io error"})", nullptr, {}},
+      {{.kind = K::kQueryDone, .metrics = &metrics}, nullptr, "", nullptr,
+       {{"casm_query_input_rows_total", golden, 11},
+        {"casm_query_emitted_pairs_total", golden, 13},
+        {"casm_query_peak_tracked_bytes", golden, 4096, true}}},
+      {{.kind = K::kSharedQueryDone, .n = {2}, .share = &share}, nullptr, "",
+       nullptr,
+       {{"casm_query_shared_jobs_total", {{"query", "golden-member"}}, 1},
+        {"casm_query_shared_local_records_total",
+         {{"query", "golden-member"}},
+         5},
+        {"casm_query_shared_batch_queries", {{"query", "golden-member"}}, 2,
+         true}}},
+      {{.kind = K::kDfsRead, .text = "f"}, "dfs/dfs-read",
+       R"({"detail": "f"})", nullptr, {}},
+      {{.kind = K::kDfsWrite, .text = "f"}, "dfs/dfs-write",
+       R"({"detail": "f"})", nullptr, {}},
+      {{.kind = K::kDfsScrub, .text = "scrubbed"}, "dfs/dfs-scrub",
+       R"({"detail": "scrubbed"})", nullptr, {}},
+      {{.kind = K::kDfsRetry, .task = 3, .n = {1, 1}, .text = "io error"},
+       "dfs/dfs-retry", R"({"task": 3, "detail": "write node=1 io error"})",
+       "dfs/dfs-retry", {{"casm_dfs_io_retries_total", {}, 1}}},
+      {{.kind = K::kDfsFailover, .task = 3, .n = {2}, .text = "f"},
+       "dfs/dfs-failover", R"({"task": 3, "detail": "f off node 2"})",
+       "dfs/dfs-failover", {{"casm_dfs_write_failovers_total", {}, 1}}},
+      {{.kind = K::kDfsUnderReplicated, .task = 3, .text = "f"}, nullptr, "",
+       "dfs/dfs-under-replicated",
+       {{"casm_dfs_under_replicated_blocks_total", {}, 1}}},
+      {{.kind = K::kDfsCorrupt, .task = 3, .n = {1}, .text = "f"}, nullptr,
+       "", "dfs/dfs-corrupt", {{"casm_dfs_corrupt_replicas_total", {}, 1}}},
+      {{.kind = K::kDfsRepair, .task = 3, .n = {1, 0}, .text = "f"},
+       "dfs/dfs-repair", R"({"task": 3, "detail": "f node 1 from node 0"})",
+       "dfs/dfs-repair", {{"casm_dfs_repaired_replicas_total", {}, 1}}},
+      {{.kind = K::kPlanCacheHit}, "plancache/hit", "{}", nullptr,
+       {{"casm_plan_cache_hits_total", {}, 1}}},
+      {{.kind = K::kPlanCacheMiss}, "plancache/miss", "{}", nullptr,
+       {{"casm_plan_cache_misses_total", {}, 1}}},
+      {{.kind = K::kPlanCacheEvict}, "plancache/evict", "{}", nullptr,
+       {{"casm_plan_cache_evictions_total", {}, 1}}},
+      {{.kind = K::kPlanCacheInsert}, nullptr, "", nullptr,
+       {{"casm_plan_cache_inserts_total", {}, 1}}},
+      {{.kind = K::kSvcQueue, .n = {3, 1}}, nullptr, "", nullptr,
+       {{"casm_svc_queue_depth", {}, 3, true},
+        {"casm_svc_inflight", {}, 1, true}}},
+      {{.kind = K::kSvcBatch, .n = {2}}, nullptr, "", nullptr,
+       {{"casm_svc_batch_queries", {}, 2, true}}},
+      {{.kind = K::kSvcSharedBatch, .n = {2}}, "svc/svc-shared-batch",
+       R"({"detail": "queries=2"})", nullptr, {}},
+  };
+
+  // Every kind, once.
+  std::set<int> kinds;
+  for (const GoldenKind& g : table) {
+    EXPECT_TRUE(kinds.insert(static_cast<int>(g.event.kind)).second)
+        << "duplicate kind " << static_cast<int>(g.event.kind);
+  }
+  EXPECT_EQ(kinds.size(), static_cast<size_t>(obs::Kind::kCount) - 1);
+
+  auto value = [&registry](const GoldenFamily& f) {
+    return f.gauge ? registry.GaugeValue(f.name, f.labels)
+                   : static_cast<double>(
+                         registry.CounterValue(f.name, f.labels));
+  };
+  for (const GoldenKind& g : table) {
+    const int kind = static_cast<int>(g.event.kind);
+    trace.Clear();
+    const int64_t flights = flight.total_recorded();
+    std::vector<double> before;
+    for (const GoldenFamily& f : g.families) before.push_back(value(f));
+
+    obs::Observe(&context, g.event);
+
+    const std::vector<TraceEvent> events = trace.Snapshot();
+    if (g.trace == nullptr) {
+      EXPECT_TRUE(events.empty()) << "kind " << kind;
+    } else {
+      ASSERT_EQ(events.size(), 1u) << "kind " << kind;
+      EXPECT_EQ(std::string(events[0].category) + "/" + events[0].name,
+                g.trace)
+          << "kind " << kind;
+      EXPECT_EQ(ArgsOf(TraceEventsToChromeJson(events)), g.args)
+          << "kind " << kind;
+    }
+    if (g.flight == nullptr) {
+      EXPECT_EQ(flight.total_recorded(), flights) << "kind " << kind;
+    } else {
+      ASSERT_EQ(flight.total_recorded(), flights + 1) << "kind " << kind;
+      const FlightEvent last = flight.Snapshot().back();
+      EXPECT_EQ(std::string(last.category) + "/" + last.name, g.flight)
+          << "kind " << kind;
+    }
+    for (size_t i = 0; i < g.families.size(); ++i) {
+      const GoldenFamily& f = g.families[i];
+      EXPECT_EQ(f.gauge ? value(f) : value(f) - before[i], f.value)
+          << "kind " << kind << ": " << f.name;
+    }
+  }
+  // A task resolves with the attempt that won it.
+  obs::Observe(&context, {.kind = K::kMapAttempt, .task = 0, .attempt = 1,
+                          .outcome = O::kOk});
+  obs::Observe(&context, {.kind = K::kReduceAttempt, .task = 0, .attempt = 3,
+                          .outcome = O::kSpeculativeWin});
+  EXPECT_EQ(registry.GaugeValue("casm_progress_tasks_completed", phase("map")),
+            1);
+  EXPECT_EQ(
+      registry.GaugeValue("casm_progress_tasks_completed", phase("reduce")), 1);
+  // The admission wait also lands in its seconds histogram, and the
+  // modeled reduce time seeds the tracker's ETA.
+  EXPECT_GE(registry.GetHistogram("casm_admission_wait_seconds", "")->Count(),
+            1);
+  EXPECT_GT(progress->EtaSeconds(), 0.0);
+
+  registry.set_enabled(registry_was_enabled);
+  flight.set_enabled(flight_was_enabled);
+}
+
+TEST(RunReportTest, GoldenSummaryOnSyntheticTrace) {
+  auto event = [](obs::Kind kind, double start, double dur,
+                  TraceOutcome outcome = TraceOutcome::kNone,
+                  int64_t task = -1, int64_t attempt = 0) {
+    obs::Event e;
+    e.kind = kind;
+    e.task = task;
+    e.attempt = attempt;
+    e.outcome = outcome;
+    e.start = start;
+    e.end = start + dur;
+    return e;
+  };
+  RunReport report;
+  report.Add(
+      event(obs::Kind::kMapAttempt, 0.0, 0.1, TraceOutcome::kOk, 0, 1));
+  report.Add(
+      event(obs::Kind::kMapAttempt, 0.05, 0.2, TraceOutcome::kRetried, 1, 1));
+  report.Add(
+      event(obs::Kind::kMapAttempt, 0.3, 0.3, TraceOutcome::kOk, 1, 2));
+  report.Add(event(obs::Kind::kMapAttempt, 0.2, 0.45,
+                   TraceOutcome::kCancelled, 2, 1));
+  report.Add(
+      event(obs::Kind::kAdmission, 0.1, 0.25, TraceOutcome::kNone, 3, 0));
+  // The budget's own count of the one reservation that queued.
+  obs::Event wait;
+  wait.kind = obs::Kind::kAdmissionWait;
+  wait.end = 0.25;
+  report.Add(wait);
+  report.Add(event(obs::Kind::kEmitterSpill, 0.4, 0));
+  report.Add(event(obs::Kind::kSortSpill, 0.45, 0));
+  report.Add(event(obs::Kind::kQueueWait, 0.0, 0.01));
+  report.Add(event(obs::Kind::kQueueWait, 0.98, 0.02));
+  report.Add(event(obs::Kind::kRun, 0.0, 1.0));
+  report.Add(
+      event(obs::Kind::kMorselBlock, 0.5, 0.01, TraceOutcome::kNone, 4, 0));
+  report.Add(
+      event(obs::Kind::kMorselBlock, 0.6, 0.01, TraceOutcome::kNone, 5, 0));
+  report.Add(
+      event(obs::Kind::kSortScanBlock, 0.7, 0.01, TraceOutcome::kNone, 6, 0));
+  report.Add(event(obs::Kind::kCombinerFlush, 0.8, 0));
+
   EXPECT_DOUBLE_EQ(report.trace_begin_seconds, 0.0);
   EXPECT_DOUBLE_EQ(report.trace_end_seconds, 1.0);
   const PhaseAttemptHistogram* map = report.FindPhase("map");
@@ -420,7 +776,7 @@ TEST(RunReportTest, GoldenSummaryOnSyntheticTrace) {
 }
 
 TEST(RunReportTest, EmptyTraceProducesEmptySummary) {
-  RunReport report = BuildRunReport({});
+  RunReport report;
   EXPECT_TRUE(report.Summary().empty());
   EXPECT_EQ(report.FindPhase("map"), nullptr);
 }

@@ -4,6 +4,8 @@
 // successful distribution keys across queries on the same dataset.
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,8 +14,8 @@
 #include "core/cost_model.h"
 #include "core/key_derivation.h"
 #include "core/plan_cache.h"
+#include "obs/event.h"
 #include "obs/metrics.h"
-#include "obs/run_report.h"
 #include "obs/trace.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
@@ -191,30 +193,42 @@ TEST(PlanCacheTest, PublishesRegistryCountersAndTraceInstants) {
   Workflow q5 = MakePaperQuery(PaperQuery::kQ5);
   DistributionKey key = DeriveDistributionKeys(q5).query_key;
 
-  MetricsRegistry registry;
+  // The counters go to the process-wide registry: enable it for the
+  // test, count deltas, and restore it.
+  MetricsRegistry& registry = *MetricsRegistry::Global();
+  const bool registry_was_enabled = registry.enabled();
   registry.set_enabled(true);
+  auto count = [&registry](const char* name) {
+    return registry.CounterValue(name);
+  };
+  const int64_t misses = count("casm_plan_cache_misses_total");
+  const int64_t hits = count("casm_plan_cache_hits_total");
+  const int64_t inserts = count("casm_plan_cache_inserts_total");
+  const int64_t evictions = count("casm_plan_cache_evictions_total");
   TraceRecorder trace;
   trace.set_enabled(true);
+  const obs::Context observer(&trace);
 
   PlanCache cache(/*max_entries=*/1);
-  cache.set_registry(&registry);
-  cache.set_trace(&trace);
+  cache.set_observer(&observer);
   EXPECT_FALSE(cache.FindFeasible(q5).has_value());
   cache.Remember(PlanWithKey(key, 4), 90000);
   cache.Remember(PlanWithKey(key, 8), 50000);  // second entry -> eviction
   ASSERT_TRUE(cache.FindFeasible(q5).has_value());
 
-  EXPECT_EQ(registry.CounterValue("casm_plan_cache_misses_total"), 1);
-  EXPECT_EQ(registry.CounterValue("casm_plan_cache_hits_total"), 1);
-  EXPECT_EQ(registry.CounterValue("casm_plan_cache_inserts_total"), 2);
-  EXPECT_EQ(registry.CounterValue("casm_plan_cache_evictions_total"), 1);
+  EXPECT_EQ(count("casm_plan_cache_misses_total") - misses, 1);
+  EXPECT_EQ(count("casm_plan_cache_hits_total") - hits, 1);
+  EXPECT_EQ(count("casm_plan_cache_inserts_total") - inserts, 2);
+  EXPECT_EQ(count("casm_plan_cache_evictions_total") - evictions, 1);
+  registry.set_enabled(registry_was_enabled);
 
-  // The same activity digests into the run report's plancache line.
-  const RunReport report = BuildRunReport(trace.Snapshot());
-  EXPECT_EQ(report.plan_cache_hits, 1);
-  EXPECT_EQ(report.plan_cache_misses, 1);
-  EXPECT_EQ(report.plan_cache_evictions, 1);
-  EXPECT_NE(report.Summary().find("plancache: 1 hit(s)"), std::string::npos);
+  // The same activity reaches the trace as "plancache" instants.
+  std::map<std::string, int> instants;
+  for (const TraceEvent& ev : trace.Snapshot()) {
+    if (std::string(ev.category) == "plancache") ++instants[ev.name];
+  }
+  EXPECT_EQ(instants, (std::map<std::string, int>{
+                          {"evict", 1}, {"hit", 1}, {"miss", 1}}));
 }
 
 TEST(PlanCacheTest, ConcurrentLookupsAndInsertsAreSerialized) {
