@@ -109,9 +109,9 @@ struct JsonRow {
 };
 
 /// Appends the per-phase attempt-duration histogram of `metrics` (count
-/// and p50/p90/p99/max seconds over every attempt, from the engine's
-/// merged digests) to a JSON row's fields. Phases with no recorded
-/// attempts contribute nothing.
+/// and p50/p90/p99/max seconds over every attempt but the cancelled
+/// ones, from the run's merged digests) to a JSON row's fields. Phases
+/// with no recorded attempts contribute nothing.
 inline void AppendAttemptHistogram(const MapReduceMetrics& metrics,
                                    JsonRow* row) {
   auto append = [row](const char* phase, const QuantileSketch& d) {

@@ -2,11 +2,13 @@
 //
 // google-benchmark microbenchmarks for CASM's hot paths: hierarchy
 // mapping, region extraction, key generation, partition hashing,
-// accumulators, offset conversion, cost-model evaluation, and the local
-// sort/scan evaluator.
+// accumulators, offset conversion, cost-model evaluation, the local
+// sort/scan evaluator, and an observed local-aggregation block with no
+// sink on.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 
 #include "agg/local_aggregator.h"
@@ -17,6 +19,9 @@
 #include "data/record_batch.h"
 #include "local/sortscan_evaluator.h"
 #include "mr/engine.h"
+#include "mr/metrics.h"
+#include "obs/event.h"
+#include "obs/progress.h"
 #include "queries/paper_data.h"
 #include "measure/workflow_parser.h"
 #include "queries/paper_queries.h"
@@ -270,6 +275,27 @@ void BM_PartitionHashColumns(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PartitionHashColumns);
+
+// The no-sink overhead contract of obs/event.h: with no sink on, a
+// block-rate event costs one branch, through an evaluator's context (arg
+// 0) and through an engine run's context (arg 1), which folds the run's
+// engine kinds into its metrics but not the blocks. A clock read, a lock
+// or an atomic per block shows here as a multi-x drop.
+void BM_Observe(benchmark::State& state) {
+  std::unique_ptr<ProgressTracker> progress;
+  MapReduceMetrics metrics;
+  obs::Context evaluator;
+  obs::Context run(nullptr, "", &progress, &metrics);
+  obs::Context* context = state.range(0) == 0 ? &evaluator : &run;
+  const obs::Event block{.kind = obs::Kind::kMorselBlock, .task = 3,
+                         .n = {9}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(context);  // reload the context every event
+    obs::Observe(context, block);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Observe)->Arg(0)->Arg(1);
 
 void BM_ParseWorkflow(benchmark::State& state) {
   SchemaPtr schema = WeblogSchema();

@@ -34,9 +34,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The observability sinks (trace, flight ring, metrics registry, progress,
-# run reports) are written only by obs::Observe (src/obs/event.h): no
-# non-comment line outside src/obs/ may call them directly.
+# The observability sinks (trace, flight ring, metrics registry, progress)
+# are written only by obs::Observe (src/obs/event.h), which also folds an
+# engine run's events into its MapReduceMetrics: no non-comment line
+# outside src/obs/ may call them directly.
 check_obs_sinks() {
   local pattern='RecordSpan\(|RecordInstant\(|flight->Record\(|FlightRecorder::Global\(\)|GetCounter\(|GetGauge\(|GetHistogram\(|progress_?->|PublishQueryMetrics\(|PublishSharedQueryMetrics\(|BuildRunReport\(|->Snapshot\(\)'
   local hits

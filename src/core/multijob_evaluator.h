@@ -34,8 +34,8 @@ struct MultiJobResult {
   /// Metrics accumulated over every *executed* job (shuffle volume,
   /// per-reducer workloads summed per job). Jobs restored from a
   /// checkpoint run no tasks and are deliberately kept out of the
-  /// attempt histograms and phase timings — they are reported only via
-  /// the checkpoint_* counters, keeping RunReport quantiles honest.
+  /// attempt digests and phase timings — they are reported only via the
+  /// checkpoint_* counters, keeping the attempt quantiles honest.
   MapReduceMetrics total_metrics;
   /// Jobs actually executed by this call.
   int jobs = 0;

@@ -62,13 +62,6 @@ obs::Kind ForPhase(MapReduceTaskPhase phase, obs::Kind map_kind) {
                                 (phase == MapReduceTaskPhase::kReduce));
 }
 
-/// Shared failure/retry accounting across a job's task attempts.
-struct RetryCounters {
-  std::mutex mu;
-  int64_t failures = 0;
-  int64_t retries = 0;
-};
-
 /// Timestamps (trace time base) of an execution's final, successful
 /// attempt. The retry loop cannot classify a success — whether it is an
 /// "ok", a "speculative-win", or a too-late "cancelled" loser is decided
@@ -118,13 +111,14 @@ double RetryBackoffSeconds(const MapReduceSpec& spec,
 /// fault plan (null = no injection).
 ///
 /// Observability: every attempt that reaches its fault point is observed
-/// as retried / failed / cancelled; the successful attempt's span goes to
+/// as retried / failed / cancelled (the run folds these into its failure
+/// and retry counts); the successful attempt's span goes to
 /// `success_span` instead (see above).
 Status RunTaskWithRetry(
     const MapReduceSpec& spec, const FaultPlan* plan,
     MapReduceTaskPhase phase, int task, int attempt_offset,
-    const CancellationToken* token, RetryCounters* counters,
-    const obs::Context& obs, SuccessSpan* success_span,
+    const CancellationToken* token, const obs::Context& obs,
+    SuccessSpan* success_span,
     const std::function<Status(int attempt, bool* output_started)>&
         attempt_body) {
   const char* phase_name = TaskPhaseName(phase);
@@ -132,12 +126,12 @@ Status RunTaskWithRetry(
   for (int attempt = 1;; ++attempt) {
     if (token != nullptr && token->cancelled()) return token->status();
     const int injector_attempt = attempt_offset + attempt;
-    const double span_start = obs.Now();
+    const double span_start = obs.RunNow();
     auto observe = [&](TraceOutcome outcome, const Status& status) {
       obs::Observe(&obs, {.kind = ForPhase(phase, obs::Kind::kMapAttempt),
                           .task = task, .attempt = injector_attempt,
                           .outcome = outcome, .start = span_start,
-                          .text = status.message()});
+                          .end = obs.RunNow(), .text = status.message()});
     };
     bool output_started = false;
     Status status;
@@ -163,16 +157,12 @@ Status RunTaskWithRetry(
       }
     }
     if (status.ok()) {
-      *success_span = SuccessSpan{injector_attempt, span_start, obs.Now()};
+      *success_span = SuccessSpan{injector_attempt, span_start, obs.RunNow()};
       return status;
     }
     if (IsCancellation(status)) {
       observe(TraceOutcome::kCancelled, status);
       return status;
-    }
-    {
-      std::unique_lock<std::mutex> lock(counters->mu);
-      ++counters->failures;
     }
     const bool budget_left = attempt < spec.max_task_attempts;
     if (output_started || !budget_left) {
@@ -187,10 +177,6 @@ Status RunTaskWithRetry(
       return Status(status.code(), std::move(msg));
     }
     observe(TraceOutcome::kRetried, status);
-    {
-      std::unique_lock<std::mutex> lock(counters->mu);
-      ++counters->retries;
-    }
     const double backoff =
         RetryBackoffSeconds(spec, phase, task, injector_attempt);
     if (backoff > 0 && !InterruptibleSleep(backoff, token)) {
@@ -199,19 +185,10 @@ Status RunTaskWithRetry(
   }
 }
 
-/// Per-phase straggler-resilience accounting, merged into
-/// MapReduceMetrics by Run().
+/// What Run() needs back from a phase. Its attempt, speculation and
+/// cancellation counts fold from the run's events (obs/event.h).
 struct PhaseStats {
-  int64_t speculative_attempts = 0;
-  int64_t speculative_wins = 0;
-  int64_t cancelled_attempts = 0;
   double cpu_seconds = 0;  // summed over every execution, losers included
-  double attempt_p50_seconds = 0;
-  double attempt_max_seconds = 0;
-  /// Duration digest of every execution that ran to natural completion
-  /// (the population behind the p50/max above); merged into the metrics'
-  /// per-phase attempt digests.
-  QuantileSketch attempt_durations;
   /// Per task: the execution (0 = primary, 1 = backup) whose results are
   /// installed. Always set for every task when the phase succeeds.
   std::vector<int> winner_exec;
@@ -241,14 +218,12 @@ class PhaseRunner {
 
   PhaseRunner(const MapReduceSpec& spec, const FaultPlan* plan,
               MapReduceTaskPhase phase, int num_tasks, ThreadPool* pool,
-              const CancellationToken* job_token, RetryCounters* counters,
-              const obs::Context& obs)
+              const CancellationToken* job_token, const obs::Context& obs)
       : spec_(spec),
         plan_(plan),
         phase_(phase),
         num_tasks_(num_tasks),
         pool_(pool),
-        counters_(counters),
         obs_(obs),
         phase_token_(job_token) {
     tasks_.reserve(static_cast<size_t>(num_tasks));
@@ -303,11 +278,6 @@ class PhaseRunner {
         cv_.wait(lock);
       }
     }
-    if (attempt_sketch_.count() > 0) {
-      stats_.attempt_p50_seconds = attempt_sketch_.Quantile(0.5);
-      stats_.attempt_max_seconds = attempt_sketch_.Max();
-    }
-    stats_.attempt_durations = attempt_sketch_;
     obs::Observe(&obs_, {.kind = ForPhase(phase_, obs::Kind::kMapPhase),
                          .start = phase_span_start, .n = {num_tasks_}});
     *out = std::move(stats_);
@@ -344,7 +314,7 @@ class PhaseRunner {
     ++in_flight_;
     if (e == 1) {
       task.backup_launched = true;
-      ++stats_.speculative_attempts;
+      obs::Observe(&obs_, {.kind = obs::Kind::kBackupLaunch, .task = t});
     }
     pool_->Submit([this, t, e] { Execute(t, e); });
   }
@@ -398,8 +368,8 @@ class PhaseRunner {
     SuccessSpan success_span;
     Status s = RunTaskWithRetry(
         spec_, plan_, phase_, t,
-        /*attempt_offset=*/e * spec_.max_task_attempts,
-        token, counters_, obs_, &success_span,
+        /*attempt_offset=*/e * spec_.max_task_attempts, token, obs_,
+        &success_span,
         [&](int attempt, bool* output_started) {
           return (*body_)(t, e, attempt, token, output_started);
         });
@@ -427,10 +397,7 @@ class PhaseRunner {
     TaskState& task = *tasks_[static_cast<size_t>(t)];
     ++task.finished;
     --in_flight_;
-    if (ran) {
-      stats_.cpu_seconds += seconds;
-      if (!IsCancellation(s)) attempt_sketch_.Add(seconds);
-    }
+    if (ran) stats_.cpu_seconds += seconds;
     if (s.ok()) {
       if (!task.resolved) {
         // First successful execution wins the task.
@@ -438,19 +405,13 @@ class PhaseRunner {
         ++resolved_;
         stats_.winner_exec[static_cast<size_t>(t)] = e;
         completed_sketch_.Add(seconds);
-        if (e == 1) ++stats_.speculative_wins;
         for (int other = 0; other < 2; ++other) {
           if (other != e && task.token[other] != nullptr) {
             task.token[other]->Cancel();
           }
         }
-      } else if (ran) {
-        // Completed after the task was already won: a speculation loser
-        // whose output is discarded.
-        ++stats_.cancelled_attempts;
       }
     } else if (IsCancellation(s)) {
-      if (ran) ++stats_.cancelled_attempts;
       if (!task.resolved && task.finished == task.launched) {
         // Every execution of this task is gone and none succeeded: the
         // task dies with its first real failure, or with the
@@ -530,7 +491,6 @@ class PhaseRunner {
   MapReduceTaskPhase phase_;
   int num_tasks_;
   ThreadPool* pool_;
-  RetryCounters* counters_;
   const obs::Context& obs_;  // the run's observability context
   const AttemptBody* body_ = nullptr;
   MemoryBudget* budget_ = nullptr;  // not owned; null = no admission
@@ -543,7 +503,6 @@ class PhaseRunner {
   std::condition_variable cv_;
   std::vector<std::unique_ptr<TaskState>> tasks_;
   QuantileSketch completed_sketch_;  // winning-execution durations
-  QuantileSketch attempt_sketch_;    // every ran-to-completion execution
   int resolved_ = 0;
   int in_flight_ = 0;
   Status first_failure_;
@@ -895,9 +854,10 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
   ThreadPool& pool = *pool_;
 
-  // The run's observability context, which also folds its report. The
-  // pool's queue-latency hook lives only while a traced run is in flight.
-  obs::Context obs(spec.trace, spec.query_label, &progress_);
+  // The run's observability context, which also folds the run's engine
+  // events into `metrics`. The pool's queue-latency hook lives only while
+  // a traced run is in flight.
+  obs::Context obs(spec.trace, spec.query_label, &progress_, &metrics);
   const double run_start = obs.Now();
   if (obs.tracing()) {
     pool.set_queue_latency_hook([&obs](double queued_seconds) {
@@ -924,8 +884,6 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
             std::chrono::duration<double>(spec.deadline_seconds)));
   }
 
-  RetryCounters counters;
-
   // ---- Fault-plan resolution: every injection site below consults this
   // one plan (the process-global CASM_FAULT_PLAN plan when unset).
   const FaultPlan* const plan =
@@ -939,7 +897,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   // peak_tracked_bytes measures the unbounded run.
   MemoryBudget budget(spec.memory_budget_bytes);
   // The budget (which cannot depend on obs/) reports every reservation
-  // it queues, so the report's admission count is the budget's own.
+  // it queues, so the run's admission count is the budget's own.
   budget.set_wait_observer([&obs](double waited_seconds) {
     obs::Observe(&obs, {.kind = obs::Kind::kAdmissionWait,
                         .end = waited_seconds});
@@ -1010,19 +968,10 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   PhaseStats map_stats;
   {
     PhaseRunner runner(spec, plan, MapReduceTaskPhase::kMap, num_mappers,
-                       &pool, &job_token, &counters, obs);
+                       &pool, &job_token, obs);
     runner.set_admission(&budget,
                          [map_reservation](int) { return map_reservation; });
-    Status map_status = runner.Run(map_body, &map_stats);
-    metrics.task_failures = counters.failures;
-    metrics.task_retries = counters.retries;
-    metrics.speculative_attempts += map_stats.speculative_attempts;
-    metrics.speculative_wins += map_stats.speculative_wins;
-    metrics.cancelled_attempts += map_stats.cancelled_attempts;
-    metrics.map_attempt_p50_seconds = map_stats.attempt_p50_seconds;
-    metrics.map_attempt_max_seconds = map_stats.attempt_max_seconds;
-    metrics.map_attempt_digest = map_stats.attempt_durations;
-    if (!map_status.ok()) return map_status;
+    CASM_RETURN_IF_ERROR(runner.Run(map_body, &map_stats));
   }
   metrics.map_seconds = SecondsSince(map_start);
   metrics.map_cpu_seconds = map_stats.cpu_seconds;
@@ -1048,7 +997,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   // Seed the reduce-phase ETA from the cluster cost model: once the
   // shuffle counts are known, the modeled per-reducer costs stand in for
   // an observed rate until the first reduce task actually completes.
-  if (obs.active() && !spec.map_only) {
+  if (obs.routes(obs::Kind::kReduceModeled) && !spec.map_only) {
     const ClusterCostParams model = ClusterCostParams::Default();
     double modeled = 0;
     for (int64_t pairs : metrics.reducer_pairs) {
@@ -1058,40 +1007,19 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
                         .end = modeled / std::max(1, num_threads_)});
   }
 
-  // Budget accounting for the metrics: spill activity counts every
-  // execution (it measures I/O actually performed, losers included).
-  auto finalize_memory_metrics = [&] {
+  // On success: the budget's high-water mark, and the run span, which
+  // closes the "job" span and the fold of the run's events.
+  auto finish = [&] {
+    metrics.deadline_exceeded =
+        spec.deadline_seconds > 0 && job_token.cancelled();
     metrics.peak_tracked_bytes = budget.peak_used();
-    metrics.admission_waits = budget.admission_waits();
-    metrics.admission_wait_seconds = budget.admission_wait_seconds();
-    metrics.emitter_spilled_runs = 0;
-    metrics.emitter_spilled_records = 0;
-    for (const auto& slots : emitters) {
-      for (const auto& slot : slots) {
-        if (slot == nullptr) continue;
-        metrics.emitter_spilled_runs += slot->spilled_runs();
-        metrics.emitter_spilled_records += slot->spilled_records();
-      }
-    }
-    metrics.emitter_spilled_bytes = metrics.emitter_spilled_records *
-                                    pair_width *
-                                    static_cast<int64_t>(sizeof(int64_t));
-  };
-
-  // On success: close the run's "job" span; the report this run folded
-  // from its own events rides in the metrics.
-  auto finalize_trace = [&] {
     obs::Observe(&obs, {.kind = obs::Kind::kRun, .start = run_start,
                         .n = {num_mappers, num_reducers}});
-    metrics.run_report_summary = obs.ReportSummary();
+    metrics.total_seconds = SecondsSince(total_start);
   };
 
   if (spec.map_only) {
-    metrics.deadline_exceeded = spec.deadline_seconds > 0 &&
-                                job_token.cancelled();
-    finalize_memory_metrics();
-    finalize_trace();
-    metrics.total_seconds = SecondsSince(total_start);
+    finish();
     return metrics;
   }
 
@@ -1104,14 +1032,12 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
     double sort_seconds = 0;
     double reduce_seconds = 0;
     int64_t groups = 0;
-    int64_t spilled_runs = 0;
-    int64_t spilled_records = 0;
   };
   std::vector<std::array<ReduceExecStats, 2>> reduce_exec_stats(
       static_cast<size_t>(num_reducers));
 
   PhaseRunner runner(spec, plan, MapReduceTaskPhase::kReduce, num_reducers,
-                     &pool, &job_token, &counters, obs);
+                     &pool, &job_token, obs);
   // Reduce admission: the gather buffer plus the sorted copy, both sized
   // by the reducer's exact pair count (known after the map phase). The
   // local evaluation behind reduce_fn is the user's to account.
@@ -1128,7 +1054,6 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
         plan_armed ? plan->RecordThrottleSeconds("reduce", r, attempt) : 0;
     auto sort_start = std::chrono::steady_clock::now();
     std::vector<int64_t> sorted;
-    ExternalSortStats spill;
     bool any_spilled = false;
     for (const Emitter* e : map_out) any_spilled |= e->HasSpilledRuns(r);
     if (any_spilled && spec.reducer_memory_limit_pairs == 0) {
@@ -1165,13 +1090,12 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
       sort_options.temp_dir = spec.spill_dir;
       sort_options.obs = &obs;
       Result<std::vector<int64_t>> sort_result = ExternalSort(
-          std::move(pairs), pair_width, pair_less, sort_options, &spill);
+          std::move(pairs), pair_width, pair_less, sort_options,
+          /*stats=*/nullptr);
       CASM_RETURN_IF_ERROR(sort_result.status());
       sorted = std::move(sort_result).value();
     }
     const int64_t count = static_cast<int64_t>(sorted.size()) / pair_width;
-    rs.spilled_runs += spill.runs_spilled;
-    rs.spilled_records += spill.records_spilled;
     rs.sort_seconds += SecondsSince(sort_start);
     if (token->cancelled()) return token->status();
 
@@ -1235,16 +1159,7 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
     return Status::OK();
   };
   PhaseStats reduce_stats;
-  Status reduce_status = runner.Run(reduce_body, &reduce_stats);
-  metrics.task_failures = counters.failures;
-  metrics.task_retries = counters.retries;
-  metrics.speculative_attempts += reduce_stats.speculative_attempts;
-  metrics.speculative_wins += reduce_stats.speculative_wins;
-  metrics.cancelled_attempts += reduce_stats.cancelled_attempts;
-  metrics.reduce_attempt_p50_seconds = reduce_stats.attempt_p50_seconds;
-  metrics.reduce_attempt_max_seconds = reduce_stats.attempt_max_seconds;
-  metrics.reduce_attempt_digest = reduce_stats.attempt_durations;
-  if (!reduce_status.ok()) return reduce_status;
+  CASM_RETURN_IF_ERROR(runner.Run(reduce_body, &reduce_stats));
   metrics.reduce_phase_wall_seconds = SecondsSince(reduce_phase_start);
   for (int r = 0; r < num_reducers; ++r) {
     const int winner = reduce_stats.winner_exec[static_cast<size_t>(r)];
@@ -1254,14 +1169,8 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
     metrics.shuffle_sort_seconds += rs.sort_seconds;
     metrics.reduce_seconds += rs.reduce_seconds;
     metrics.reducer_groups[static_cast<size_t>(r)] = rs.groups;
-    metrics.spilled_runs += rs.spilled_runs;
-    metrics.spilled_records += rs.spilled_records;
   }
-  metrics.deadline_exceeded =
-      spec.deadline_seconds > 0 && job_token.cancelled();
-  finalize_memory_metrics();
-  finalize_trace();
-  metrics.total_seconds = SecondsSince(total_start);
+  finish();
   return metrics;
 }
 

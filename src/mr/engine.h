@@ -297,7 +297,7 @@ class GroupView {
   /// The delivering attempt's token (null outside an engine run).
   const CancellationToken* cancellation_token() const { return cancel_; }
   /// The run's observability context (null outside a run), so the
-  /// reduce function's own events fold into the run's report.
+  /// reduce function's own events reach the run's trace and registry.
   const obs::Context* obs() const { return obs_; }
 
  private:

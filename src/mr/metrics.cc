@@ -92,22 +92,25 @@ std::string MapReduceMetrics::ToString() const {
   out += " reduce_cpu_s=" + std::to_string(reduce_seconds);
   out += " reduce_phase_wall_s=" + std::to_string(reduce_phase_wall_seconds);
   out += " total_s=" + std::to_string(total_seconds);
-  auto histogram_line = [](const char* phase, const QuantileSketch& d) {
-    std::string line = std::string("\n  ") + phase + " attempts: n=" +
-                       std::to_string(d.count());
+  // Each phase's outcome counts next to its one duration line.
+  auto attempts_line = [](const char* phase, const AttemptOutcomes& o,
+                          const QuantileSketch& d) {
+    if (d.count() == 0 && o.cancelled == 0) return std::string();
+    std::string line = std::string("\n  ") + phase + " attempts: " +
+                       std::to_string(o.ok) + " ok, " +
+                       std::to_string(o.retried) + " retried, " +
+                       std::to_string(o.failed) + " failed, " +
+                       std::to_string(o.speculative_wins) +
+                       " speculative-win, " + std::to_string(o.cancelled) +
+                       " cancelled; duration n=" + std::to_string(d.count());
     line += " p50=" + std::to_string(d.Quantile(0.5));
     line += " p90=" + std::to_string(d.Quantile(0.9));
     line += " p99=" + std::to_string(d.Quantile(0.99));
     line += " max=" + std::to_string(d.Max());
     return line;
   };
-  if (map_attempt_digest.count() > 0) {
-    out += histogram_line("map", map_attempt_digest);
-  }
-  if (reduce_attempt_digest.count() > 0) {
-    out += histogram_line("reduce", reduce_attempt_digest);
-  }
-  if (!run_report_summary.empty()) out += "\n" + run_report_summary;
+  out += attempts_line("map", map_attempts, map_attempt_digest);
+  out += attempts_line("reduce", reduce_attempts, reduce_attempt_digest);
   return out;
 }
 
@@ -152,18 +155,21 @@ void MapReduceMetrics::Accumulate(const MapReduceMetrics& other) {
   dfs_corrupt_replicas += other.dfs_corrupt_replicas;
   dfs_repaired_replicas += other.dfs_repaired_replicas;
   dfs_under_replicated_blocks += other.dfs_under_replicated_blocks;
+  auto add = [](const AttemptOutcomes& from, AttemptOutcomes* to) {
+    to->ok += from.ok;
+    to->retried += from.retried;
+    to->failed += from.failed;
+    to->speculative_wins += from.speculative_wins;
+    to->cancelled += from.cancelled;
+  };
+  add(other.map_attempts, &map_attempts);
+  add(other.reduce_attempts, &reduce_attempts);
   // Merge the attempt-duration digests and recompute the scalar
   // quantiles from the union, so a sequence's p50 is the median over
   // every attempt in the sequence — not the max of per-job medians.
   map_attempt_digest.Merge(other.map_attempt_digest);
   reduce_attempt_digest.Merge(other.reduce_attempt_digest);
-  map_attempt_p50_seconds = map_attempt_digest.Quantile(0.5);
-  map_attempt_max_seconds = map_attempt_digest.Max();
-  reduce_attempt_p50_seconds = reduce_attempt_digest.Quantile(0.5);
-  reduce_attempt_max_seconds = reduce_attempt_digest.Max();
-  if (run_report_summary.empty()) {
-    run_report_summary = other.run_report_summary;
-  }
+  FinishAttemptQuantiles();
   map_seconds += other.map_seconds;
   map_cpu_seconds += other.map_cpu_seconds;
   shuffle_sort_seconds += other.shuffle_sort_seconds;

@@ -4,6 +4,18 @@
 // to per-phase work and the per-reducer workload distribution; every
 // benchmark and the skew handler read these counters.
 //
+// One source per number. The run's observability context (obs/event.h)
+// folds the run's own engine events into this struct as they happen,
+// traced or not: attempts (outcome counts, task_failures, task_retries,
+// speculative_wins, cancelled_attempts and the attempt digests), backup
+// launches (speculative_attempts), emitter and sort spills, and
+// admission waits. The same events are the trace's attempt spans and the
+// casm_tasks_*_total / casm_emitter_* / casm_admission_* registry
+// families, so the three cannot disagree. The engine sets the rest: the
+// shuffle's shape (input_rows, emitted_pairs, reducer_pairs,
+// reducer_groups), peak_tracked_bytes, deadline_exceeded and the timings
+// below; the evaluators add the checkpoint and DFS counters.
+//
 // Timing semantics — the engine reports both wall-clock and cpu-sum
 // variants because virtual tasks outnumber worker threads:
 //
@@ -35,6 +47,15 @@
 
 namespace casm {
 
+/// How one phase's task attempts ended, one count per outcome.
+struct AttemptOutcomes {
+  int64_t ok = 0;
+  int64_t retried = 0;
+  int64_t failed = 0;
+  int64_t speculative_wins = 0;
+  int64_t cancelled = 0;
+};
+
 struct MapReduceMetrics {
   int64_t input_rows = 0;
   /// Key/value pairs emitted by mappers (>= input_rows under overlapping
@@ -45,8 +66,9 @@ struct MapReduceMetrics {
   /// Distinct key groups per reducer.
   std::vector<int64_t> reducer_groups;
 
-  /// External-sort spill activity across all reducers (0 when the inputs
-  /// fit the memory budget).
+  /// Reduce-side external-sort spill I/O: the runs and records every
+  /// reduce execution wrote (retried and speculation-losing executions
+  /// included; the I/O happened). 0 when the inputs fit the sort's limit.
   int64_t spilled_runs = 0;
   int64_t spilled_records = 0;
 
@@ -56,16 +78,18 @@ struct MapReduceMetrics {
   /// `memory_budget_bytes` set this never exceeds the budget; with no
   /// budget it measures the unbounded run's peak.
   int64_t peak_tracked_bytes = 0;
-  /// Map-side spill activity: sorted runs the emitters wrote to disk past
-  /// `emitter_spill_threshold_bytes`, the pairs they contained (replayed
-  /// at shuffle; 0 when spilling is off), and the bytes those pairs
+  /// Map-side spill I/O: sorted runs the emitters of every map execution
+  /// wrote to disk past `emitter_spill_threshold_bytes` (retried and
+  /// speculation-losing executions included, as above), the pairs they
+  /// contained (0 when spilling is off), and the bytes those pairs
   /// occupied on disk (records x pair width x 8).
   int64_t emitter_spilled_runs = 0;
   int64_t emitter_spilled_records = 0;
   int64_t emitter_spilled_bytes = 0;
   /// Task launches that had to queue for budget admission, and the total
-  /// time they spent waiting. Speculation's doubled executions queue here
-  /// instead of overcommitting memory.
+  /// time they spent waiting (one kAdmissionWait event each, sent by the
+  /// budget). Speculation's doubled executions queue here instead of
+  /// overcommitting memory.
   int64_t admission_waits = 0;
   double admission_wait_seconds = 0;
 
@@ -100,11 +124,12 @@ struct MapReduceMetrics {
   int64_t dfs_under_replicated_blocks = 0;
 
   /// Task attempts that failed (injected faults, non-OK statuses, or
-  /// exceptions thrown by user map/reduce functions). Cancelled attempts
-  /// (speculation losers, deadline aborts) are not failures and are
-  /// counted separately below.
+  /// exceptions thrown by user map/reduce functions): the retried and the
+  /// failed outcomes of both phases. Cancelled attempts (speculation
+  /// losers, deadline aborts) are not failures and are counted separately
+  /// below.
   int64_t task_failures = 0;
-  /// Attempts re-run after a failure; a run that succeeds with retries
+  /// Failed attempts that were re-run; a run that succeeds with retries
   /// produces results identical to a fault-free run.
   int64_t task_retries = 0;
 
@@ -115,34 +140,32 @@ struct MapReduceMetrics {
   int64_t speculative_wins = 0;
   /// Attempts that were cancelled mid-flight, or finished after another
   /// attempt of the same task had already won the race. Their output is
-  /// always discarded.
+  /// always discarded. An execution cancelled before its next attempt
+  /// started (say, in a retry backoff) ran no further attempt.
   int64_t cancelled_attempts = 0;
   /// True when the job's wall-clock deadline tripped during the run.
   /// (A run that fails with DeadlineExceeded returns no metrics; this
   /// flag covers the rare race where every task finished anyway.)
   bool deadline_exceeded = false;
-  /// Median / max duration of task attempts that ran to natural
-  /// completion (successes and non-cancelled failures; mid-flight-
-  /// cancelled attempts are excluded because their durations measure the
-  /// cancellation latency, not the work). Under Accumulate() these are
-  /// recomputed from the merged digests below, so a multi-job sequence
-  /// reports true sequence-wide quantiles (not the old max-over-jobs
-  /// approximation).
+  /// How each phase's task attempts ended: one count per attempt span
+  /// outcome (obs/trace.h). The totals above sum them over both phases
+  /// (task_failures sums the failed and the retried).
+  AttemptOutcomes map_attempts;
+  AttemptOutcomes reduce_attempts;
+  /// Duration digests of each phase's attempts: one sample per attempt of
+  /// every outcome but cancelled (a retried execution gives one sample
+  /// per attempt; a cancelled attempt's duration measures the
+  /// cancellation latency, not the work). Merged under Accumulate();
+  /// ToString() renders them next to each phase's outcome counts.
+  QuantileSketch map_attempt_digest;
+  QuantileSketch reduce_attempt_digest;
+  /// The digests' median and max, recomputed from the digests when the
+  /// run ends and under Accumulate(), so a multi-job sequence reports
+  /// sequence-wide quantiles (not the max of per-job medians).
   double map_attempt_p50_seconds = 0;
   double map_attempt_max_seconds = 0;
   double reduce_attempt_p50_seconds = 0;
   double reduce_attempt_max_seconds = 0;
-  /// The full attempt-duration distributions behind the scalars above
-  /// (same population). Merged under Accumulate(); ToString() renders
-  /// them as per-phase p50/p90/p99/max histogram lines.
-  QuantileSketch map_attempt_digest;
-  QuantileSketch reduce_attempt_digest;
-
-  /// Human-readable per-run timeline summary (obs/run_report.h), filled
-  /// by the engine when run tracing is enabled and appended by
-  /// ToString(). Accumulate() keeps the first non-empty summary (the
-  /// digests above are what merge across jobs).
-  std::string run_report_summary;
 
   // Phase timings (see the header comment for wall vs cpu-sum semantics).
   double map_seconds = 0;      // wall clock of the map phase
@@ -151,6 +174,14 @@ struct MapReduceMetrics {
   double reduce_seconds = 0;        // cpu-sum: user reduce fn per reducer
   double reduce_phase_wall_seconds = 0;  // wall clock of shuffle+sort+reduce
   double total_seconds = 0;              // wall clock of the whole run
+
+  /// Sets the p50/max scalars from the attempt digests.
+  void FinishAttemptQuantiles() {
+    map_attempt_p50_seconds = map_attempt_digest.Quantile(0.5);
+    map_attempt_max_seconds = map_attempt_digest.Max();
+    reduce_attempt_p50_seconds = reduce_attempt_digest.Quantile(0.5);
+    reduce_attempt_max_seconds = reduce_attempt_digest.Max();
+  }
 
   int64_t MaxReducerPairs() const;
   int64_t TotalGroups() const;

@@ -12,7 +12,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/run_report.h"
 
 namespace casm {
 namespace obs {
@@ -65,6 +64,7 @@ constexpr Spec kSpecs[] = {
   {}, {},  // kMapPhaseBegin, kReducePhaseBegin: progress only
   {"phase", "map"}, {"phase", "reduce"},
   {},  // kReduceModeled: progress only
+  {},  // kBackupLaunch: the run's fold only
   {"job", "mr-run"},
   {"pool", "queue-wait"},
   {"memory", "admission"},
@@ -367,6 +367,71 @@ void Progress(ProgressTracker* progress, const Event& e) {
   }
 }
 
+constexpr uint64_t Bit(Kind kind) {
+  return uint64_t{1} << static_cast<unsigned>(kind);
+}
+static_assert(static_cast<size_t>(Kind::kCount) <= 64,
+              "Context::routes keeps one bit per kind");
+
+/// The engine kinds a run's context folds into its MapReduceMetrics.
+constexpr uint64_t kFolded =
+    Bit(Kind::kMapAttempt) | Bit(Kind::kReduceAttempt) |
+    Bit(Kind::kBackupLaunch) | Bit(Kind::kEmitterSpill) |
+    Bit(Kind::kSortSpill) | Bit(Kind::kAdmissionWait) | Bit(Kind::kRun);
+
+/// Folds one engine event into its run's metrics (mr/metrics.h says what
+/// each field counts). The caller holds the run's lock.
+void Fold(const Event& e, MapReduceMetrics* m) {
+  switch (e.kind) {
+    case Kind::kMapAttempt:
+    case Kind::kReduceAttempt: {
+      const bool map = e.kind == Kind::kMapAttempt;
+      AttemptOutcomes& o = map ? m->map_attempts : m->reduce_attempts;
+      switch (e.outcome) {
+        case TraceOutcome::kOk: ++o.ok; break;
+        case TraceOutcome::kRetried:
+          ++o.retried;
+          ++m->task_retries;
+          ++m->task_failures;
+          break;
+        case TraceOutcome::kFailed:
+          ++o.failed;
+          ++m->task_failures;
+          break;
+        case TraceOutcome::kSpeculativeWin:
+          ++o.speculative_wins;
+          ++m->speculative_wins;
+          break;
+        case TraceOutcome::kCancelled:
+          // Its duration measures cancellation latency, not work.
+          ++o.cancelled;
+          ++m->cancelled_attempts;
+          return;
+        case TraceOutcome::kNone: return;
+      }
+      (map ? m->map_attempt_digest : m->reduce_attempt_digest)
+          .Add(e.seconds());
+      return;
+    }
+    case Kind::kBackupLaunch: ++m->speculative_attempts; return;
+    case Kind::kEmitterSpill:
+      m->emitter_spilled_runs += e.n[0];
+      m->emitter_spilled_records += e.n[1];
+      m->emitter_spilled_bytes += e.n[2];
+      return;
+    case Kind::kSortSpill:
+      ++m->spilled_runs;
+      m->spilled_records += e.n[0];
+      return;
+    case Kind::kAdmissionWait:
+      ++m->admission_waits;
+      m->admission_wait_seconds += e.seconds();
+      return;
+    case Kind::kRun: m->FinishAttemptQuantiles(); return;
+    default: return;
+  }
+}
+
 }  // namespace
 
 std::string RenderDetail(Kind kind, const int64_t n[3], TraceOutcome outcome,
@@ -410,22 +475,15 @@ std::string RenderDetail(Kind kind, const int64_t n[3], TraceOutcome outcome,
   }
 }
 
-/// A run's report, folded as its events arrive: block-rate kinds into
-/// relaxed atomics, the rest (per attempt, spill, wait) under the mutex.
-struct Context::Fold {
-  std::mutex mu;
-  RunReport report;
-  std::atomic<int64_t> blocks[2] = {0, 0};  // sortscan, morsel
-  int64_t dropped_at_start = 0;
-};
-
 Context::Context(TraceRecorder* trace, std::string query,
-                 std::unique_ptr<ProgressTracker>* progress)
+                 std::unique_ptr<ProgressTracker>* progress,
+                 MapReduceMetrics* run)
     : trace_(trace != nullptr ? trace : TraceRecorder::Global()),
       query_(std::move(query)),
       tracing_(trace_->enabled()),
       metrics_(MetricsRegistry::Global()->enabled()),
-      flight_(FlightRecorder::Global()->enabled()) {
+      flight_(FlightRecorder::Global()->enabled()),
+      run_(run) {
   if (progress != nullptr && !query_.empty()) {
     if (*progress == nullptr || (*progress)->query() != query_) {
       progress->reset();
@@ -437,27 +495,12 @@ Context::Context(TraceRecorder* trace, std::string query,
     }
     progress_ = progress->get();
   }
-  if (progress != nullptr && tracing_) {
-    fold_ = std::make_unique<Fold>();
-    fold_->dropped_at_start = trace_->dropped_events();
+  if (run_ != nullptr && tracing_) {
+    dropped_at_start_ = trace_->dropped_events();
   }
-  active_ = tracing_ || metrics_ || flight_ || progress_ != nullptr;
-}
-
-Context::~Context() = default;
-
-std::string Context::ReportSummary() {
-  if (fold_ == nullptr) return std::string();
-  // Only spans dropped during this run: one process running many jobs
-  // must not re-report old losses.
-  const int64_t lost = trace_->dropped_events() - fold_->dropped_at_start;
-  const Event dropped{.kind = Kind::kTraceDropped, .n = {lost}};
-  if (dropped.n[0] > 0) ObserveActive(*this, dropped);
-  std::unique_lock<std::mutex> lock(fold_->mu);
-  RunReport report = fold_->report;
-  report.localagg_blocks_sortscan += fold_->blocks[0].load();
-  report.localagg_blocks_morsel += fold_->blocks[1].load();
-  return report.Summary();
+  // Some sink on: every kind; none: an engine run's folded kinds only.
+  const bool sinks = tracing_ || metrics_ || flight_ || progress_ != nullptr;
+  routed_ = sinks ? ~uint64_t{0} : run_ != nullptr ? kFolded : 0;
 }
 
 void ObserveActive(const Context& ctx, const Event& event) {
@@ -483,14 +526,19 @@ void ObserveActive(const Context& ctx, const Event& event) {
   }
   if (ctx.metrics_) Count(ctx, e);
   if (ctx.progress_ != nullptr) Progress(ctx.progress_, e);
-  if (ctx.fold_ == nullptr) return;
-  if (e.kind == Kind::kSortScanBlock || e.kind == Kind::kMorselBlock) {
-    ctx.fold_->blocks[e.kind == Kind::kMorselBlock].fetch_add(
-        1, std::memory_order_relaxed);
-    return;
+  if (ctx.run_ == nullptr || (kFolded & Bit(e.kind)) == 0) return;
+  {
+    std::unique_lock<std::mutex> lock(ctx.run_mu_);
+    Fold(e, ctx.run_);
   }
-  std::unique_lock<std::mutex> lock(ctx.fold_->mu);
-  ctx.fold_->report.Add(e);
+  if (e.kind == Kind::kRun && ctx.tracing_) {
+    // Only spans dropped during this run: one process running many jobs
+    // must not re-report old losses.
+    const int64_t lost = ctx.trace_->dropped_events() - ctx.dropped_at_start_;
+    if (lost > 0) {
+      ObserveActive(ctx, {.kind = Kind::kTraceDropped, .n = {lost}});
+    }
+  }
 }
 
 bool QueryLabelsObserved() {

@@ -4,21 +4,26 @@
 // evaluators, local aggregation, storage, the plan cache and the service
 // makes ONE call, obs::Observe(context, event), and one table in event.cc
 // routes the event's kind to the run trace, the failure flight ring, the
-// metrics registry, live progress and the run's report (DESIGN.md §9
-// lists it). No other code writes to those sinks.
+// metrics registry and live progress (DESIGN.md §9 lists it). No other
+// code writes to those sinks. An engine run's context also folds the
+// run's engine events (attempts, backup launches, spills, admission
+// waits, the run span) into the run's MapReduceMetrics, so each of its
+// counters has one source whether or not any sink is on.
 //
-// Overhead contract: a Context freezes which sinks are on when it is
-// built (the engine builds one per run). With none on, Observe is one
-// branch on a field of the context: no atomic load, no clock read, no
-// allocation. Trace details are rendered from the integer payload when
-// the trace is exported, and block-rate kinds (the "localagg" blocks)
-// fold into the run's report without a lock shared by reducer threads.
+// Overhead contract: a Context freezes which kinds it routes when it is
+// built (the engine builds one per run). With no sink on, Observe of a
+// kind nobody folds (the "localagg" blocks, the combiner instants) is
+// one branch on a field of the context: no atomic load, no clock read,
+// no lock, no allocation. The few engine kinds per run (tens to
+// hundreds) fold under the run's lock. Trace details are rendered from
+// the integer payload when the trace is exported.
 
 #ifndef CASM_OBS_EVENT_H_
 #define CASM_OBS_EVENT_H_
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -41,6 +46,7 @@ enum class Kind : uint8_t {
   kMapPhaseBegin, kReducePhaseBegin,  // n0 = tasks
   kMapPhase, kReducePhase,            // span; n0 = tasks
   kReduceModeled,  // seconds() = modeled reduce time left
+  kBackupLaunch,   // a speculative backup execution of `task` launched
   kRun,            // span; n0 = mappers, n1 = reducers
   kQueueWait,      // span: a pool task waited to start
   kAdmission,      // span: one budget reservation; n0 = bytes
@@ -104,35 +110,40 @@ struct Event {
 std::string RenderDetail(Kind kind, const int64_t n[3], TraceOutcome outcome,
                          std::string_view text);
 
-/// Where a site's events go: the resolved trace, the query label and the
-/// sinks that were on when it was built. Thread-safe; must outlive every
-/// Observe on it.
+/// Where a site's events go: the resolved trace, the query label, the
+/// sinks that were on when it was built and, for an engine run, the
+/// run's metrics. Thread-safe; must outlive every Observe on it.
 class Context {
  public:
-  /// `trace` null = TraceRecorder::Global(). A non-null `progress` makes
-  /// this an engine run's context: it folds the run's events into its
-  /// report when tracing, and drives the live-progress tracker kept in
-  /// `*progress`, created for a labeled run while a reader (the registry
-  /// or CASM_PROGRESS) exists and kept across runs with the same label.
+  /// `trace` null = TraceRecorder::Global(). A non-null `run` makes this
+  /// an engine run's context: it folds the run's engine events into
+  /// `*run` (obs/event.cc lists them) whether or not any sink is on, and
+  /// drives the live-progress tracker kept in `*progress`, created for a
+  /// labeled run while a reader (the registry or CASM_PROGRESS) exists
+  /// and kept across runs with the same label.
   explicit Context(TraceRecorder* trace = nullptr, std::string query = {},
-                   std::unique_ptr<ProgressTracker>* progress = nullptr);
-  ~Context();
+                   std::unique_ptr<ProgressTracker>* progress = nullptr,
+                   MapReduceMetrics* run = nullptr);
 
-  bool active() const { return active_; }
   bool tracing() const { return tracing_; }
-  /// The trace clock while tracing, else 0.
+  /// True when Observe routes `kind` anywhere (a sink or the run's fold).
+  bool routes(Kind kind) const {
+    return (routed_ >> static_cast<unsigned>(kind)) & 1u;
+  }
+  /// The trace clock while tracing, else 0: block-rate sites read it, so
+  /// an untraced run pays no clock read for them.
   double Now() const { return tracing_ ? trace_->NowSeconds() : 0; }
+  /// The trace clock on an engine run's context whether or not it
+  /// traces (attempt durations fold into the run's metrics), else Now().
+  double RunNow() const {
+    return run_ != nullptr ? trace_->NowSeconds() : Now();
+  }
   TraceRecorder* trace() const { return trace_; }
   const std::string& query() const { return query_; }
 
-  /// The run's folded report, rendered (RunReport::Summary); empty when
-  /// not folding. Call once, after the run's last event.
-  std::string ReportSummary();
-
  private:
-  /// Observe's slow path, once some sink is on; call Observe instead.
+  /// Observe's slow path, once the kind is routed; call Observe instead.
   friend void ObserveActive(const Context& context, const Event& event);
-  struct Fold;
 
   TraceRecorder* const trace_;
   const std::string query_;
@@ -140,13 +151,17 @@ class Context {
   const bool metrics_;
   const bool flight_;
   ProgressTracker* progress_ = nullptr;
-  bool active_ = false;
-  std::unique_ptr<Fold> fold_;
+  uint64_t routed_ = 0;  // one bit per Kind
+  MapReduceMetrics* const run_;
+  mutable std::mutex run_mu_;  // guards the fold into *run_
+  int64_t dropped_at_start_ = 0;  // the trace's drops when the run began
 };
 
 /// The one instrumentation call. `context` null = nobody observes.
 inline void Observe(const Context* context, const Event& event) {
-  if (context != nullptr && context->active()) ObserveActive(*context, event);
+  if (context != nullptr && context->routes(event.kind)) {
+    ObserveActive(*context, event);
+  }
 }
 
 /// The outcome of a job, evaluation or checkpoint operation.

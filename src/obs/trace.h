@@ -4,9 +4,11 @@
 // Observed events (obs/event.h) that have a trace form land here as
 // *spans* (named intervals with a task id, attempt number, and outcome)
 // and *instant events* (spills, retries); consumers turn the recorded
-// timeline into Chrome trace-event JSON (chrome://tracing / Perfetto),
-// per-phase attempt-duration histograms (obs/run_report.h), and a fitted
-// cluster-model straggler parameter (mr/cluster_model.h).
+// timeline into Chrome trace-event JSON (chrome://tracing / Perfetto) and
+// a fitted cluster-model straggler parameter (mr/cluster_model.h). No
+// metric is derived from the trace: a run's counters and attempt digests
+// fold from the same events into its MapReduceMetrics, traced or not
+// (obs/event.h), so a dropped span loses nothing but the span.
 //
 // Overhead contract:
 //

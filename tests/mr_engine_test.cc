@@ -369,15 +369,21 @@ TEST(MetricsTest, AccumulateMergesAttemptDigestsNotMaxOfMedians) {
   EXPECT_DOUBLE_EQ(c.reduce_attempt_p50_seconds, 1.0);
   EXPECT_DOUBLE_EQ(c.reduce_attempt_max_seconds, 100.0);
 
-  // The run-report summary of the first traced job in a sequence wins.
+  // Each phase's attempt outcomes add up across the sequence.
   MapReduceMetrics e, f;
-  f.run_report_summary = "from f";
+  e.map_attempts.ok = 3;
+  e.map_attempts.retried = 1;
+  f.map_attempts.ok = 2;
+  f.map_attempts.cancelled = 1;
+  f.reduce_attempts.speculative_wins = 1;
+  f.reduce_attempts.failed = 2;
   e.Accumulate(f);
-  EXPECT_EQ(e.run_report_summary, "from f");
-  MapReduceMetrics g;
-  g.run_report_summary = "from g";
-  g.Accumulate(f);
-  EXPECT_EQ(g.run_report_summary, "from g");
+  EXPECT_EQ(e.map_attempts.ok, 5);
+  EXPECT_EQ(e.map_attempts.retried, 1);
+  EXPECT_EQ(e.map_attempts.cancelled, 1);
+  EXPECT_EQ(e.reduce_attempts.speculative_wins, 1);
+  EXPECT_EQ(e.reduce_attempts.failed, 2);
+  EXPECT_EQ(e.reduce_attempts.ok, 0);
 }
 
 

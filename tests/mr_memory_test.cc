@@ -24,6 +24,7 @@
 #include "common/fault.h"
 #include "common/memory_budget.h"
 #include "mr/engine.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace casm {
@@ -288,8 +289,9 @@ TEST(MemoryBudgetEngineTest, TightBudgetQueuesTaskAdmission) {
 }
 
 TEST(MemoryBudgetEngineTest, TracedReportCountsTheBudgetsAdmissionWaits) {
-  // TightBudgetQueuesTaskAdmission's setup, traced: the run report's
-  // admission count is the one the budget keeps, not a count of spans.
+  // TightBudgetQueuesTaskAdmission's setup, traced: the run's admission
+  // count is the one the budget reports (and the registry publishes),
+  // not a count of reservation spans.
   CountJob tight;
   tight.spec.memory_budget_bytes = 100 * 1024;
   FaultPlan plan = FaultPlan::Parse("slow_task=map:*:*:0.05").value();
@@ -298,14 +300,18 @@ TEST(MemoryBudgetEngineTest, TracedReportCountsTheBudgetsAdmissionWaits) {
   TraceRecorder trace;
   trace.set_enabled(true);
   tight.spec.trace = &trace;
+  MetricsRegistry* registry = MetricsRegistry::Global();
+  const bool registry_was_enabled = registry->enabled();
+  registry->set_enabled(true);
+  const int64_t before = registry->CounterValue("casm_admission_waits_total");
   Result<MapReduceMetrics> metrics = MapReduceEngine(4).Run(tight.spec, 1300);
+  const int64_t reported =
+      registry->CounterValue("casm_admission_waits_total") - before;
+  registry->set_enabled(registry_was_enabled);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
-  const std::string& report = metrics->run_report_summary;
-  const size_t at = report.find("memory: ");
-  ASSERT_NE(at, std::string::npos) << report;
-  const int64_t reported = std::stoll(report.substr(at + 8));
   EXPECT_GT(metrics->admission_waits, 0);
-  EXPECT_EQ(reported, metrics->admission_waits) << report;
+  EXPECT_EQ(reported, metrics->admission_waits) << metrics->ToString();
+  EXPECT_GT(metrics->admission_wait_seconds, 0.0);
 }
 
 TEST(MemoryBudgetEngineTest, BudgetBelowOneTaskReservationFailsCleanly) {

@@ -4,8 +4,9 @@
 // (disabled no-op, per-thread buffers, concurrent emission from many
 // threads — the TSan leg's target), Chrome trace-event JSON export,
 // per-attempt span coverage of engine runs including retried /
-// speculative-win / cancelled outcomes, run reports (a golden summary on
-// synthetic events; each run folds only its own events), the golden
+// speculative-win / cancelled outcomes, each run's fold of its own events
+// into its MapReduceMetrics (a golden fold of synthetic events; traced
+// and untraced runs agree with the registry and the trace), the golden
 // obs::Observe table (every event kind's trace, flight and registry
 // names), and FitStragglerSlowdown recovering an injected slowdown from
 // measured attempt durations.
@@ -33,7 +34,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/run_report.h"
 #include "obs/trace.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
@@ -77,6 +77,11 @@ bool JsonIsBalanced(const std::string& json) {
     }
   }
   return depth == 0 && !in_string;
+}
+
+/// Every attempt of one phase, whatever its outcome.
+int64_t Attempts(const AttemptOutcomes& o) {
+  return o.ok + o.retried + o.failed + o.speculative_wins + o.cancelled;
 }
 
 int CountOccurrences(const std::string& haystack, const std::string& needle) {
@@ -287,7 +292,11 @@ TEST(EngineTraceTest, DisabledRecorderLeavesRunUntraced) {
   Result<MapReduceMetrics> metrics = MapReduceEngine(2).Run(job.spec, 1300);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_TRUE(job.trace.Snapshot().empty());
-  EXPECT_TRUE(metrics->run_report_summary.empty());
+  // The run still folds its own attempts.
+  EXPECT_EQ(metrics->map_attempts.ok, 3);
+  EXPECT_EQ(metrics->reduce_attempts.ok, 4);
+  EXPECT_EQ(metrics->map_attempt_digest.count(), 3);
+  EXPECT_EQ(metrics->reduce_attempt_digest.count(), 4);
 }
 
 TEST(EngineTraceTest, RecordsEveryAttemptOfInjectedFaultRunWithOutcomes) {
@@ -335,23 +344,23 @@ TEST(EngineTraceTest, RecordsEveryAttemptOfInjectedFaultRunWithOutcomes) {
   EXPECT_EQ(job_spans, 1);    // the mr-run envelope
   EXPECT_GT(pool_spans, 0);   // queue-to-start latency spans
 
-  // The digested report reaches the metrics and counts the same story.
-  EXPECT_NE(metrics->run_report_summary.find("map: 4 attempt(s)"),
+  // The run's own fold counts the same story.
+  EXPECT_EQ(Attempts(metrics->map_attempts), 4);
+  EXPECT_EQ(Attempts(metrics->reduce_attempts), 5);
+  EXPECT_EQ(metrics->map_attempt_digest.count(), 4);     // per attempt
+  EXPECT_EQ(metrics->reduce_attempt_digest.count(), 5);  // per attempt
+  EXPECT_EQ(metrics->map_attempts.ok, 3);
+  EXPECT_EQ(metrics->map_attempts.retried, 1);
+  EXPECT_EQ(metrics->reduce_attempts.ok, 4);
+  EXPECT_EQ(metrics->reduce_attempts.retried, 1);
+  const std::string text = metrics->ToString();
+  EXPECT_NE(text.find("map attempts: 3 ok, 1 retried, 0 failed, "
+                      "0 speculative-win, 0 cancelled; duration n=4 "),
             std::string::npos)
-      << metrics->run_report_summary;
-  EXPECT_NE(metrics->run_report_summary.find("reduce: 5 attempt(s)"),
-            std::string::npos);
-  EXPECT_NE(metrics->ToString().find("run report:"), std::string::npos);
-  EXPECT_EQ(metrics->map_attempt_digest.count(), 3);     // per execution
-  EXPECT_EQ(metrics->reduce_attempt_digest.count(), 4);  // per execution
-
-  // The run's own report: the same attempt and outcome counts.
-  EXPECT_NE(metrics->run_report_summary.find(
-                "map: 4 attempt(s) [3 ok, 1 retried, "),
-            std::string::npos);
-  EXPECT_NE(metrics->run_report_summary.find(
-                "reduce: 5 attempt(s) [4 ok, 1 retried, "),
-            std::string::npos);
+      << text;
+  EXPECT_NE(text.find("reduce attempts: 4 ok, 1 retried, "),
+            std::string::npos)
+      << text;
 
   const std::string json = TraceEventsToChromeJson(events);
   EXPECT_TRUE(JsonIsBalanced(json));
@@ -393,8 +402,116 @@ TEST(EngineTraceTest, SpeculativeWinAndCancelledLoserAreTagged) {
   EXPECT_GE(cancelled, 1);  // the slow primary lost the race
 }
 
+/// Registry counter summed over the engine's two phase labels.
+int64_t PhaseCounter(const char* name) {
+  MetricsRegistry* registry = MetricsRegistry::Global();
+  return registry->CounterValue(name, {{"phase", "map"}}) +
+         registry->CounterValue(name, {{"phase", "reduce"}});
+}
+
+TEST(EngineTraceTest, FoldedCountersAgreeWithRegistryAndTrace) {
+  // One run that moves every folded counter: a retried map crash and a
+  // retried reduce crash, a slowed primary map task beaten by its
+  // speculative backup, a budget that fits two map reservations of
+  // four (each held 50 ms) so admissions queue, and a 1 KiB emitter
+  // spill threshold.
+  auto configure = [](TracedJob* job, const FaultPlan* plan) {
+    job->spec.fault_plan = plan;
+    job->spec.speculative_execution = true;
+    job->spec.speculation_latency_multiple = 2.0;
+    job->spec.speculation_min_completed_fraction = 0.5;
+    job->spec.speculation_min_runtime_seconds = 0.5;
+    job->spec.emitter_spill_threshold_bytes = 1024;
+    // A map reservation is the threshold plus one 64 KiB accounting chunk.
+    job->spec.memory_budget_bytes = (1024 + 64 * 1024) * 5 / 2;
+  };
+  FaultPlan plan = FaultPlan::Parse(
+                       "task_crash=map:1:1; task_crash=reduce:0:1; "
+                       "slow_task=map:*:*:0.05; slow_task=map:0:1:10")
+                       .value();
+  plan.set_parent(FaultPlan::FromEnv());
+
+  MetricsRegistry* registry = MetricsRegistry::Global();
+  const bool registry_was_enabled = registry->enabled();
+  registry->set_enabled(true);
+  auto counter = [registry](const char* name) {
+    return registry->CounterValue(name, {});
+  };
+  const int64_t failed_before = PhaseCounter("casm_tasks_failed_total");
+  const int64_t retried_before = PhaseCounter("casm_tasks_retried_total");
+  const int64_t waits_before = counter("casm_admission_waits_total");
+  const int64_t spilled_before =
+      counter("casm_emitter_spilled_records_total");
+  TracedJob traced(4, 4);
+  configure(&traced, &plan);
+  Result<MapReduceMetrics> m = MapReduceEngine(4).Run(traced.spec, 1300);
+  const int64_t failed = PhaseCounter("casm_tasks_failed_total") -
+                         failed_before;
+  const int64_t retried = PhaseCounter("casm_tasks_retried_total") -
+                          retried_before;
+  const int64_t waits = counter("casm_admission_waits_total") - waits_before;
+  const int64_t spilled =
+      counter("casm_emitter_spilled_records_total") - spilled_before;
+  registry->set_enabled(registry_was_enabled);
+  ASSERT_TRUE(m.ok()) << m.status();
+
+  std::map<TraceOutcome, int64_t> outcomes;
+  int64_t map_completed = 0, reduce_completed = 0, trace_spilled = 0;
+  for (const TraceEvent& ev : traced.trace.Snapshot()) {
+    const std::string cat = ev.category;
+    if (cat == "memory" && ev.name == "emitter-spill") {
+      trace_spilled += ev.payload[1];
+    }
+    if (cat != "map" && cat != "reduce") continue;
+    ++outcomes[ev.outcome];
+    if (ev.outcome == TraceOutcome::kCancelled) continue;
+    ++(cat == "map" ? map_completed : reduce_completed);
+  }
+  // The setup did what it says.
+  EXPECT_EQ(m->task_retries, 2);
+  EXPECT_EQ(m->speculative_wins, 1);
+  EXPECT_EQ(m->cancelled_attempts, 1);
+  EXPECT_GT(m->admission_waits, 0);
+  EXPECT_EQ(m->emitter_spilled_records, 1300);
+
+  EXPECT_EQ(m->task_failures, failed);
+  EXPECT_EQ(m->task_failures, outcomes[TraceOutcome::kFailed] +
+                                  outcomes[TraceOutcome::kRetried]);
+  EXPECT_EQ(m->task_retries, retried);
+  EXPECT_EQ(m->task_retries, outcomes[TraceOutcome::kRetried]);
+  EXPECT_EQ(m->speculative_wins, outcomes[TraceOutcome::kSpeculativeWin]);
+  EXPECT_EQ(m->cancelled_attempts, outcomes[TraceOutcome::kCancelled]);
+  EXPECT_EQ(m->admission_waits, waits);
+  EXPECT_EQ(m->emitter_spilled_records, spilled);
+  EXPECT_EQ(m->emitter_spilled_records, trace_spilled);
+  // The digests hold one sample per attempt that was not cancelled.
+  EXPECT_EQ(m->map_attempt_digest.count(), map_completed);
+  EXPECT_EQ(m->reduce_attempt_digest.count(), reduce_completed);
+
+  // Untraced, the same job reports the same counters and digest counts
+  // (how many reservations queue depends on timing; that some do does
+  // not).
+  TracedJob untraced(4, 4);
+  untraced.trace.set_enabled(false);
+  configure(&untraced, &plan);
+  Result<MapReduceMetrics> u = MapReduceEngine(4).Run(untraced.spec, 1300);
+  ASSERT_TRUE(u.ok()) << u.status();
+  EXPECT_TRUE(untraced.trace.Snapshot().empty());
+  EXPECT_EQ(u->task_failures, m->task_failures);
+  EXPECT_EQ(u->task_retries, m->task_retries);
+  EXPECT_EQ(u->speculative_attempts, m->speculative_attempts);
+  EXPECT_EQ(u->speculative_wins, m->speculative_wins);
+  EXPECT_EQ(u->cancelled_attempts, m->cancelled_attempts);
+  EXPECT_GT(u->admission_waits, 0);
+  EXPECT_EQ(u->emitter_spilled_records, m->emitter_spilled_records);
+  EXPECT_EQ(u->map_attempt_digest.count(), m->map_attempt_digest.count());
+  EXPECT_EQ(u->reduce_attempt_digest.count(),
+            m->reduce_attempt_digest.count());
+  EXPECT_EQ(untraced.sums, traced.sums);
+}
+
 /// Q3 over the paper's uniform table, traced into `trace`: the setup of
-/// the per-run report tests below.
+/// the per-run fold tests below.
 struct TracedQ3 {
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
   Table table = PaperUniformTable(20000, 1);
@@ -418,7 +535,7 @@ struct TracedQ3 {
 TEST(EngineTraceTest, ConcurrentRunsSharingARecorderKeepTheirOwnReports) {
   // Two evaluations share one recorder, as QueryService workers do. A's
   // slowed map task keeps A in flight while B starts and finishes; each
-  // report must count only its own run's attempts.
+  // run's metrics must count only its own attempts.
   TracedQ3 q3;
   TraceRecorder trace;
   trace.set_enabled(true);
@@ -436,12 +553,10 @@ TEST(EngineTraceTest, ConcurrentRunsSharingARecorderKeepTheirOwnReports) {
   thread_a.join();
   ASSERT_TRUE(run_a->ok()) << run_a->status();
   ASSERT_TRUE(run_b.ok()) << run_b.status();
-  const std::string& report_a = (*run_a)->metrics.run_report_summary;
-  const std::string& report_b = run_b->metrics.run_report_summary;
-  EXPECT_NE(report_a.find("map: 3 attempt(s)"), std::string::npos)
-      << report_a;
-  EXPECT_NE(report_b.find("map: 5 attempt(s)"), std::string::npos)
-      << report_b;
+  EXPECT_EQ(Attempts((*run_a)->metrics.map_attempts), 3)
+      << (*run_a)->metrics.ToString();
+  EXPECT_EQ(Attempts(run_b->metrics.map_attempts), 5)
+      << run_b->metrics.ToString();
 }
 
 TEST(EngineTraceTest, ReportCountsTheBudgetsAdmissionWaits) {
@@ -456,9 +571,12 @@ TEST(EngineTraceTest, ReportCountsTheBudgetsAdmissionWaits) {
       EvaluateParallel(q3.wf, q3.table, q3.plan, options);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(run->metrics.admission_waits, 0);
-  const std::string& report = run->metrics.run_report_summary;
-  EXPECT_NE(report.find("memory: 0 admission wait(s)"), std::string::npos)
-      << report;
+  EXPECT_EQ(run->metrics.admission_wait_seconds, 0.0);
+  int reservations = 0;
+  for (const TraceEvent& ev : trace.Snapshot()) {
+    reservations += ev.name == "admission";
+  }
+  EXPECT_GT(reservations, 0);
 }
 
 /// What one observed event must leave in each sink.
@@ -535,6 +653,7 @@ TEST(ObsEventTest, EveryKindKeepsItsSinkNames) {
       {{.kind = K::kReducePhase, .n = {4}}, "phase/reduce",
        R"({"detail": "tasks=4"})", nullptr, {}},
       {{.kind = K::kReduceModeled, .end = 2.0}, nullptr, "", nullptr, {}},
+      {{.kind = K::kBackupLaunch, .task = 0}, nullptr, "", nullptr, {}},
       {{.kind = K::kRun, .n = {3, 4}}, "job/mr-run",
        R"({"detail": "mappers=3 reducers=4"})", nullptr, {}},
       {{.kind = K::kQueueWait}, "pool/queue-wait", "{}", nullptr, {}},
@@ -713,9 +832,14 @@ TEST(ObsEventTest, EveryKindKeepsItsSinkNames) {
 }
 
 TEST(RunReportTest, GoldenSummaryOnSyntheticTrace) {
-  auto event = [](obs::Kind kind, double start, double dur,
-                  TraceOutcome outcome = TraceOutcome::kNone,
-                  int64_t task = -1, int64_t attempt = 0) {
+  // Synthetic engine events folded by an untraced run context: the run's
+  // metrics are its report.
+  MapReduceMetrics metrics;
+  std::unique_ptr<ProgressTracker> progress;
+  obs::Context run(nullptr, "", &progress, &metrics);
+  auto event = [&run](obs::Kind kind, double start, double dur,
+                      TraceOutcome outcome = TraceOutcome::kNone,
+                      int64_t task = -1, int64_t attempt = 0) {
     obs::Event e;
     e.kind = kind;
     e.task = task;
@@ -723,62 +847,60 @@ TEST(RunReportTest, GoldenSummaryOnSyntheticTrace) {
     e.outcome = outcome;
     e.start = start;
     e.end = start + dur;
-    return e;
+    obs::Observe(&run, e);
   };
-  RunReport report;
-  report.Add(
-      event(obs::Kind::kMapAttempt, 0.0, 0.1, TraceOutcome::kOk, 0, 1));
-  report.Add(
-      event(obs::Kind::kMapAttempt, 0.05, 0.2, TraceOutcome::kRetried, 1, 1));
-  report.Add(
-      event(obs::Kind::kMapAttempt, 0.3, 0.3, TraceOutcome::kOk, 1, 2));
-  report.Add(event(obs::Kind::kMapAttempt, 0.2, 0.45,
-                   TraceOutcome::kCancelled, 2, 1));
-  report.Add(
-      event(obs::Kind::kAdmission, 0.1, 0.25, TraceOutcome::kNone, 3, 0));
+  event(obs::Kind::kMapAttempt, 0.0, 0.1, TraceOutcome::kOk, 0, 1);
+  event(obs::Kind::kMapAttempt, 0.05, 0.2, TraceOutcome::kRetried, 1, 1);
+  event(obs::Kind::kMapAttempt, 0.3, 0.3, TraceOutcome::kOk, 1, 2);
+  event(obs::Kind::kMapAttempt, 0.2, 0.45, TraceOutcome::kCancelled, 2, 1);
+  event(obs::Kind::kBackupLaunch, 0.2, 0, TraceOutcome::kNone, 2);
+  event(obs::Kind::kAdmission, 0.1, 0.25, TraceOutcome::kNone, 3, 0);
   // The budget's own count of the one reservation that queued.
-  obs::Event wait;
-  wait.kind = obs::Kind::kAdmissionWait;
-  wait.end = 0.25;
-  report.Add(wait);
-  report.Add(event(obs::Kind::kEmitterSpill, 0.4, 0));
-  report.Add(event(obs::Kind::kSortSpill, 0.45, 0));
-  report.Add(event(obs::Kind::kQueueWait, 0.0, 0.01));
-  report.Add(event(obs::Kind::kQueueWait, 0.98, 0.02));
-  report.Add(event(obs::Kind::kRun, 0.0, 1.0));
-  report.Add(
-      event(obs::Kind::kMorselBlock, 0.5, 0.01, TraceOutcome::kNone, 4, 0));
-  report.Add(
-      event(obs::Kind::kMorselBlock, 0.6, 0.01, TraceOutcome::kNone, 5, 0));
-  report.Add(
-      event(obs::Kind::kSortScanBlock, 0.7, 0.01, TraceOutcome::kNone, 6, 0));
-  report.Add(event(obs::Kind::kCombinerFlush, 0.8, 0));
+  event(obs::Kind::kAdmissionWait, 0, 0.25);
+  obs::Observe(&run, {.kind = obs::Kind::kEmitterSpill, .n = {2, 10, 160}});
+  obs::Observe(&run, {.kind = obs::Kind::kSortSpill, .n = {7}});
+  event(obs::Kind::kQueueWait, 0.0, 0.01);
+  event(obs::Kind::kMorselBlock, 0.5, 0.01, TraceOutcome::kNone, 4, 0);
+  event(obs::Kind::kSortScanBlock, 0.7, 0.01, TraceOutcome::kNone, 6, 0);
+  event(obs::Kind::kCombinerFlush, 0.8, 0);
+  event(obs::Kind::kRun, 0.0, 1.0);
 
-  EXPECT_DOUBLE_EQ(report.trace_begin_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(report.trace_end_seconds, 1.0);
-  const PhaseAttemptHistogram* map = report.FindPhase("map");
-  ASSERT_NE(map, nullptr);
-  EXPECT_EQ(map->attempts, 4);
-  EXPECT_EQ(map->cancelled, 1);
-  // Cancelled attempts are excluded from the duration histogram.
-  EXPECT_EQ(map->durations.count(), 3);
-  EXPECT_EQ(report.FindPhase("reduce"), nullptr);
+  EXPECT_EQ(Attempts(metrics.map_attempts), 4);
+  EXPECT_EQ(metrics.map_attempts.cancelled, 1);
+  EXPECT_EQ(Attempts(metrics.reduce_attempts), 0);
+  EXPECT_EQ(metrics.task_failures, 1);
+  EXPECT_EQ(metrics.task_retries, 1);
+  EXPECT_EQ(metrics.cancelled_attempts, 1);
+  EXPECT_EQ(metrics.speculative_attempts, 1);
+  // Cancelled attempts are excluded from the duration digest.
+  EXPECT_EQ(metrics.map_attempt_digest.count(), 3);
+  EXPECT_DOUBLE_EQ(metrics.map_attempt_p50_seconds, 0.2);
+  EXPECT_DOUBLE_EQ(metrics.map_attempt_max_seconds, 0.3);
+  EXPECT_EQ(metrics.admission_waits, 1);
+  EXPECT_DOUBLE_EQ(metrics.admission_wait_seconds, 0.25);
+  EXPECT_EQ(metrics.emitter_spilled_runs, 2);
+  EXPECT_EQ(metrics.emitter_spilled_records, 10);
+  EXPECT_EQ(metrics.emitter_spilled_bytes, 160);
+  EXPECT_EQ(metrics.spilled_runs, 1);
+  EXPECT_EQ(metrics.spilled_records, 7);
 
+  const std::string text = metrics.ToString();
   const std::string expected =
-      "run report: 1.0000s traced\n"
-      "  map: 4 attempt(s) [2 ok, 1 retried, 0 failed, 0 speculative-win, "
-      "1 cancelled] duration p50=0.2000s p90=0.3000s p99=0.3000s "
-      "max=0.3000s\n"
-      "  memory: 1 admission wait(s) (0.2500s waiting), 2 spill event(s)\n"
-      "  pool: 2 queue-wait(s) (0.0300s total)\n"
-      "  localagg: sortscan=1 morsel=2 block(s) (dominant morsel)";
-  EXPECT_EQ(report.Summary(), expected);
+      "\n  map attempts: 2 ok, 1 retried, 0 failed, 0 speculative-win, "
+      "1 cancelled; duration n=3 p50=0.200000 p90=0.300000 p99=0.300000 "
+      "max=0.300000";
+  ASSERT_GE(text.size(), expected.size()) << text;
+  EXPECT_EQ(text.substr(text.size() - expected.size()), expected) << text;
+  EXPECT_NE(text.find(" task_failures=1 task_retries=1"), std::string::npos);
+  EXPECT_NE(text.find(" admission_waits=1 admission_wait_s=0.250000"),
+            std::string::npos);
 }
 
 TEST(RunReportTest, EmptyTraceProducesEmptySummary) {
-  RunReport report;
-  EXPECT_TRUE(report.Summary().empty());
-  EXPECT_EQ(report.FindPhase("map"), nullptr);
+  MapReduceMetrics metrics;
+  EXPECT_EQ(metrics.ToString().find('\n'), std::string::npos);
+  EXPECT_EQ(Attempts(metrics.map_attempts), 0);
+  EXPECT_EQ(Attempts(metrics.reduce_attempts), 0);
 }
 
 TEST(FitStragglerSlowdownTest, ExactOnSyntheticAttempts) {
