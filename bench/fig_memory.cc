@@ -57,11 +57,11 @@ int main() {
   struct Rung {
     const char* label;
     int64_t budget;
-    MapReduceMetrics metrics;
     bool tight;  // the rung that must show spills + admission waits
+    MapReduceMetrics metrics = MapReduceMetrics();
   };
-  Rung ladder[] = {{"budget = peak/2", peak / 2, {}, false},
-                   {"budget = peak/8", peak / 8, {}, true}};
+  Rung ladder[] = {{"budget = peak/2", peak / 2, false},
+                   {"budget = peak/8", peak / 8, true}};
 
   for (Rung& rung : ladder) {
     ParallelEvalOptions budgeted = base;

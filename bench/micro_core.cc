@@ -3,13 +3,14 @@
 // google-benchmark microbenchmarks for CASM's hot paths: hierarchy
 // mapping, region extraction, key generation, partition hashing,
 // accumulators, offset conversion, cost-model evaluation, the local
-// sort/scan evaluator, and an observed local-aggregation block with no
-// sink on.
+// sort/scan evaluator, the result union, and an observed
+// local-aggregation block with no sink on.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "agg/local_aggregator.h"
 #include "core/cost_model.h"
@@ -17,6 +18,7 @@
 #include "core/keygen.h"
 #include "data/generator.h"
 #include "data/record_batch.h"
+#include "local/measure_table.h"
 #include "local/sortscan_evaluator.h"
 #include "mr/engine.h"
 #include "mr/metrics.h"
@@ -275,6 +277,54 @@ void BM_PartitionHashColumns(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PartitionHashColumns);
+
+// The result union as the evaluators run it (core/eval_internal.h): each
+// block's owned results move into its reduce task's set, then the task
+// sets move, in task order, into the query's set reserved to their
+// summed size. Blocks hold 1 result of each of 3 measures, as on the
+// near-unique blocks of solo_fine's Q1. Items are results merged; the
+// block sets are built with the timer paused.
+void BM_ResultUnion(benchmark::State& state) {
+  constexpr int kMeasures = 3;
+  constexpr int kTasks = 16;
+  const int64_t blocks = state.range(0);
+  std::vector<MeasureResultSet> block_sets;
+  std::vector<MeasureResultSet> task_sets;
+  MeasureResultSet query;
+  for (auto _ : state) {
+    state.PauseTiming();
+    block_sets.clear();
+    for (int64_t b = 0; b < blocks; ++b) {
+      MeasureResultSet set(kMeasures);
+      for (int m = 0; m < kMeasures; ++m) {
+        set.mutable_values(m).emplace(Coords{b / 60, b % 60, m, 0, 0, 0},
+                                      0.5 * static_cast<double>(b + m));
+      }
+      block_sets.push_back(std::move(set));
+    }
+    task_sets.assign(kTasks, MeasureResultSet(kMeasures));
+    query = MeasureResultSet(kMeasures);
+    state.ResumeTiming();
+    for (int64_t b = 0; b < blocks; ++b) {
+      benchmark::DoNotOptimize(
+          task_sets[static_cast<size_t>(b % kTasks)]
+              .MergeDisjoint(std::move(block_sets[static_cast<size_t>(b)]))
+              .ok());
+    }
+    for (int m = 0; m < kMeasures; ++m) {
+      size_t total = 0;
+      for (const MeasureResultSet& t : task_sets) total += t.values(m).size();
+      query.mutable_values(m).reserve(total);
+    }
+    for (MeasureResultSet& t : task_sets) {
+      benchmark::DoNotOptimize(query.MergeDisjoint(std::move(t)).ok());
+      t = MeasureResultSet();
+    }
+    benchmark::DoNotOptimize(query.TotalResults());
+  }
+  state.SetItemsProcessed(state.iterations() * blocks * kMeasures);
+}
+BENCHMARK(BM_ResultUnion)->Unit(benchmark::kMillisecond)->Arg(1 << 16);
 
 // The no-sink overhead contract of obs/event.h: with no sink on, a
 // block-rate event costs one branch, through an evaluator's context (arg

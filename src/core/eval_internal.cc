@@ -3,32 +3,93 @@
 #include "core/eval_internal.h"
 
 #include <cstdio>
+#include <utility>
 
+#include "agg/local_aggregator.h"
 #include "data/record_batch.h"
 #include "mr/engine.h"
 #include "obs/event.h"
 
 namespace casm {
 namespace eval_internal {
+namespace {
 
-MeasureResultSet FilterOwned(const Workflow& wf,
-                             const std::vector<KeyGenAttr>& keygen,
-                             const int64_t* block, MeasureResultSet&& all,
-                             int64_t* filtered) {
+/// The ownership filter (paper §III-B rule 2): erases from `results` every
+/// result whose region `block` does not own; returns how many it erased.
+int64_t FilterOwned(const Workflow& wf, const std::vector<KeyGenAttr>& keygen,
+                    const int64_t* block, MeasureResultSet* results) {
   const Schema& schema = *wf.schema();
-  MeasureResultSet kept(wf.num_measures());
+  int64_t dropped = 0;
   for (int i = 0; i < wf.num_measures(); ++i) {
     const Measure& m = wf.measure(i);
-    MeasureValueMap& out = kept.mutable_values(i);
-    for (auto& [coords, value] : all.mutable_values(i)) {
-      if (BlockOwnsRegion(schema, m, keygen, block, coords)) {
-        out.emplace(coords, value);
-      } else {
-        ++*filtered;
-      }
-    }
+    dropped += static_cast<int64_t>(
+        std::erase_if(results->mutable_values(i), [&](const auto& result) {
+          return !BlockOwnsRegion(schema, m, keygen, block, result.first);
+        }));
   }
-  return kept;
+  return dropped;
+}
+
+}  // namespace
+
+TaskSets::TaskSets(const Workflow& wf, const std::vector<KeyGenAttr>& keygen,
+                   int num_reducers)
+    : wf_(wf), keygen_(keygen), tasks_(static_cast<size_t>(num_reducers)) {
+  for (TaskSet& task : tasks_) {
+    task.results = MeasureResultSet(wf.num_measures());
+  }
+}
+
+void TaskSets::EvaluateBlock(int reducer, const GroupView& group,
+                             const int64_t* rows, const LocalAggregator& agg,
+                             bool assume_sorted, LocalEvalPhase phase) {
+  LocalAggContext ctx;
+  ctx.rows = rows;
+  ctx.n = group.size();
+  ctx.assume_sorted = assume_sorted;
+  ctx.phase = phase;
+  ctx.cancel = group.cancellation_token();
+  ctx.obs = group.obs();
+  ctx.task = reducer;
+  LocalEvalStats stats;
+  MeasureResultSet results = agg.Evaluate(ctx, &stats);
+  AddBlock(reducer, group, phase == LocalEvalPhase::kFull ? &results : nullptr,
+           stats);
+}
+
+void TaskSets::AddBlock(int reducer, const GroupView& group,
+                        MeasureResultSet* results,
+                        const LocalEvalStats& stats) {
+  TaskSet& task = tasks_[static_cast<size_t>(reducer)];
+  if (group.cancelled()) {
+    if (task.status.ok()) task.status = group.cancellation_token()->status();
+    return;
+  }
+  ++task.blocks;
+  task.local_stats.Accumulate(stats);
+  if (results == nullptr) return;
+  task.filtered += FilterOwned(wf_, keygen_, group.key(), results);
+  Status merged = task.results.MergeDisjoint(std::move(*results));
+  if (!merged.ok() && task.status.ok()) task.status = std::move(merged);
+}
+
+Result<TaskSet> TaskSets::Union() {
+  for (const TaskSet& task : tasks_) CASM_RETURN_IF_ERROR(task.status);
+  TaskSet query;
+  query.results = MeasureResultSet(wf_.num_measures());
+  for (int m = 0; m < wf_.num_measures(); ++m) {
+    size_t total = 0;
+    for (const TaskSet& task : tasks_) total += task.results.values(m).size();
+    query.results.mutable_values(m).reserve(total);
+  }
+  for (TaskSet& task : tasks_) {
+    query.local_stats.Accumulate(task.local_stats);
+    query.blocks += task.blocks;
+    query.filtered += task.filtered;
+    CASM_RETURN_IF_ERROR(query.results.MergeDisjoint(std::move(task.results)));
+    task.results = MeasureResultSet();  // frees the emptied tables
+  }
+  return query;
 }
 
 std::function<void(int64_t begin, int64_t end, Emitter* emitter)>

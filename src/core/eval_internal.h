@@ -2,9 +2,9 @@
 //
 // Internal pieces shared by the evaluators. A shared run
 // (EvaluateParallelShared) must ship a shuffle pair-for-pair identical to
-// a solo run's (EvaluateParallel) under the same plan, and filter and
-// assemble each member's block results the same way — the foundation of
-// the bit-identical fanout contract in shared_evaluator.h. The solo and
+// a solo run's (EvaluateParallel) under the same plan, and evaluate,
+// filter and assemble each member's blocks the same way — the foundation
+// of the bit-identical fanout contract in shared_evaluator.h. The solo and
 // multi-job evaluators (EvaluateMultiJob) resolve the query label and
 // open their checkpoint log the same way. Each piece is defined once
 // here. Not public API.
@@ -14,12 +14,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "common/result.h"
 #include "common/status.h"
 #include "core/keygen.h"
 #include "core/parallel_evaluator.h"
@@ -31,36 +31,66 @@
 namespace casm {
 
 class Emitter;
+class GroupView;
+class LocalAggregator;
 
 namespace eval_internal {
 
-/// Shared mutable state for one query's result assembly across reducer
-/// tasks.
-struct ResultSink {
-  std::mutex mu;
+/// The owned results of the blocks one reduce task evaluated, with the
+/// task's counters; after TaskSets::Union, the whole query's. Aligned to
+/// a cache line: neighbouring tasks are written from different threads.
+struct alignas(64) TaskSet {
   MeasureResultSet results;
   LocalEvalStats local_stats;
-  Status first_error;
   int64_t blocks = 0;
-  int64_t filtered = 0;
-
-  void Merge(MeasureResultSet&& block_results, const LocalEvalStats& stats,
-             int64_t filtered_here) {
-    std::unique_lock<std::mutex> lock(mu);
-    ++blocks;
-    filtered += filtered_here;
-    local_stats.Accumulate(stats);
-    Status s = results.MergeDisjoint(std::move(block_results));
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
+  int64_t filtered = 0;  // results dropped by the ownership filter
+  /// The first rule-2 duplicate, or the cancellation of a block whose
+  /// results were dropped.
+  Status status;
 };
 
-/// Drops results whose region the block does not own; returns the kept
-/// set and counts the dropped records.
-MeasureResultSet FilterOwned(const Workflow& wf,
-                             const std::vector<KeyGenAttr>& keygen,
-                             const int64_t* block, MeasureResultSet&& all,
-                             int64_t* filtered);
+/// One query's answer, assembled per reduce task. The answer is the
+/// disjoint union of the blocks' owned results (paper §III-B rules 1–2),
+/// so the order of the union does not matter. Each task fills its own
+/// TaskSet without a lock: only the execution that owns a task's output
+/// calls reduce_fn for it, and a failure after its first group is
+/// terminal (mr/engine.h), so each set has one writer and is never
+/// replayed. After a successful run, Union() merges the sets once; a
+/// failed or cancelled run drops them.
+class TaskSets {
+ public:
+  /// `wf` and `keygen` must outlive this object.
+  TaskSets(const Workflow& wf, const std::vector<KeyGenAttr>& keygen,
+           int num_reducers);
+
+  /// The raw-record block path: evaluates the block's `rows` (its values,
+  /// copied once; evaluators never write to them, so several may read
+  /// one copy) with `agg` and adds the results to task `reducer`
+  /// (AddBlock). A phase other than kFull only counts the block.
+  void EvaluateBlock(int reducer, const GroupView& group, const int64_t* rows,
+                     const LocalAggregator& agg, bool assume_sorted,
+                     LocalEvalPhase phase);
+
+  /// Erases the block's results whose region the block does not own and
+  /// moves the rest into task `reducer`'s set; `results` null counts a
+  /// block of a phase that builds none. If the block's attempt was
+  /// cancelled, its results may be partial: they are dropped and the
+  /// task's set fails Union(). (A cancellation first seen in a task's
+  /// last group lets the task itself succeed.)
+  void AddBlock(int reducer, const GroupView& group, MeasureResultSet* results,
+                const LocalEvalStats& stats);
+
+  /// Unions the task sets in reducer order into one, reserving each
+  /// measure's summed size first and freeing each task set once merged.
+  /// Fails with the first failed task's status, or on a duplicate across
+  /// tasks.
+  Result<TaskSet> Union();
+
+ private:
+  const Workflow& wf_;
+  const std::vector<KeyGenAttr>& keygen_;
+  std::vector<TaskSet> tasks_;
+};
 
 /// The raw-record redistribution map task: maps each record of the split
 /// to its key levels and emits (block key, record) once per block that

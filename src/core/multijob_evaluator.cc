@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -37,6 +36,20 @@ Status AnnotateJobError(const Status& s, const char* kind,
                               ") failed: " + s.message());
 }
 
+/// Moves each reduce task's table into `out`, freeing it once merged.
+/// Each task writes only its own table: only the execution that owns a
+/// task's output calls reduce_fn for it (mr/engine.h), so none locks.
+void MergeTaskTables(std::vector<MeasureValueMap>* task_out,
+                     MeasureValueMap* out) {
+  size_t total = out->size();
+  for (const MeasureValueMap& t : *task_out) total += t.size();
+  out->reserve(total);
+  for (MeasureValueMap& t : *task_out) {
+    out->merge(t);
+    t = MeasureValueMap();
+  }
+}
+
 /// Evaluates one basic measure with its own repartition-the-raw-data job.
 /// `options.trace` is the sequence's resolved recorder (never null).
 Status RunBasicJob(const Workflow& wf, int index, const Table& table,
@@ -46,8 +59,8 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
   const Measure& m = wf.measure(index);
   const int num_attrs = schema.num_attributes();
 
-  std::mutex mu;
-  MeasureValueMap& out = results->mutable_values(index);
+  std::vector<MeasureValueMap> task_out(
+      static_cast<size_t>(options.num_reducers));
 
   MapReduceSpec spec;
   spec.num_mappers = options.num_mappers;
@@ -70,9 +83,8 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
       if ((i & 4095) == 0 && group.cancelled()) return;
       acc.Add(static_cast<double>(group.value(i)[0]));
     }
-    Coords coords(group.key(), group.key() + num_attrs);
-    std::unique_lock<std::mutex> lock(mu);
-    out.emplace(std::move(coords), acc.Result());
+    task_out[static_cast<size_t>(reducer)].emplace(
+        Coords(group.key(), group.key() + num_attrs), acc.Result());
   };
   const obs::Context obs(options.trace);
   const double job_start = obs.Now();
@@ -85,6 +97,7 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
   if (!run.ok()) {
     return AnnotateJobError(run.status(), "basic", m.name, index);
   }
+  MergeTaskTables(&task_out, &results->mutable_values(index));
   total->Accumulate(run.value());
   return Status::OK();
 }
@@ -133,8 +146,8 @@ Status RunCompositeJob(const Workflow& wf, int index,
                       });
   const int64_t num_input = static_cast<int64_t>(input.size()) / row_width;
 
-  std::mutex mu;
-  MeasureValueMap& out = results->mutable_values(index);
+  std::vector<MeasureValueMap> task_out(
+      static_cast<size_t>(options.num_reducers));
 
   MapReduceSpec spec;
   spec.num_mappers = options.num_mappers;
@@ -283,8 +296,7 @@ Status RunCompositeJob(const Workflow& wf, int index,
     }
 
     if (group.cancelled()) return;
-    std::unique_lock<std::mutex> lock(mu);
-    for (auto& [coords, value] : local) out.emplace(coords, value);
+    task_out[static_cast<size_t>(reducer)].merge(local);
   };
   const obs::Context obs(options.trace);
   const double job_start = obs.Now();
@@ -297,6 +309,7 @@ Status RunCompositeJob(const Workflow& wf, int index,
   if (!run.ok()) {
     return AnnotateJobError(run.status(), "composite", m.name, index);
   }
+  MergeTaskTables(&task_out, &results->mutable_values(index));
   total->Accumulate(run.value());
   return Status::OK();
 }

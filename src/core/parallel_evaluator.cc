@@ -33,6 +33,49 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// The early-aggregation reduce (§III-D): merges the block's shipped
+/// partial states per (measure, region), then derives the composite
+/// measures. Returns early, with incomplete results, once the group's
+/// attempt is cancelled.
+MeasureResultSet MergePartialStates(const Workflow& wf,
+                                    const GroupView& group) {
+  const int num_attrs = wf.schema()->num_attributes();
+  std::vector<std::unordered_map<Coords, Accumulator, CoordsHash>> acc(
+      static_cast<size_t>(wf.num_measures()));
+  MeasureResultSet block_results(wf.num_measures());
+  double partial[Accumulator::kPartialSize];
+  for (int64_t i = 0; i < group.size(); ++i) {
+    if ((i & 4095) == 0 && group.cancelled()) return block_results;
+    const int64_t* v = group.value(i);
+    const int mi = static_cast<int>(v[0]);
+    Coords coords(v + 1, v + 1 + num_attrs);
+    for (int p = 0; p < Accumulator::kPartialSize; ++p) {
+      partial[p] = std::bit_cast<double>(v[1 + num_attrs + p]);
+    }
+    Accumulator incoming = Accumulator::FromPartial(wf.measure(mi).fn, partial);
+    auto& map = acc[static_cast<size_t>(mi)];
+    auto it = map.find(coords);
+    if (it == map.end()) {
+      map.emplace(std::move(coords), std::move(incoming));
+    } else {
+      it->second.Merge(incoming);
+    }
+  }
+  for (int mi : wf.BasicMeasures()) {
+    MeasureValueMap& out_map = block_results.mutable_values(mi);
+    for (auto& [coords, accumulator] : acc[static_cast<size_t>(mi)]) {
+      out_map.emplace(coords, accumulator.Result());
+    }
+  }
+  for (int i = 0; i < wf.num_measures(); ++i) {
+    if (group.cancelled()) return block_results;
+    if (wf.measure(i).op != MeasureOp::kAggregateRecords) {
+      DeriveCompositeMeasure(wf, i, &block_results);
+    }
+  }
+  return block_results;
+}
+
 }  // namespace
 
 std::string DescribeOptions(const ParallelEvalOptions& options) {
@@ -152,8 +195,7 @@ Result<ParallelEvalResult> EvaluateParallel(
   const int early_agg_value_width = 1 + num_attrs + Accumulator::kPartialSize;
 
   ParallelEvalResult out;
-  eval_internal::ResultSink sink;
-  sink.results = MeasureResultSet(wf.num_measures());
+  eval_internal::TaskSets sets(wf, keygen, options.num_reducers);
 
   MapReduceEngine engine(options.num_threads);
   MapReduceSpec spec;
@@ -199,30 +241,12 @@ Result<ParallelEvalResult> EvaluateParallel(
       };
     }
     spec.reduce_fn = [&](int reducer, const GroupView& group) {
-      std::vector<int64_t> rows = group.CopyValues();
-      LocalEvalStats stats;
-      LocalAggContext ctx;
-      ctx.rows = rows.data();
-      ctx.n = group.size();
-      ctx.assume_sorted = plan.combined_sort;
-      ctx.phase = options.phase == ParallelEvalPhase::kLocalSortOnly
-                      ? LocalEvalPhase::kSortOnly
-                      : LocalEvalPhase::kFull;
-      ctx.cancel = group.cancellation_token();
-      ctx.obs = group.obs();
-      ctx.task = reducer;
-      MeasureResultSet block_results = local_agg->Evaluate(ctx, &stats);
-      // A cancelled attempt's partial results must never reach the sink;
-      // the surrounding run is failing with Cancelled/DeadlineExceeded.
-      if (group.cancelled()) return;
-      if (options.phase != ParallelEvalPhase::kFull) {
-        sink.Merge(MeasureResultSet(wf.num_measures()), stats, 0);
-        return;
-      }
-      int64_t filtered = 0;
-      MeasureResultSet kept = eval_internal::FilterOwned(
-          wf, keygen, group.key(), std::move(block_results), &filtered);
-      sink.Merge(std::move(kept), stats, filtered);
+      const std::vector<int64_t> rows = group.CopyValues();
+      sets.EvaluateBlock(reducer, group, rows.data(), *local_agg,
+                         plan.combined_sort,
+                         options.phase == ParallelEvalPhase::kLocalSortOnly
+                             ? LocalEvalPhase::kSortOnly
+                             : LocalEvalPhase::kFull);
     };
   } else {
     // ---- Early aggregation (§III-D): mappers pre-aggregate the basic
@@ -291,54 +315,17 @@ Result<ParallelEvalResult> EvaluateParallel(
     spec.reduce_fn = [&](int reducer, const GroupView& group) {
       LocalEvalStats stats;
       if (options.phase != ParallelEvalPhase::kFull) {
-        sink.Merge(MeasureResultSet(wf.num_measures()), stats, 0);
+        sets.AddBlock(reducer, group, nullptr, stats);
         return;
       }
       auto eval_start = std::chrono::steady_clock::now();
-      // Merge partial states per (measure, region).
-      std::vector<std::unordered_map<Coords, Accumulator, CoordsHash>> acc(
-          static_cast<size_t>(wf.num_measures()));
-      double partial[Accumulator::kPartialSize];
-      for (int64_t i = 0; i < group.size(); ++i) {
-        if ((i & 4095) == 0 && group.cancelled()) return;
-        const int64_t* v = group.value(i);
-        const int mi = static_cast<int>(v[0]);
-        Coords coords(v + 1, v + 1 + num_attrs);
-        for (int p = 0; p < Accumulator::kPartialSize; ++p) {
-          partial[p] = std::bit_cast<double>(v[1 + num_attrs + p]);
-        }
-        Accumulator incoming =
-            Accumulator::FromPartial(wf.measure(mi).fn, partial);
-        auto& map = acc[static_cast<size_t>(mi)];
-        auto it = map.find(coords);
-        if (it == map.end()) {
-          map.emplace(std::move(coords), std::move(incoming));
-        } else {
-          it->second.Merge(incoming);
-        }
-      }
-      MeasureResultSet block_results(wf.num_measures());
-      for (int mi : wf.BasicMeasures()) {
-        MeasureValueMap& out_map = block_results.mutable_values(mi);
-        for (auto& [coords, accumulator] : acc[static_cast<size_t>(mi)]) {
-          out_map.emplace(coords, accumulator.Result());
-        }
-      }
-      for (int i = 0; i < wf.num_measures(); ++i) {
-        if (group.cancelled()) return;
-        if (wf.measure(i).op != MeasureOp::kAggregateRecords) {
-          DeriveCompositeMeasure(wf, i, &block_results);
-        }
-      }
+      MeasureResultSet block_results = MergePartialStates(wf, group);
       // These are shuffled partial-state pairs, not raw input records —
       // counting them as `records` would inflate the early-agg path's
       // stats relative to raw redistribution.
       stats.merged_partials += group.size();
       stats.eval_seconds += SecondsSince(eval_start);
-      int64_t filtered = 0;
-      MeasureResultSet kept = eval_internal::FilterOwned(
-          wf, keygen, group.key(), std::move(block_results), &filtered);
-      sink.Merge(std::move(kept), stats, filtered);
+      sets.AddBlock(reducer, group, &block_results, stats);
     };
   }
 
@@ -356,14 +343,18 @@ Result<ParallelEvalResult> EvaluateParallel(
     return failed;
   }
   out.metrics = std::move(run).value();
-  if (!sink.first_error.ok()) {
-    diagnose(sink.first_error);
-    return sink.first_error;
+  const double union_start = obs.Now();
+  Result<eval_internal::TaskSet> assembled = sets.Union();
+  if (!assembled.ok()) {
+    diagnose(assembled.status());
+    return assembled.status();
   }
-  out.results = std::move(sink.results);
-  out.local_stats = sink.local_stats;
-  out.blocks_evaluated = sink.blocks;
-  out.results_filtered = sink.filtered;
+  out.results = std::move(assembled->results);
+  out.local_stats = assembled->local_stats;
+  out.blocks_evaluated = assembled->blocks;
+  out.results_filtered = assembled->filtered;
+  obs::Observe(&obs, {.kind = obs::Kind::kResultUnion, .start = union_start,
+                      .n = {out.results.TotalResults(), options.num_reducers}});
   if (ckpt.has_value()) {
     const double write_start = obs.Now();
     Result<int64_t> bytes = ckpt->CommitResultSet("result", out.results);

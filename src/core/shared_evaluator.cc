@@ -66,13 +66,14 @@ Result<SharedEvalResult> EvaluateParallelShared(
   const size_t n_members = queries.size();
   std::vector<std::unique_ptr<SortScanEvaluator>> local_evals(n_members);
   std::vector<std::unique_ptr<LocalAggregator>> local_aggs(n_members);
-  std::vector<eval_internal::ResultSink> sinks(n_members);
+  std::vector<eval_internal::TaskSets> sets;
+  sets.reserve(n_members);
   for (size_t i = 0; i < n_members; ++i) {
     const Workflow* wf = queries[i].workflow;
     local_evals[i] = std::make_unique<SortScanEvaluator>(wf);
     local_aggs[i] =
         MakeLocalAggregator(wf, local_evals[i].get(), options.local_agg);
-    sinks[i].results = MeasureResultSet(wf->num_measures());
+    sets.emplace_back(*wf, keygen, options.num_reducers);
   }
 
   MapReduceEngine engine(options.num_threads);
@@ -97,26 +98,13 @@ Result<SharedEvalResult> EvaluateParallelShared(
   // ---- Shared reduce phase: one block, every member. Every member reads
   // the same copy of the block's rows in shuffle order: local evaluation
   // never writes to its input (sort/scan sorts an index permutation), so
-  // each member sees exactly the rows a solo run would.
+  // each member sees exactly the rows a solo run would. A cancelled block
+  // still goes to every member, so each member's set records it.
   spec.reduce_fn = [&](int reducer, const GroupView& group) {
     const std::vector<int64_t> rows = group.CopyValues();
     for (size_t i = 0; i < n_members; ++i) {
-      const Workflow& wf = *queries[i].workflow;
-      LocalEvalStats stats;
-      LocalAggContext ctx;
-      ctx.rows = rows.data();
-      ctx.n = group.size();
-      ctx.assume_sorted = false;
-      ctx.phase = LocalEvalPhase::kFull;
-      ctx.cancel = group.cancellation_token();
-      ctx.obs = group.obs();
-      ctx.task = reducer;
-      MeasureResultSet block_results = local_aggs[i]->Evaluate(ctx, &stats);
-      if (group.cancelled()) return;
-      int64_t filtered = 0;
-      MeasureResultSet kept = eval_internal::FilterOwned(
-          wf, keygen, group.key(), std::move(block_results), &filtered);
-      sinks[i].Merge(std::move(kept), stats, filtered);
+      sets[i].EvaluateBlock(reducer, group, rows.data(), *local_aggs[i],
+                            /*assume_sorted=*/false, LocalEvalPhase::kFull);
     }
   };
 
@@ -137,29 +125,31 @@ Result<SharedEvalResult> EvaluateParallelShared(
   out.queries.resize(n_members);
   std::vector<SharedQueryAttribution> attributions;
   attributions.reserve(n_members);
+  const double union_start = obs.Now();
+  int64_t union_results = 0;
   for (size_t i = 0; i < n_members; ++i) {
-    eval_internal::ResultSink& sink = sinks[i];
-    if (!sink.first_error.ok()) return sink.first_error;
+    CASM_ASSIGN_OR_RETURN(eval_internal::TaskSet assembled, sets[i].Union());
     SharedQueryResult& q = out.queries[i];
-    q.results = std::move(sink.results);
-    q.local_stats = sink.local_stats;
-    q.blocks_evaluated = sink.blocks;
-    q.results_filtered = sink.filtered;
+    q.results = std::move(assembled.results);
+    q.local_stats = assembled.local_stats;
+    q.blocks_evaluated = assembled.blocks;
+    q.results_filtered = assembled.filtered;
+    const int64_t values = q.results.TotalResults();
+    union_results += values;
     if (!queries[i].label.empty()) {
       SharedQueryAttribution attr;
       attr.query = queries[i].label;
       attr.local_records = q.local_stats.records;
       attr.local_eval_seconds =
           q.local_stats.sort_seconds + q.local_stats.eval_seconds;
-      int64_t values = 0;
-      for (int m = 0; m < q.results.num_measures(); ++m) {
-        values += static_cast<int64_t>(q.results.values(m).size());
-      }
       attr.result_values = values;
       attr.results_filtered = q.results_filtered;
       attributions.push_back(std::move(attr));
     }
   }
+  obs::Observe(&obs, {.kind = obs::Kind::kResultUnion, .start = union_start,
+                      .n = {union_results, static_cast<int64_t>(n_members) *
+                                               options.num_reducers}});
   // The shared job's scan/shuffle counters publish once under the batch
   // label; members get exactly their own reduce-side work.
   obs::Observe(&obs, {.kind = obs::Kind::kQueryDone, .metrics = &out.metrics});

@@ -22,14 +22,14 @@ int64_t MeasureResultSet::TotalResults() const {
 Status MeasureResultSet::MergeDisjoint(MeasureResultSet&& other) {
   CASM_CHECK_EQ(num_measures(), other.num_measures());
   for (int m = 0; m < num_measures(); ++m) {
-    MeasureValueMap& dst = per_measure_[static_cast<size_t>(m)];
-    for (auto& [coords, value] : other.per_measure_[static_cast<size_t>(m)]) {
-      auto [it, inserted] = dst.emplace(coords, value);
-      if (!inserted) {
-        return Status::FailedPrecondition(
-            "duplicate result for measure " + std::to_string(m) +
-            " (distribution rule 2 violated)");
-      }
+    MeasureValueMap& src = other.per_measure_[static_cast<size_t>(m)];
+    // merge() relinks every node whose key is new here; what it leaves
+    // behind is a region both sets hold.
+    per_measure_[static_cast<size_t>(m)].merge(src);
+    if (!src.empty()) {
+      return Status::FailedPrecondition(
+          "duplicate result for measure " + std::to_string(m) +
+          " (distribution rule 2 violated)");
     }
   }
   return Status::OK();

@@ -38,9 +38,11 @@ class MeasureResultSet {
 
   int64_t TotalResults() const;
 
-  /// Moves `other`'s results in, failing with FailedPrecondition if any
-  /// (measure, region) appears in both — this is how the evaluator enforces
-  /// the no-duplicate-results distribution rule.
+  /// Moves `other`'s results in, failing with FailedPrecondition naming
+  /// the measure if any (measure, region) appears in both — this is how
+  /// the evaluator enforces the no-duplicate-results distribution rule.
+  /// Moves the map nodes, never copies them; on failure the duplicates
+  /// (and any later measure's results) stay behind in `other`.
   Status MergeDisjoint(MeasureResultSet&& other);
 
   /// Results of `measure` sorted by coordinates (for comparison and

@@ -93,6 +93,7 @@ constexpr Spec kSpecs[] = {
   {"localagg", "combiner-bypass", kInstant},
   {"eval", "evaluate-parallel"},
   {"eval", "evaluate-shared"},
+  {"eval", "result-union"},
   {"job", "basic ", kSpan, Suffix::kName},
   {"job", "composite ", kSpan, Suffix::kName},
   {"ckpt", "ckpt-restore ", kSpan, Suffix::kName, nullptr, nullptr,
@@ -456,6 +457,8 @@ std::string RenderDetail(Kind kind, const int64_t n[3], TraceOutcome outcome,
     case Kind::kBasicJob:
     case Kind::kCompositeJob: return "key=" + t;
     case Kind::kEvaluateShared: return "queries=" + num(n[0]) + " key=" + t;
+    case Kind::kResultUnion:
+      return "results=" + num(n[0]) + " task_sets=" + num(n[1]);
     case Kind::kCkptRestore:
     case Kind::kCkptWrite:
       return outcome == TraceOutcome::kOk ? "bytes=" + num(n[0]) : t;

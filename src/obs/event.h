@@ -60,6 +60,7 @@ enum class Kind : uint8_t {
   kCombinerBypass,               // n0 = groups kept, n1 = pairs seen
   // Evaluators (src/core); name = measure or checkpoint entry.
   kEvaluate, kEvaluateShared,  // span; outcome, text = key, n0 = queries
+  kResultUnion,  // span: the final union; n0 = results, n1 = task sets
   kBasicJob, kCompositeJob,    // span; outcome, job, name, text = key
   kCkptRestore, kCkptWrite,    // span; outcome, job, name, n0 = bytes,
                                // text = failure

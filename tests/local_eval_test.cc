@@ -5,6 +5,9 @@
 // agreement between the sort/scan evaluator and the reference evaluator.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -248,6 +251,52 @@ TEST(MeasureResultSetTest, MergeDisjointDetectsDuplicates) {
   ASSERT_TRUE(a.MergeDisjoint(std::move(b)).ok());
   EXPECT_EQ(a.TotalResults(), 2);
   EXPECT_FALSE(a.MergeDisjoint(std::move(c)).ok());
+}
+
+TEST(MeasureResultSetTest, MergeDisjointMovesEveryResult) {
+  // Values that only a bit-exact move keeps: a signed zero, a NaN
+  // payload, a subnormal.
+  const double neg_zero = -0.0;
+  const double nan = std::bit_cast<double>(uint64_t{0x7ff8000000000123});
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  MeasureResultSet a(2), b(2);
+  a.mutable_values(0).emplace(Coords{1, 1}, neg_zero);
+  b.mutable_values(0).emplace(Coords{2, 1}, nan);
+  b.mutable_values(1).emplace(Coords{1, 1}, tiny);
+  ASSERT_TRUE(a.MergeDisjoint(std::move(b)).ok());
+  EXPECT_EQ(b.TotalResults(), 0);
+  EXPECT_EQ(a.TotalResults(), 3);
+  auto bits = [&a](int m, const Coords& c) {
+    return std::bit_cast<uint64_t>(a.values(m).at(c));
+  };
+  EXPECT_EQ(bits(0, Coords{1, 1}), std::bit_cast<uint64_t>(neg_zero));
+  EXPECT_EQ(bits(0, Coords{2, 1}), std::bit_cast<uint64_t>(nan));
+  EXPECT_EQ(bits(1, Coords{1, 1}), std::bit_cast<uint64_t>(tiny));
+}
+
+TEST(MeasureResultSetTest, MergeDisjointIntoEmptySet) {
+  MeasureResultSet empty(2), b(2);
+  b.mutable_values(0).emplace(Coords{3}, 1.5);
+  b.mutable_values(1).emplace(Coords{4}, 2.5);
+  ASSERT_TRUE(empty.MergeDisjoint(std::move(b)).ok());
+  EXPECT_EQ(b.TotalResults(), 0);
+  EXPECT_EQ(empty.values(0).at(Coords{3}), 1.5);
+  EXPECT_EQ(empty.values(1).at(Coords{4}), 2.5);
+}
+
+TEST(MeasureResultSetTest, MergeDisjointNamesTheDuplicatedMeasure) {
+  MeasureResultSet a(3), b(3);
+  a.mutable_values(1).emplace(Coords{5}, 1.0);
+  b.mutable_values(0).emplace(Coords{5}, 2.0);  // same region, other measure
+  b.mutable_values(1).emplace(Coords{5}, 3.0);
+  const Status s = a.MergeDisjoint(std::move(b));
+  ASSERT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s.message().find("measure 1"), std::string::npos) << s.message();
+  // The destination's value is the one it held; the duplicate stays
+  // behind in the source.
+  EXPECT_EQ(a.values(1).at(Coords{5}), 1.0);
+  EXPECT_EQ(a.values(0).at(Coords{5}), 2.0);
+  EXPECT_EQ(b.values(1).at(Coords{5}), 3.0);
 }
 
 TEST(MeasureResultSetTest, CompareDetectsMismatches) {

@@ -687,6 +687,8 @@ TEST(ObsEventTest, EveryKindKeepsItsSinkNames) {
         .text = "<k>"},
        "eval/evaluate-shared",
        R"({"outcome": "ok", "detail": "queries=2 key=<k>"})", nullptr, {}},
+      {{.kind = K::kResultUnion, .n = {7, 4}}, "eval/result-union",
+       R"({"detail": "results=7 task_sets=4"})", nullptr, {}},
       {{.kind = K::kBasicJob, .job = 0, .outcome = O::kOk, .name = "m1",
         .text = "<k>"},
        "job/basic m1", R"({"job": 0, "outcome": "ok", "detail": "key=<k>"})",

@@ -7,12 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "common/cancellation.h"
 #include "common/fault.h"
+#include "core/eval_internal.h"
 #include "core/key_derivation.h"
+#include "core/keygen.h"
+#include "core/optimizer.h"
 #include "core/parallel_evaluator.h"
+#include "core/shared_evaluator.h"
 #include "data/generator.h"
 #include "local/reference_evaluator.h"
+#include "mr/engine.h"
 #include "queries/paper_data.h"
+#include "queries/paper_queries.h"
 
 namespace casm {
 namespace {
@@ -264,6 +274,89 @@ TEST(ParallelEvalTest, InjectedTaskFaultsRetryToByteIdenticalResults) {
   EXPECT_EQ(faulty->metrics.emitted_pairs, clean->metrics.emitted_pairs);
   EXPECT_TRUE(CompareResultSets(clean->results, faulty->results, 0.0).ok())
       << CompareResultSets(clean->results, faulty->results, 0.0).ToString();
+}
+
+// Each reduce task's results have one writer, the execution that owns
+// the task's output, even when a backup beats a slowed primary and a
+// crashed first attempt is retried before its first group. Under both
+// evaluators and at every thread count, such a run must equal a clean
+// run bit for bit, and the reference.
+TEST(ParallelEvalTest, SpeculatedAndRetriedReducersKeepOneOwnerPerTask) {
+  Workflow wf = MakePaperQuery(PaperQuery::kQ6);
+  Table table = PaperUniformTable(2000, 31);
+  MeasureResultSet expected = EvaluateReference(wf, table);
+  OptimizerOptions optimizer;
+  optimizer.num_reducers = 4;
+  optimizer.num_records = table.num_rows();
+  Result<ExecutionPlan> optimized = OptimizePlan(wf, optimizer);
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  // Shared evaluation's regime, so both evaluators run the same plan.
+  ExecutionPlan plan = optimized.value();
+  plan.early_aggregation = false;
+  plan.combined_sort = false;
+
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    ParallelEvalOptions clean_opts = EvalOpts(3, 4);
+    clean_opts.num_threads = threads;
+    Result<ParallelEvalResult> clean =
+        EvaluateParallel(wf, table, plan, clean_opts);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    EXPECT_TRUE(CompareResultSets(expected, clean->results, 1e-7).ok());
+
+    // Reduce task 1's first attempt crashes before its first group; task
+    // 3's primary (attempt 1) sleeps until a backup (attempt 3) beats it.
+    // On one thread the backup queues behind the sleeping primary, which
+    // then wins.
+    FaultPlan faults =
+        FaultPlan::Parse("task_crash=reduce:1:1; slow_task=reduce:3:1:1.0")
+            .value();
+    faults.set_parent(FaultPlan::FromEnv());
+    ParallelEvalOptions opts = clean_opts;
+    opts.fault_plan = &faults;
+    opts.speculative_execution = true;
+
+    Result<ParallelEvalResult> solo = EvaluateParallel(wf, table, plan, opts);
+    ASSERT_TRUE(solo.ok()) << solo.status();
+    Result<SharedEvalResult> shared =
+        EvaluateParallelShared({SharedQuery{&wf, ""}}, table, plan, opts);
+    ASSERT_TRUE(shared.ok()) << shared.status();
+    const SharedQueryResult& member = shared->queries[0];
+    for (const MapReduceMetrics* m : {&solo->metrics, &shared->metrics}) {
+      EXPECT_GT(m->speculative_attempts, 0);
+      EXPECT_GE(m->task_retries, 1);
+    }
+    for (const MeasureResultSet& results : {std::cref(solo->results),
+                                            std::cref(member.results)}) {
+      Status identical = CompareResultSets(clean->results, results, 0.0);
+      EXPECT_TRUE(identical.ok()) << identical.ToString();
+      Status exact = CompareResultSets(expected, results, 1e-7);
+      EXPECT_TRUE(exact.ok()) << exact.ToString();
+    }
+    EXPECT_EQ(solo->blocks_evaluated, clean->blocks_evaluated);
+    EXPECT_EQ(member.blocks_evaluated, clean->blocks_evaluated);
+    EXPECT_EQ(solo->results_filtered, clean->results_filtered);
+    EXPECT_EQ(member.results_filtered, clean->results_filtered);
+  }
+}
+
+// A block whose attempt was cancelled may hold partial results. Its task
+// set drops them and fails the union: a cancel first seen in a task's
+// last group lets the task, and so the engine run, succeed.
+TEST(ParallelEvalTest, CancelledBlockFailsTheUnion) {
+  SchemaPtr schema = TestSchema();
+  Workflow wf = WindowWorkflow(schema);
+  const std::vector<KeyGenAttr> keygen =
+      BuildKeyGen(*schema, DerivedPlan(wf, 1));
+  eval_internal::TaskSets sets(wf, keygen, /*num_reducers=*/2);
+  const std::vector<int64_t> pair(4, 0);  // one (key, row) pair, width 2+2
+  CancellationToken token;
+  token.Cancel();
+  const GroupView group(pair.data(), 1, 2, 2, &token);
+  MeasureResultSet results(wf.num_measures());
+  sets.AddBlock(1, group, &results, LocalEvalStats());
+  Result<eval_internal::TaskSet> assembled = sets.Union();
+  EXPECT_EQ(assembled.status().code(), StatusCode::kCancelled);
 }
 
 TEST(ParallelEvalTest, PersistentFaultWithoutRetriesFailsCleanly) {
