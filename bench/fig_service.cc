@@ -70,8 +70,6 @@ void SelfCheckOutcome(const Workflow& wf, const Table& table,
   eval.num_mappers = service_options.num_mappers;
   eval.num_reducers = service_options.num_reducers;
   eval.num_threads = service_options.num_threads;
-  eval.columnar = service_options.columnar;
-  eval.local_agg = service_options.local_agg;
   Result<ParallelEvalResult> solo =
       EvaluateParallel(wf, table, outcome.plan, eval);
   CASM_CHECK(solo.ok()) << solo.status().ToString();

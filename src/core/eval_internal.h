@@ -1,19 +1,16 @@
 // Copyright 2026 The CASM Authors. Licensed under the Apache License 2.0.
 //
-// Internal pieces shared by the evaluators. A shared run
-// (EvaluateParallelShared) must ship a shuffle pair-for-pair identical to
-// a solo run's (EvaluateParallel) under the same plan, and evaluate,
-// filter and assemble each member's blocks the same way — the foundation
-// of the bit-identical fanout contract in shared_evaluator.h. The solo and
-// multi-job evaluators (EvaluateMultiJob) resolve the query label and
-// open their checkpoint log the same way. Each piece is defined once
-// here. Not public API.
+// Internal pieces of the evaluators. EvaluateParallelBatch
+// (core/parallel_evaluator.h) assembles each member's answer per reduce
+// task (TaskSets); the multi-job evaluator (EvaluateMultiJob) assembles
+// each measure's table the same way (TaskTables). Both resolve the query
+// label and open their checkpoint log the same way. Each piece is
+// defined once here. Not public API.
 
 #ifndef CASM_CORE_EVAL_INTERNAL_H_
 #define CASM_CORE_EVAL_INTERNAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,7 +27,6 @@
 
 namespace casm {
 
-class Emitter;
 class GroupView;
 class LocalAggregator;
 
@@ -92,16 +88,39 @@ class TaskSets {
   std::vector<TaskSet> tasks_;
 };
 
-/// The raw-record redistribution map task: maps each record of the split
-/// to its key levels and emits (block key, record) once per block that
-/// must contain it. `map_batch_rows` > 0 scans columnar RecordBatches
-/// (emitting whole batches when no key attribute is region-annotated);
-/// 0 keeps the row-at-a-time loop. Both emit bit-identical shuffle
-/// output. `table`, `schema` and `keygen` must outlive the returned
-/// function.
-std::function<void(int64_t begin, int64_t end, Emitter* emitter)>
-RawRecordMapFn(const Table& table, const Schema& schema,
-               const std::vector<KeyGenAttr>& keygen, int64_t map_batch_rows);
+/// One multi-job measure's table, assembled per reduce task as TaskSets
+/// assembles a query's answer: each task fills its own table without a
+/// lock, and MergeInto moves the tables into the measure's once after a
+/// successful run.
+class TaskTables {
+ public:
+  explicit TaskTables(int num_reducers);
+
+  /// Task `reducer`'s table.
+  MeasureValueMap& operator[](int reducer) {
+    return tasks_[static_cast<size_t>(reducer)].table;
+  }
+
+  /// True when `group`'s attempt was cancelled: its results may be
+  /// partial, so the caller drops them, and task `reducer` fails
+  /// MergeInto with the token's status. (A cancellation first seen in a
+  /// task's last group lets the task, and so the engine run, succeed.)
+  bool Cancelled(int reducer, const GroupView& group);
+
+  /// Moves every task's table into `out`, reserving the summed size
+  /// first and freeing each table once merged. Fails with the first
+  /// failed task's status, merging nothing.
+  Status MergeInto(MeasureValueMap* out);
+
+ private:
+  /// Aligned to a cache line: neighbouring tasks are written from
+  /// different threads.
+  struct alignas(64) Task {
+    MeasureValueMap table;
+    Status status;
+  };
+  std::vector<Task> tasks_;
+};
 
 /// The label observability consumers stamp on the query's output: the
 /// caller's `options.query_label`, else "q<fingerprint>" of (wf, table)

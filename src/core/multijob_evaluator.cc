@@ -36,20 +36,6 @@ Status AnnotateJobError(const Status& s, const char* kind,
                               ") failed: " + s.message());
 }
 
-/// Moves each reduce task's table into `out`, freeing it once merged.
-/// Each task writes only its own table: only the execution that owns a
-/// task's output calls reduce_fn for it (mr/engine.h), so none locks.
-void MergeTaskTables(std::vector<MeasureValueMap>* task_out,
-                     MeasureValueMap* out) {
-  size_t total = out->size();
-  for (const MeasureValueMap& t : *task_out) total += t.size();
-  out->reserve(total);
-  for (MeasureValueMap& t : *task_out) {
-    out->merge(t);
-    t = MeasureValueMap();
-  }
-}
-
 /// Evaluates one basic measure with its own repartition-the-raw-data job.
 /// `options.trace` is the sequence's resolved recorder (never null).
 Status RunBasicJob(const Workflow& wf, int index, const Table& table,
@@ -59,8 +45,9 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
   const Measure& m = wf.measure(index);
   const int num_attrs = schema.num_attributes();
 
-  std::vector<MeasureValueMap> task_out(
-      static_cast<size_t>(options.num_reducers));
+  // Each task writes only its own table: only the execution that owns a
+  // task's output calls reduce_fn for it (mr/engine.h), so none locks.
+  eval_internal::TaskTables tables(options.num_reducers);
 
   MapReduceSpec spec;
   spec.num_mappers = options.num_mappers;
@@ -80,11 +67,11 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
   spec.reduce_fn = [&](int reducer, const GroupView& group) {
     Accumulator acc(m.fn);
     for (int64_t i = 0; i < group.size(); ++i) {
-      if ((i & 4095) == 0 && group.cancelled()) return;
+      if ((i & 4095) == 0 && tables.Cancelled(reducer, group)) return;
       acc.Add(static_cast<double>(group.value(i)[0]));
     }
-    task_out[static_cast<size_t>(reducer)].emplace(
-        Coords(group.key(), group.key() + num_attrs), acc.Result());
+    tables[reducer].emplace(Coords(group.key(), group.key() + num_attrs),
+                            acc.Result());
   };
   const obs::Context obs(options.trace);
   const double job_start = obs.Now();
@@ -94,10 +81,9 @@ Status RunBasicJob(const Workflow& wf, int index, const Table& table,
                       .name = m.name,
                       .text = obs.tracing() ? m.granularity.ToString(schema)
                                             : std::string()});
-  if (!run.ok()) {
-    return AnnotateJobError(run.status(), "basic", m.name, index);
-  }
-  MergeTaskTables(&task_out, &results->mutable_values(index));
+  Status merged = run.status();
+  if (merged.ok()) merged = tables.MergeInto(&results->mutable_values(index));
+  if (!merged.ok()) return AnnotateJobError(merged, "basic", m.name, index);
   total->Accumulate(run.value());
   return Status::OK();
 }
@@ -146,8 +132,7 @@ Status RunCompositeJob(const Workflow& wf, int index,
                       });
   const int64_t num_input = static_cast<int64_t>(input.size()) / row_width;
 
-  std::vector<MeasureValueMap> task_out(
-      static_cast<size_t>(options.num_reducers));
+  eval_internal::TaskTables tables(options.num_reducers);
 
   MapReduceSpec spec;
   spec.num_mappers = options.num_mappers;
@@ -212,7 +197,7 @@ Status RunCompositeJob(const Workflow& wf, int index,
     std::vector<std::vector<std::pair<Coords, double>>> contributions(
         m.edges.size());
     for (int64_t i = 0; i < group.size(); ++i) {
-      if ((i & 4095) == 0 && group.cancelled()) return;
+      if ((i & 4095) == 0 && tables.Cancelled(reducer, group)) return;
       const int64_t* v = group.value(i);
       const size_t ei = static_cast<size_t>(v[0]);
       Coords coords(v + 1, v + 1 + num_attrs);
@@ -295,8 +280,8 @@ Status RunCompositeJob(const Workflow& wf, int index,
       }
     }
 
-    if (group.cancelled()) return;
-    task_out[static_cast<size_t>(reducer)].merge(local);
+    if (tables.Cancelled(reducer, group)) return;
+    tables[reducer].merge(local);
   };
   const obs::Context obs(options.trace);
   const double job_start = obs.Now();
@@ -306,10 +291,11 @@ Status RunCompositeJob(const Workflow& wf, int index,
                       .name = m.name,
                       .text = obs.tracing() ? join_gran.ToString(schema)
                                             : std::string()});
-  if (!run.ok()) {
-    return AnnotateJobError(run.status(), "composite", m.name, index);
+  Status merged = run.status();
+  if (merged.ok()) merged = tables.MergeInto(&results->mutable_values(index));
+  if (!merged.ok()) {
+    return AnnotateJobError(merged, "composite", m.name, index);
   }
-  MergeTaskTables(&task_out, &results->mutable_values(index));
   total->Accumulate(run.value());
   return Status::OK();
 }

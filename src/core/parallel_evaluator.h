@@ -7,11 +7,25 @@
 // the regions it owns, and union the per-block results — which the
 // feasibility of the key guarantees is exactly the query answer, with no
 // duplicates and no cross-block combination step.
+//
+// One pass can evaluate several workflows over one table (the
+// multi-query service's shared scan, src/svc): the map side scans and
+// redistributes the table once, and every block is evaluated for every
+// member. Feasibility is checked per measure (core/coverage.h), so a
+// plan feasible for the members' concatenation (measure/workflow.h
+// ConcatWorkflows) is feasible for each member. One function body runs
+// one member or several, so a member's results are bit-identical
+// (tolerance 0.0) to an evaluation of its workflow alone under the same
+// plan: the shuffle, each block's rows and the member's local
+// evaluation are the same. Comparing against a *different* plan is out
+// of contract: float aggregation order follows block structure.
 
 #ifndef CASM_CORE_PARALLEL_EVALUATOR_H_
 #define CASM_CORE_PARALLEL_EVALUATOR_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "agg/local_aggregator.h"
 #include "ckpt/checkpoint.h"
@@ -79,7 +93,9 @@ std::string DescribeOptions(const ParallelEvalOptions& options);
 
 struct ParallelEvalResult {
   MeasureResultSet results;       // empty unless phase == kFull
-  MapReduceMetrics metrics;       // engine metrics (per-reducer workloads)
+  /// Engine metrics (per-reducer workloads) of the one job, which in a
+  /// batch every member shares.
+  MapReduceMetrics metrics;
   /// Aggregated per-block evaluator work. `records` counts raw records
   /// scanned by the local sort/scan algorithm (raw-redistribution path);
   /// the early-aggregation path ships pre-aggregated states instead and
@@ -101,6 +117,29 @@ Result<ParallelEvalResult> EvaluateParallel(const Workflow& wf,
                                             const Table& table,
                                             const ExecutionPlan& plan,
                                             const ParallelEvalOptions& options);
+
+/// One member of a batch evaluated in one pass.
+struct BatchQuery {
+  /// Not owned; must outlive the call. All members share one SchemaPtr
+  /// (they scan the same table).
+  const Workflow* workflow = nullptr;
+  /// In a batch of two or more, the label its own reduce-side work is
+  /// published under (casm_query_shared_*, mr/metrics.h
+  /// SharedQueryAttribution); empty skips it. The job itself publishes
+  /// under options.query_label.
+  std::string label;
+};
+
+/// Evaluates every member over `table` in one MapReduce pass under
+/// `plan` and returns one result per member, in input order. One member
+/// is EvaluateParallel. Several members additionally need
+/// options.phase == kFull, checkpointing off, raw-record redistribution
+/// (plan.early_aggregation == false: one shuffle serves heterogeneous
+/// workflows) and no combined sort (the sort order would be
+/// member-specific).
+Result<std::vector<ParallelEvalResult>> EvaluateParallelBatch(
+    const std::vector<BatchQuery>& members, const Table& table,
+    const ExecutionPlan& plan, const ParallelEvalOptions& options);
 
 }  // namespace casm
 

@@ -71,7 +71,7 @@ class Workflow {
 /// measure (core/coverage.h), so a plan feasible for the concatenation
 /// is feasible for every member — the multi-query optimizer plans for
 /// the concatenation and evaluates the members against that one plan
-/// (core/shared_evaluator.h).
+/// (EvaluateParallelBatch, core/parallel_evaluator.h).
 Result<Workflow> ConcatWorkflows(const std::vector<const Workflow*>& members);
 
 /// Incremental workflow construction. Add* methods return the measure's

@@ -195,9 +195,10 @@ struct MapReduceMetrics {
 };
 
 /// Exact per-query attribution inside a shared multi-query job
-/// (core/shared_evaluator.h). The shared scan/shuffle counters belong to
-/// the batch and are published once under the batch's own label
-/// (`casm_query_*`, obs/event.h); each member query publishes only work
+/// (EvaluateParallelBatch, core/parallel_evaluator.h). The shared
+/// scan/shuffle counters belong to the batch and are published once
+/// under the batch's own label (`casm_query_*`, obs/event.h); each
+/// member query publishes only work
 /// that is genuinely its own — the records its local evaluation scanned,
 /// the seconds it spent, the result values it produced, the records its
 /// ownership filter dropped — so summing `casm_query_*` families across

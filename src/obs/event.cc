@@ -142,8 +142,8 @@ constexpr Spec kSpecs[] = {
   {nullptr, nullptr, kSpan, Suffix::kNone, nullptr, nullptr,  // insert
    {{{"casm_plan_cache_inserts_total",
       "Plans newly remembered by the plan cache"}}}},
-  {}, {},  // kSvcQueue, kSvcBatch: gauges
-  {"svc", "svc-shared-batch", kInstant},
+  {},  // kSvcQueue: gauges
+  {"svc", "svc-shared-batch", kInstant},  // kSvcBatch, and a gauge
 };
 // clang-format on
 static_assert(std::size(kSpecs) == static_cast<size_t>(Kind::kCount),
@@ -473,7 +473,7 @@ std::string RenderDetail(Kind kind, const int64_t n[3], TraceOutcome outcome,
              (n[2] != 0                  ? " (scrub)"
               : kind == Kind::kDfsRepair ? " from node " + num(n[1])
                                          : "");
-    case Kind::kSvcSharedBatch: return "queries=" + num(n[0]);
+    case Kind::kSvcBatch: return "queries=" + num(n[0]);
     default: return t;
   }
 }

@@ -81,8 +81,7 @@ enum class Kind : uint8_t {
   // Plan cache (core/plan_cache.cc) and service (svc/).
   kPlanCacheHit, kPlanCacheMiss, kPlanCacheEvict, kPlanCacheInsert,
   kSvcQueue,        // n0 = queued queries, n1 = queries in flight
-  kSvcBatch,        // n0 = members of the batch
-  kSvcSharedBatch,  // n0 = queries sharing one scan
+  kSvcBatch,        // n0 = queries sharing one scan
   kCount
 };
 

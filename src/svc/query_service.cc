@@ -87,13 +87,7 @@ QueryService::QueryService(QueryServiceOptions options)
   if (options_.memory_budget_bytes > 0) {
     budget_ = std::make_unique<MemoryBudget>(options_.memory_budget_bytes);
   }
-  if (options_.plan_cache != nullptr) {
-    cache_ = options_.plan_cache;
-  } else {
-    owned_cache_ = std::make_unique<PlanCache>(/*max_entries=*/64);
-    owned_cache_->set_observer(&obs_);
-    cache_ = owned_cache_.get();
-  }
+  cache_.set_observer(&obs_);
   paused_ = options_.start_paused;
   const int workers = std::max(1, options_.num_workers);
   workers_.reserve(static_cast<size_t>(workers));
@@ -119,7 +113,7 @@ Result<QueryService::QueryId> QueryService::Submit(
     return Status::FailedPrecondition(
         "admission queue full (" + std::to_string(pending_.size()) + ")");
   }
-  auto record = std::make_shared<Record>(&stop_token_);
+  auto record = std::make_shared<Record>();
   record->id = next_id_++;
   record->request = request;
   record->label = request.label.empty()
@@ -132,9 +126,6 @@ Result<QueryService::QueryId> QueryService::Submit(
         record->submit_time +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(request.deadline_seconds));
-    // Before the token is shared with any other thread (contract of
-    // set_deadline): the record is still local to this call.
-    record->cancel.set_deadline(record->deadline);
   }
   records_.emplace(record->id, record);
   pending_.push_back(record);
@@ -189,7 +180,6 @@ bool QueryService::Cancel(QueryId id) {
   switch (record->state) {
     case QueryState::kQueued: {
       record->cancel_requested = true;
-      record->cancel.Cancel();
       auto pos = std::find(pending_.begin(), pending_.end(), record);
       if (pos != pending_.end()) {
         pending_.erase(pos);
@@ -203,9 +193,8 @@ bool QueryService::Cancel(QueryId id) {
     case QueryState::kRunning: {
       if (record->cancel_requested) return true;
       record->cancel_requested = true;
-      record->cancel.Cancel();
       if (record->batch != nullptr && --record->batch->live_members == 0) {
-        // Last live member gone: nobody is waiting for the shared job.
+        // Last live member gone: nobody is waiting for the job.
         record->batch->token.Cancel();
       }
       return true;
@@ -378,8 +367,6 @@ ParallelEvalOptions QueryService::BaseEvalOptions() const {
         static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
     eval.num_threads = std::max(1, hw / std::max(1, options_.num_workers));
   }
-  eval.local_agg = options_.local_agg;
-  eval.columnar = options_.columnar;
   eval.fault_plan = options_.fault_plan;
   eval.trace = obs_.trace();
   return eval;
@@ -431,232 +418,156 @@ void QueryService::CompleteLocked(Record& record, QueryState state,
 // Execution
 
 void QueryService::RunBatch(std::vector<std::shared_ptr<Record>> batch) {
-  // Members cancelled while held in the batching window never run.
-  std::vector<std::shared_ptr<Record>> live;
+  // Members cancelled while held in the batching window never run. The
+  // rest share one engine token for the job, running under the LONGEST
+  // member deadline (sharing never tightens one), armed before the
+  // token is shared.
+  std::vector<std::shared_ptr<Record>> members;
+  auto job = std::make_shared<Batch>(&stop_token_);
   {
     std::unique_lock<std::mutex> lock(mu_);
+    bool all_deadlined = true;
+    std::chrono::steady_clock::time_point max_deadline{};
     for (const std::shared_ptr<Record>& record : batch) {
       if (record->cancel_requested || stopping_) {
         CompleteLocked(*record, QueryState::kCancelled,
                        Status::Cancelled("cancelled before evaluation"));
-      } else {
-        live.push_back(record);
+        continue;
       }
-    }
-    if (live.size() > 1) {
-      obs::Observe(&obs_, {.kind = obs::Kind::kSvcBatch,
-                           .n = {static_cast<int64_t>(live.size())}});
-    }
-  }
-  if (live.empty()) return;
-
-  // Admission: one reservation covers the whole batch — shared batches
-  // make one pass over one table, and a fallback runs its members
-  // sequentially, so the footprint is one job either way.
-  const int64_t reserve_bytes = ReserveBytesFor(*live[0]->request.table);
-  if (budget_ != nullptr) {
-    const CancellationToken* gate = &live[0]->cancel;
-    Status admitted = budget_->Reserve(reserve_bytes, gate);
-    if (!admitted.ok()) {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (const std::shared_ptr<Record>& record : live) {
-        CompleteLocked(*record, StateFor(admitted), admitted);
-      }
-      return;
-    }
-  }
-
-  if (live.size() > 1) {
-    RunShared(live);
-  } else {
-    RunSolo(live[0]);
-  }
-  if (budget_ != nullptr) budget_->Release(reserve_bytes);
-}
-
-void QueryService::RunShared(
-    const std::vector<std::shared_ptr<Record>>& members) {
-  const Table& table = *members[0]->request.table;
-  const int num_reducers = options_.num_reducers;
-
-  // Batch control block: one engine token for the shared job, running
-  // under the LONGEST member deadline (sharing never tightens one).
-  auto control = std::make_shared<Batch>(&stop_token_);
-  bool all_deadlined = true;
-  std::chrono::steady_clock::time_point max_deadline{};
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    control->live_members = static_cast<int>(members.size());
-    for (const std::shared_ptr<Record>& record : members) {
-      record->batch = control;
+      members.push_back(record);
       if (record->has_deadline) {
         max_deadline = std::max(max_deadline, record->deadline);
       } else {
         all_deadlined = false;
       }
     }
+    if (members.empty()) return;
+    if (all_deadlined) job->token.set_deadline(max_deadline);
+    job->live_members = static_cast<int>(members.size());
+    for (const std::shared_ptr<Record>& record : members) record->batch = job;
+    if (members.size() > 1) {
+      obs::Observe(&obs_, {.kind = obs::Kind::kSvcBatch,
+                           .n = {static_cast<int64_t>(members.size())}});
+    }
   }
-  if (all_deadlined) control->token.set_deadline(max_deadline);
+  const size_t n = members.size();
+  const Table& table = *members[0]->request.table;
+  const int num_reducers = options_.num_reducers;
+  // The cost model needs at least one record: an empty table plans as
+  // one.
+  const int64_t plan_records = std::max<int64_t>(1, table.num_rows());
 
-  // One plan for the concatenated workflow — feasible for every member.
-  std::vector<const Workflow*> workflows;
-  std::vector<SharedQuery> queries;
-  workflows.reserve(members.size());
-  queries.reserve(members.size());
-  for (const std::shared_ptr<Record>& record : members) {
-    workflows.push_back(record->request.workflow);
-    queries.push_back(SharedQuery{record->request.workflow, record->label});
-  }
-  Status plan_error;
+  // Admission: one reservation covers the whole batch, which makes one
+  // pass over one table.
+  const int64_t reserve_bytes = ReserveBytesFor(table);
+  Status status = budget_ != nullptr
+                      ? budget_->Reserve(reserve_bytes, &job->token)
+                      : Status::OK();
   std::optional<ExecutionPlan> plan;
-  Result<Workflow> merged = ConcatWorkflows(workflows);
-  if (merged.ok()) {
-    plan = cache_->FindFeasible(merged.value(), table.num_rows(),
-                                num_reducers);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (plan.has_value()) ++stats_.plan_cache_hits;
-      else ++stats_.plan_cache_misses;
-    }
-    if (!plan.has_value()) {
-      OptimizerOptions opt;
-      opt.num_reducers = num_reducers;
-      opt.num_records = table.num_rows();
-      opt.cancel = &control->token;
-      Result<ExecutionPlan> optimized = OptimizePlan(merged.value(), opt);
-      if (optimized.ok()) plan = std::move(optimized).value();
-      else plan_error = optimized.status();
-    }
-  } else {
-    plan_error = merged.status();
-  }
-
-  if (!plan.has_value()) {
-    // No feasible shared plan: fall back to per-query evaluation. This
-    // is the correctness escape hatch — sharing is an optimization only.
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++stats_.shared_fallbacks;
+  std::vector<ParallelEvalResult> results;
+  if (status.ok()) {
+    Result<ExecutionPlan> planned = PlanFor(members, plan_records, &job->token);
+    if (planned.ok()) {
+      plan = std::move(planned).value();
+      if (n > 1) {
+        // A cached plan may have been remembered by a solo run; several
+        // members need raw redistribution and a member-neutral sort
+        // order.
+        plan->early_aggregation = false;
+        plan->combined_sort = false;
+      }
+      std::vector<BatchQuery> queries;
+      queries.reserve(n);
       for (const std::shared_ptr<Record>& record : members) {
-        record->batch = nullptr;
+        queries.push_back(BatchQuery{record->request.workflow, record->label});
       }
+      ParallelEvalOptions eval = BaseEvalOptions();
+      eval.cancel = &job->token;
+      eval.query_label =
+          n > 1 ? "svcb" + std::to_string(members[0]->id) : members[0]->label;
+      // Only a batch of one can checkpoint (Compatible).
+      eval.checkpoint = members[0]->request.checkpoint;
+      Result<std::vector<ParallelEvalResult>> run =
+          EvaluateParallelBatch(queries, table, *plan, eval);
+      if (run.ok()) {
+        results = std::move(run).value();
+      } else {
+        status = run.status();
+      }
+    } else {
+      status = planned.status();
     }
-    for (const std::shared_ptr<Record>& record : members) RunSolo(record);
-    return;
+    if (budget_ != nullptr) budget_->Release(reserve_bytes);
   }
-  // A cached plan may have been remembered by a solo run; shared
-  // evaluation needs raw redistribution and member-neutral sort order.
-  plan->early_aggregation = false;
-  plan->combined_sort = false;
 
-  ParallelEvalOptions eval = BaseEvalOptions();
-  eval.cancel = &control->token;
-  eval.query_label = "svcb" + std::to_string(members[0]->id);
-
-  obs::Observe(&obs_, {.kind = obs::Kind::kSvcSharedBatch,
-                       .n = {static_cast<int64_t>(members.size())}});
-
-  Result<SharedEvalResult> run =
-      EvaluateParallelShared(queries, table, *plan, eval);
-
+  if (status.ok()) {
+    cache_.Remember(*plan,
+                    static_cast<double>(results[0].metrics.MaxReducerPairs()),
+                    plan_records, num_reducers);
+  }
   std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.scan_passes;
-  if (run.ok()) {
-    ++stats_.shared_batches;
-    stats_.shared_queries += static_cast<int64_t>(members.size());
-    SharedEvalResult result = std::move(run).value();
-    for (size_t i = 0; i < members.size(); ++i) {
-      Record& record = *members[i];
-      record.plan = *plan;
-      record.shared = true;
-      record.batch_queries = static_cast<int>(members.size());
-      record.metrics = result.metrics;
-      record.local_stats = result.queries[i].local_stats;
-      record.batch = nullptr;
-      if (record.cancel_requested) {
-        CompleteLocked(record, QueryState::kCancelled,
-                       Status::Cancelled("cancelled while running"));
-      } else {
-        record.results = std::move(result.queries[i].results);
-        CompleteLocked(record, QueryState::kDone, Status::OK());
-      }
+  if (plan.has_value()) {
+    ++stats_.scan_passes;
+    if (n == 1) {
+      ++stats_.solo_queries;
+    } else if (status.ok()) {
+      ++stats_.shared_batches;
+      stats_.shared_queries += static_cast<int64_t>(n);
     }
-    cache_->Remember(*plan, static_cast<double>(result.metrics.MaxReducerPairs()),
-                     table.num_rows(), num_reducers);
-  } else {
-    for (const std::shared_ptr<Record>& record : members) {
-      record->plan = *plan;
-      record->shared = true;
-      record->batch_queries = static_cast<int>(members.size());
-      record->batch = nullptr;
-      if (record->cancel_requested) {
-        CompleteLocked(*record, QueryState::kCancelled,
-                       Status::Cancelled("cancelled while running"));
-      } else {
-        CompleteLocked(*record, StateFor(run.status()), run.status());
-      }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    Record& record = *members[i];
+    record.batch = nullptr;
+    if (plan.has_value()) {
+      record.plan = *plan;
+      record.shared = n > 1;
+      record.batch_queries = static_cast<int>(n);
+    }
+    if (status.ok()) {
+      record.metrics = std::move(results[i].metrics);
+      record.local_stats = results[i].local_stats;
+    }
+    if (record.cancel_requested) {
+      CompleteLocked(record, QueryState::kCancelled,
+                     Status::Cancelled("cancelled while running"));
+    } else if (!status.ok()) {
+      CompleteLocked(record, StateFor(status), status);
+    } else {
+      record.results = std::move(results[i].results);
+      CompleteLocked(record, QueryState::kDone, Status::OK());
     }
   }
 }
 
-void QueryService::RunSolo(const std::shared_ptr<Record>& record) {
-  const Workflow& wf = *record->request.workflow;
-  const Table& table = *record->request.table;
-  const int num_reducers = options_.num_reducers;
-
-  std::optional<ExecutionPlan> plan =
-      cache_->FindFeasible(wf, table.num_rows(), num_reducers);
+Result<ExecutionPlan> QueryService::PlanFor(
+    const std::vector<std::shared_ptr<Record>>& members, int64_t records,
+    const CancellationToken* cancel) {
+  // Feasibility holds per measure, so a plan for the concatenation is
+  // feasible for every member.
+  std::optional<Workflow> concat;
+  if (members.size() > 1) {
+    std::vector<const Workflow*> workflows;
+    workflows.reserve(members.size());
+    for (const std::shared_ptr<Record>& record : members) {
+      workflows.push_back(record->request.workflow);
+    }
+    CASM_ASSIGN_OR_RETURN(concat, ConcatWorkflows(workflows));
+  }
+  const Workflow& wf =
+      concat.has_value() ? *concat : *members[0]->request.workflow;
+  std::optional<ExecutionPlan> cached =
+      cache_.FindFeasible(wf, records, options_.num_reducers);
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (plan.has_value()) ++stats_.plan_cache_hits;
+    if (cached.has_value()) ++stats_.plan_cache_hits;
     else ++stats_.plan_cache_misses;
   }
-  if (!plan.has_value()) {
-    OptimizerOptions opt;
-    opt.num_reducers = num_reducers;
-    opt.num_records = table.num_rows();
-    opt.cancel = &record->cancel;
-    Result<ExecutionPlan> optimized = OptimizePlan(wf, opt);
-    if (!optimized.ok()) {
-      std::unique_lock<std::mutex> lock(mu_);
-      CompleteLocked(*record, StateFor(optimized.status()),
-                     optimized.status());
-      return;
-    }
-    plan = std::move(optimized).value();
-  }
-
-  ParallelEvalOptions eval = BaseEvalOptions();
-  eval.cancel = &record->cancel;
-  eval.query_label = record->label;
-  eval.checkpoint = record->request.checkpoint;
-
-  Result<ParallelEvalResult> run = EvaluateParallel(wf, table, *plan, eval);
-
-  std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.scan_passes;
-  ++stats_.solo_queries;
-  record->plan = *plan;
-  if (run.ok()) {
-    ParallelEvalResult result = std::move(run).value();
-    record->metrics = std::move(result.metrics);
-    record->local_stats = result.local_stats;
-    if (record->cancel_requested) {
-      CompleteLocked(*record, QueryState::kCancelled,
-                     Status::Cancelled("cancelled while running"));
-    } else {
-      record->results = std::move(result.results);
-      CompleteLocked(*record, QueryState::kDone, Status::OK());
-      cache_->Remember(*plan,
-                       static_cast<double>(record->metrics.MaxReducerPairs()),
-                       table.num_rows(), num_reducers);
-    }
-  } else if (record->cancel_requested) {
-    CompleteLocked(*record, QueryState::kCancelled,
-                   Status::Cancelled("cancelled while running"));
-  } else {
-    CompleteLocked(*record, StateFor(run.status()), run.status());
-  }
+  if (cached.has_value()) return *std::move(cached);
+  OptimizerOptions opt;
+  opt.num_reducers = options_.num_reducers;
+  opt.num_records = records;
+  opt.cancel = cancel;
+  return OptimizePlan(wf, opt);
 }
 
 }  // namespace casm

@@ -9,16 +9,16 @@
 // The multi-query optimizer pass: when shared batching is on, the worker
 // that dequeues a query holds it open for a short batching window and
 // groups every queued query over the same table (same Table pointer,
-// same SchemaPtr) into one batch. The batch's member workflows are
-// concatenated (measure/workflow.h ConcatWorkflows), one distribution
-// plan is derived for the concatenation — feasible for every member by
-// construction — and the whole batch executes as ONE shared scan +
-// shared shuffle (core/shared_evaluator.h), fanning per-query results
-// back out bit-identically to solo evaluation under the same plan.
-// Queries that cannot share (different table, allow_shared=false,
-// checkpointing requested, or no feasible shared plan) fall back to solo
-// EvaluateParallel, so sharing is purely an optimization: it changes
-// scan passes, never results.
+// same SchemaPtr) into one batch. Every batch, of one query or several,
+// runs one path: plan the member's own workflow, or the members'
+// concatenation (measure/workflow.h ConcatWorkflows) — feasible for
+// every member by construction — then evaluate once
+// (EvaluateParallelBatch, core/parallel_evaluator.h: ONE scan and one
+// shuffle) and fan the results out, bit-identical to solo evaluation
+// under the same plan. Queries that cannot share (different table,
+// allow_shared=false, checkpointing requested) form batches of one, so
+// sharing is purely an optimization: it changes scan passes, never
+// results.
 //
 // Plans — shared and solo — are remembered in a PlanCache shared across
 // the worker pool, so a hot query mix stops paying the optimizer after
@@ -26,16 +26,17 @@
 //
 // Deadline semantics: a query's deadline covers queue time + its own
 // evaluation. A query still queued past its deadline completes as
-// kExpired without running; a running solo query is cancelled by the
-// engine with DeadlineExceeded. A shared job runs under the LONGEST
-// member deadline: a member whose personal deadline elapses while the
-// shared job is still finishing gets its results anyway (the scan was
-// paid for by its peers) — sharing never makes a deadline stricter.
+// kExpired without running. A running job runs under the LONGEST member
+// deadline, which for a batch of one is the query's own: the engine
+// cancels it with DeadlineExceeded. A member whose personal deadline
+// elapses while a shared job is still finishing gets its results anyway
+// (the scan was paid for by its peers) — sharing never makes a deadline
+// stricter.
 //
 // Cancellation: cancelling a queued query removes it; cancelling a
-// running solo query trips its engine token; cancelling a member of a
-// running shared batch drops that member's results at completion and
-// trips the whole job only when every member is cancelled.
+// running query drops its results at completion and trips the job's
+// engine token once every member of its batch is cancelled (at once for
+// a batch of one).
 //
 // Environment knobs (all optional; see QueryServiceOptionsFromEnv):
 //   CASM_SVC_WORKERS, CASM_SVC_QUEUE_CAP, CASM_SVC_SHARED,
@@ -62,7 +63,6 @@
 #include "common/result.h"
 #include "core/parallel_evaluator.h"
 #include "core/plan_cache.h"
-#include "core/shared_evaluator.h"
 #include "data/table.h"
 #include "measure/workflow.h"
 #include "obs/event.h"
@@ -151,16 +151,11 @@ struct QueryServiceOptions {
   /// Worker threads per evaluation; 0 = one per hardware thread divided
   /// by num_workers (so a loaded service does not oversubscribe).
   int num_threads = 0;
-  LocalAggOptions local_agg;
-  bool columnar = true;
 
-  /// Shared plan memory across workers; null = service-owned cache. The
-  /// casm_svc_* gauges and per-query counters go to
-  /// MetricsRegistry::Global().
-  PlanCache* plan_cache = nullptr;
   /// Trace recorder for "svc" events, forwarded to every evaluation; null
   /// = the CASM_TRACE global. The service freezes which sinks are on when
-  /// it is built.
+  /// it is built. The casm_svc_* gauges and per-query counters go to
+  /// MetricsRegistry::Global().
   TraceRecorder* trace = nullptr;
   /// Fault plan forwarded to every evaluation (chaos tests); null = the
   /// process-global CASM_FAULT_PLAN plan.
@@ -184,9 +179,6 @@ struct QueryServiceStats {
   int64_t shared_batches = 0;  // batches with >= 2 members
   int64_t shared_queries = 0;  // queries that rode those batches
   int64_t solo_queries = 0;    // queries evaluated alone
-  /// Shared batches that fell back to solo evaluation (no feasible
-  /// shared plan).
-  int64_t shared_fallbacks = 0;
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_misses = 0;
   /// Reserve() calls that blocked on the admission budget.
@@ -238,7 +230,6 @@ class QueryService {
  private:
   struct Batch;
   struct Record {
-    explicit Record(const CancellationToken* stop) : cancel(stop) {}
     QueryId id = 0;
     QueryRequest request;
     std::string label;
@@ -255,17 +246,17 @@ class QueryService {
     std::chrono::steady_clock::time_point start_time;
     double queue_seconds = 0;
     double run_seconds = 0;
-    /// Tripped by Cancel()/Shutdown(); carries the query deadline. Solo
-    /// evaluations poll it directly.
-    CancellationToken cancel;
+    /// Set by Cancel(); the batch drops the query's results.
     bool cancel_requested = false;
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline;
-    /// Set while the record runs inside a shared batch.
+    /// Set while the record's batch runs.
     std::shared_ptr<Batch> batch;
   };
 
-  /// Control block of one running shared batch.
+  /// Control block of one running batch (of one query or several): the
+  /// job's engine token, under the longest member deadline, tripped by
+  /// Shutdown() or once every member is cancelled.
   struct Batch {
     explicit Batch(const CancellationToken* stop) : token(stop) {}
     CancellationToken token;
@@ -284,9 +275,15 @@ class QueryService {
                                std::vector<std::shared_ptr<Record>>* batch);
   static bool Compatible(const Record& lead, const Record& other);
 
+  /// Admits, plans and evaluates a batch of any size in one pass, then
+  /// completes every member.
   void RunBatch(std::vector<std::shared_ptr<Record>> batch);
-  void RunShared(const std::vector<std::shared_ptr<Record>>& members);
-  void RunSolo(const std::shared_ptr<Record>& record);
+  /// The plan for the members' own workflow, or for their concatenation:
+  /// from the plan cache, else the optimizer. `records` is the table size
+  /// the cost model sees.
+  Result<ExecutionPlan> PlanFor(
+      const std::vector<std::shared_ptr<Record>>& members, int64_t records,
+      const CancellationToken* cancel);
   /// Marks `record` terminal, stamps timings and wakes waiters. Lock
   /// held.
   void CompleteLocked(Record& record, QueryState state, Status status);
@@ -296,11 +293,11 @@ class QueryService {
 
   const QueryServiceOptions options_;
   std::unique_ptr<MemoryBudget> budget_;      // null without a capacity
-  std::unique_ptr<PlanCache> owned_cache_;
-  PlanCache* cache_ = nullptr;
   const obs::Context obs_;  // options_.trace resolved; the svc events
+  /// Shared by the workers; observed through obs_.
+  PlanCache cache_{/*max_entries=*/64};
 
-  /// Parent of every per-query token: Shutdown() cancels the fleet.
+  /// Parent of every job token: Shutdown() cancels the fleet.
   CancellationToken stop_token_;
 
   mutable std::mutex mu_;

@@ -8,14 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancellation.h"
 #include "common/fault.h"
 #include "common/rng.h"
+#include "core/eval_internal.h"
 #include "core/key_derivation.h"
 #include "core/multijob_evaluator.h"
 #include "core/optimizer.h"
 #include "core/parallel_evaluator.h"
 #include "data/generator.h"
 #include "local/reference_evaluator.h"
+#include "mr/engine.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
 
@@ -146,6 +149,26 @@ TEST(MultiJobTest, ExhaustedRetriesNameTheFailingJob) {
   const std::string& msg = result.status().message();
   EXPECT_NE(msg.find("multi-job evaluation"), std::string::npos) << msg;
   EXPECT_NE(msg.find("reduce task 2"), std::string::npos) << msg;
+}
+
+// A group whose attempt was cancelled may hold a partial result. Its
+// task table drops it and fails the job's merge: a cancel first seen in
+// a task's last group lets the task, and so the engine run, succeed.
+TEST(MultiJobTest, CancelledGroupFailsTheMerge) {
+  eval_internal::TaskTables tables(/*num_reducers=*/2);
+  const std::vector<int64_t> live_pair = {3, 7};  // (key, value), width 1+1
+  const GroupView live(live_pair.data(), 1, 1, 1);
+  EXPECT_FALSE(tables.Cancelled(0, live));
+  tables[0].emplace(Coords{3}, 7.0);
+
+  const std::vector<int64_t> pair = {4, 9};
+  CancellationToken token;
+  token.Cancel();
+  const GroupView group(pair.data(), 1, 1, 1, &token);
+  EXPECT_TRUE(tables.Cancelled(1, group));
+  MeasureValueMap out;
+  EXPECT_EQ(tables.MergeInto(&out).code(), StatusCode::kCancelled);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(MultiJobTest, RejectsPartialPhases) {

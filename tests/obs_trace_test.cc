@@ -761,10 +761,9 @@ TEST(ObsEventTest, EveryKindKeepsItsSinkNames) {
       {{.kind = K::kSvcQueue, .n = {3, 1}}, nullptr, "", nullptr,
        {{"casm_svc_queue_depth", {}, 3, true},
         {"casm_svc_inflight", {}, 1, true}}},
-      {{.kind = K::kSvcBatch, .n = {2}}, nullptr, "", nullptr,
+      {{.kind = K::kSvcBatch, .n = {2}}, "svc/svc-shared-batch",
+       R"({"detail": "queries=2"})", nullptr,
        {{"casm_svc_batch_queries", {}, 2, true}}},
-      {{.kind = K::kSvcSharedBatch, .n = {2}}, "svc/svc-shared-batch",
-       R"({"detail": "queries=2"})", nullptr, {}},
   };
 
   // Every kind, once.

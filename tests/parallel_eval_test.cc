@@ -7,8 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/cancellation.h"
 #include "common/fault.h"
@@ -17,7 +18,6 @@
 #include "core/keygen.h"
 #include "core/optimizer.h"
 #include "core/parallel_evaluator.h"
-#include "core/shared_evaluator.h"
 #include "data/generator.h"
 #include "local/reference_evaluator.h"
 #include "mr/engine.h"
@@ -278,9 +278,9 @@ TEST(ParallelEvalTest, InjectedTaskFaultsRetryToByteIdenticalResults) {
 
 // Each reduce task's results have one writer, the execution that owns
 // the task's output, even when a backup beats a slowed primary and a
-// crashed first attempt is retried before its first group. Under both
-// evaluators and at every thread count, such a run must equal a clean
-// run bit for bit, and the reference.
+// crashed first attempt is retried before its first group. Alone and as
+// both members of a batch, at every thread count, such a run must equal
+// a clean run bit for bit, and the reference.
 TEST(ParallelEvalTest, SpeculatedAndRetriedReducersKeepOneOwnerPerTask) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ6);
   Table table = PaperUniformTable(2000, 31);
@@ -290,7 +290,7 @@ TEST(ParallelEvalTest, SpeculatedAndRetriedReducersKeepOneOwnerPerTask) {
   optimizer.num_records = table.num_rows();
   Result<ExecutionPlan> optimized = OptimizePlan(wf, optimizer);
   ASSERT_TRUE(optimized.ok()) << optimized.status();
-  // Shared evaluation's regime, so both evaluators run the same plan.
+  // A batch's regime, so one plan serves one member and two.
   ExecutionPlan plan = optimized.value();
   plan.early_aggregation = false;
   plan.combined_sort = false;
@@ -318,26 +318,66 @@ TEST(ParallelEvalTest, SpeculatedAndRetriedReducersKeepOneOwnerPerTask) {
 
     Result<ParallelEvalResult> solo = EvaluateParallel(wf, table, plan, opts);
     ASSERT_TRUE(solo.ok()) << solo.status();
-    Result<SharedEvalResult> shared =
-        EvaluateParallelShared({SharedQuery{&wf, ""}}, table, plan, opts);
-    ASSERT_TRUE(shared.ok()) << shared.status();
-    const SharedQueryResult& member = shared->queries[0];
-    for (const MapReduceMetrics* m : {&solo->metrics, &shared->metrics}) {
-      EXPECT_GT(m->speculative_attempts, 0);
-      EXPECT_GE(m->task_retries, 1);
+    Result<std::vector<ParallelEvalResult>> batch = EvaluateParallelBatch(
+        {BatchQuery{&wf, "a"}, BatchQuery{&wf, "b"}}, table, plan, opts);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_EQ(batch->size(), 2u);
+    std::vector<const ParallelEvalResult*> runs = {&solo.value()};
+    for (const ParallelEvalResult& member : batch.value()) {
+      runs.push_back(&member);
     }
-    for (const MeasureResultSet& results : {std::cref(solo->results),
-                                            std::cref(member.results)}) {
-      Status identical = CompareResultSets(clean->results, results, 0.0);
+    for (const ParallelEvalResult* r : runs) {
+      EXPECT_GT(r->metrics.speculative_attempts, 0);
+      EXPECT_GE(r->metrics.task_retries, 1);
+      Status identical = CompareResultSets(clean->results, r->results, 0.0);
       EXPECT_TRUE(identical.ok()) << identical.ToString();
-      Status exact = CompareResultSets(expected, results, 1e-7);
+      Status exact = CompareResultSets(expected, r->results, 1e-7);
       EXPECT_TRUE(exact.ok()) << exact.ToString();
+      EXPECT_EQ(r->blocks_evaluated, clean->blocks_evaluated);
+      EXPECT_EQ(r->results_filtered, clean->results_filtered);
     }
-    EXPECT_EQ(solo->blocks_evaluated, clean->blocks_evaluated);
-    EXPECT_EQ(member.blocks_evaluated, clean->blocks_evaluated);
-    EXPECT_EQ(solo->results_filtered, clean->results_filtered);
-    EXPECT_EQ(member.results_filtered, clean->results_filtered);
   }
+}
+
+// Several members share one shuffle and one framework sort, so a batch
+// of two or more runs the full phase with raw-record redistribution, no
+// combined sort and no checkpoint, over one schema instance; one member
+// keeps every feature.
+TEST(ParallelEvalTest, BatchOfSeveralKeepsTheSharedRegime) {
+  SchemaPtr schema = TestSchema();
+  Workflow wf = WindowWorkflow(schema);
+  Table table = GenerateUniformTable(schema, 500, 3);
+  const ExecutionPlan plan = DerivedPlan(wf, 1);
+  ExecutionPlan early = plan;
+  early.early_aggregation = true;
+  ExecutionPlan sorted = plan;
+  sorted.combined_sort = true;
+  const ParallelEvalOptions opts = EvalOpts(2, 2);
+  ParallelEvalOptions map_only = opts;
+  map_only.phase = ParallelEvalPhase::kMapOnly;
+  ParallelEvalOptions checkpointed = opts;
+  checkpointed.checkpoint.dir = "unused-checkpoint-dir";
+
+  const std::vector<BatchQuery> two = {{&wf, "a"}, {&wf, "b"}};
+  EXPECT_TRUE(EvaluateParallelBatch(two, table, plan, opts).ok());
+  using Case = std::pair<const ExecutionPlan*, const ParallelEvalOptions*>;
+  for (const Case& c : {Case{&early, &opts}, Case{&sorted, &opts},
+                        Case{&plan, &map_only}, Case{&plan, &checkpointed}}) {
+    EXPECT_EQ(EvaluateParallelBatch(two, table, *c.first, *c.second)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const ExecutionPlan* p : {&early, &sorted}) {
+    EXPECT_TRUE(EvaluateParallelBatch({{&wf, ""}}, table, *p, opts).ok());
+  }
+  Workflow other = WindowWorkflow(TestSchema());  // another schema instance
+  EXPECT_EQ(EvaluateParallelBatch({{&wf, ""}, {&other, ""}}, table, plan, opts)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EvaluateParallelBatch({}, table, plan, opts).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // A block whose attempt was cancelled may hold partial results. Its task

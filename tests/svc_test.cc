@@ -66,8 +66,6 @@ MeasureResultSet SoloReference(const Workflow& wf, const Table& table,
   eval.num_mappers = options.num_mappers;
   eval.num_reducers = options.num_reducers;
   eval.num_threads = options.num_threads;
-  eval.columnar = options.columnar;
-  eval.local_agg = options.local_agg;
   Result<ParallelEvalResult> solo = EvaluateParallel(wf, table, plan, eval);
   EXPECT_TRUE(solo.ok()) << solo.status();
   return std::move(solo).value().results;
@@ -135,6 +133,76 @@ TEST(SvcTest, SharedBatchIsBitIdenticalToSolo) {
   EXPECT_EQ(stats.shared_batches, 1);
   EXPECT_EQ(stats.shared_queries, 6);
   EXPECT_EQ(stats.solo_queries, 0);
+}
+
+TEST(SvcTest, CancelledMemberLeavesItsPeerBitIdentical) {
+  // Cancelling one member of a running two-member batch drops only that
+  // member's results: the job keeps running for its peer, which ends
+  // bit-identical to solo. A reduce slowdown keeps the batch running.
+  ServiceFixture fx;
+  FaultPlan slow;
+  slow.set_parent(FaultPlan::FromEnv());
+  FaultPlan::TaskSlowdown slowdown;
+  slowdown.phase = "reduce";
+  slowdown.seconds = 0.25;
+  slow.Add(slowdown);
+  QueryServiceOptions options = SmallService();
+  options.num_workers = 1;  // deterministic batch formation
+  options.start_paused = true;
+  options.max_batch_queries = 2;
+  options.batch_window_seconds = 0.05;
+  options.fault_plan = &slow;
+  QueryService service(options);
+  const QueryService::QueryId keep = service.Submit(fx.Request(0)).value();
+  const QueryService::QueryId drop = service.Submit(fx.Request(1)).value();
+  service.Start();
+  while (service.Poll(drop).value() == QueryState::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Past the batch's start: its reduce tasks sleep for ~0.5 s.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(service.Cancel(drop));
+
+  Result<QueryOutcome> kept = service.Wait(keep);
+  ASSERT_TRUE(kept.ok());
+  ASSERT_EQ(kept->state, QueryState::kDone) << kept->status;
+  EXPECT_TRUE(kept->shared);
+  EXPECT_EQ(kept->batch_queries, 2);
+  const Status same = CompareResultSets(
+      SoloReference(fx.workflows[0], fx.table, kept->plan, options),
+      kept->results, /*tolerance=*/0.0);
+  EXPECT_TRUE(same.ok()) << same.ToString();
+  Result<QueryOutcome> dropped = service.Wait(drop);
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_EQ(dropped->state, QueryState::kCancelled);
+  EXPECT_EQ(dropped->results.TotalResults(), 0);
+  const QueryServiceStats stats = service.stats();
+  EXPECT_EQ(stats.scan_passes, 1);
+  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(stats.cancelled, 1);
+}
+
+TEST(SvcTest, EmptyTableCompletesWithColdAndWarmPlanCache) {
+  // The cost model needs an input size: an empty table plans as one
+  // record, so the cold cache's optimizer run succeeds, and the plan it
+  // caches serves the second query.
+  ServiceFixture fx;
+  Table empty = GenerateUniformTable(fx.schema, 0, /*seed=*/5);
+  QueryService service(SmallService());
+  QueryRequest request = fx.Request(0);
+  request.table = &empty;
+  for (const char* cache : {"cold", "warm"}) {
+    SCOPED_TRACE(cache);
+    Result<QueryOutcome> outcome =
+        service.Wait(service.Submit(request).value());
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome->state, QueryState::kDone) << outcome->status;
+    EXPECT_EQ(outcome->results.TotalResults(), 0);
+  }
+  const QueryServiceStats stats = service.stats();
+  EXPECT_EQ(stats.plan_cache_misses, 1);
+  EXPECT_EQ(stats.plan_cache_hits, 1);
+  EXPECT_EQ(stats.completed, 2);
 }
 
 TEST(SvcTest, SharedBatchingOffEvaluatesSolo) {
