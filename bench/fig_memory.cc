@@ -9,7 +9,7 @@
 //               (emitter buffers plus reduce-task footprints);
 //   1/2       — budget set to half the unbounded peak;
 //   1/8       — budget set to an eighth of the unbounded peak: emitters
-//               spill sorted runs to disk and task launches queue for
+//               spill runs to disk and task launches queue for
 //               admission, yet the query result is unchanged.
 //
 // Self-checks (always on): every budgeted run's peak_tracked_bytes stays

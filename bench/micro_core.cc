@@ -3,16 +3,18 @@
 // google-benchmark microbenchmarks for CASM's hot paths: hierarchy
 // mapping, region extraction, key generation, partition hashing,
 // accumulators, offset conversion, cost-model evaluation, the local
-// sort/scan evaluator, the result union, and an observed
-// local-aggregation block with no sink on.
+// sort/scan evaluator, the framework sort, the result union, and an
+// observed local-aggregation block with no sink on.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "agg/local_aggregator.h"
+#include "common/rng.h"
 #include "core/cost_model.h"
 #include "core/key_derivation.h"
 #include "core/keygen.h"
@@ -21,6 +23,7 @@
 #include "local/measure_table.h"
 #include "local/sortscan_evaluator.h"
 #include "mr/engine.h"
+#include "mr/external_sort.h"
 #include "mr/metrics.h"
 #include "obs/event.h"
 #include "obs/progress.h"
@@ -277,6 +280,54 @@ void BM_PartitionHashColumns(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PartitionHashColumns);
+
+// The framework sort over one solo_coarse reducer's input: 75k pairs of
+// a 6-column block key and a 6-column row, keys drawn from the 1,920
+// blocks of a 64 x 480 grid that PartitionHash sends to reducer 0 of 16
+// (Q2's shape). Arg 0 times the radix kernel (SortPairs), arg 1 the
+// comparator sort (SortRecords) to the same order. Items are pairs
+// sorted; the input copy is made with the timer paused.
+void BM_SortPairs(benchmark::State& state) {
+  constexpr int kKeyWidth = 6;
+  constexpr int kWidth = 12;
+  constexpr int64_t kPairs = 75000;
+  std::vector<int64_t> blocks;
+  for (int64_t a = 0; a < 64; ++a) {
+    for (int64_t b = 0; b < 480; ++b) {
+      const int64_t key[kKeyWidth] = {a, b, 0, 0, 0, 0};
+      if (PartitionHash(key, kKeyWidth) % 16 == 0) {
+        blocks.insert(blocks.end(), key, key + kKeyWidth);
+      }
+    }
+  }
+  Rng rng(7);
+  std::vector<int64_t> input;
+  input.reserve(kPairs * kWidth);
+  for (int64_t i = 0; i < kPairs; ++i) {
+    const size_t block = rng.Uniform(blocks.size() / kKeyWidth) * kKeyWidth;
+    input.insert(input.end(), blocks.begin() + block,
+                 blocks.begin() + block + kKeyWidth);
+    for (int c = kKeyWidth; c < kWidth; ++c) {
+      input.push_back(static_cast<int64_t>(rng.Uniform(100000)));
+    }
+  }
+  const PairOrder order{kWidth, kKeyWidth, {}};
+  const RecordLess key_less = [](const int64_t* a, const int64_t* b) {
+    return std::lexicographical_compare(a, a + kKeyWidth, b, b + kKeyWidth);
+  };
+  const bool kernel = state.range(0) == 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<int64_t> pairs = input;
+    state.ResumeTiming();
+    pairs = kernel ? SortPairs(std::move(pairs), order)
+                   : SortRecords(std::move(pairs), kWidth, key_less);
+    benchmark::DoNotOptimize(pairs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kPairs);
+}
+BENCHMARK(BM_SortPairs)->Unit(benchmark::kMillisecond)->Arg(0)->Arg(1);
 
 // The result union as the evaluators run it (core/eval_internal.h): each
 // block's owned results move into its reduce task's set, then the task

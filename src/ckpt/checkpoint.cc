@@ -137,8 +137,9 @@ uint64_t FingerprintWorkflow(const Workflow& workflow) {
       fnv.I64(e.sibling.attr);
       fnv.I64(e.sibling.lo);
       fnv.I64(e.sibling.hi);
-      operand_names.push_back("s" +
-                              std::to_string(operand_names.size()));
+      std::string name = "s";
+      name += std::to_string(operand_names.size());
+      operand_names.push_back(std::move(name));
     }
     fnv.Str(m.expr.empty() ? std::string()
                            : m.expr.ToText(operand_names));
@@ -171,7 +172,9 @@ Result<CheckpointLog> CheckpointLog::Open(const CheckpointOptions& options,
                         DfsVolume::Open(options.dir, options.volume));
   CheckpointLog log(std::move(volume), fingerprint);
   if (options.mode == CheckpointMode::kOverwrite) {
-    const std::string prefix = "q" + FingerprintHex(fingerprint) + ".";
+    std::string prefix = "q";
+    prefix += FingerprintHex(fingerprint);
+    prefix += '.';
     for (const std::string& name : log.volume_.ListFiles()) {
       if (name.rfind(prefix, 0) == 0) {
         CASM_RETURN_IF_ERROR(log.volume_.DeleteFile(name));
@@ -181,12 +184,22 @@ Result<CheckpointLog> CheckpointLog::Open(const CheckpointOptions& options,
   return log;
 }
 
+// The names are appended piecewise: g++ 12 at -O3 reads
+// `"literal" + std::string&&` as a possibly overlapping memcpy
+// (-Wrestrict).
 std::string CheckpointLog::JobEntryName(int job) const {
-  return "q" + FingerprintHex(fingerprint_) + ".job" + std::to_string(job);
+  std::string name = "q";
+  name += FingerprintHex(fingerprint_);
+  name += ".job";
+  name += std::to_string(job);
+  return name;
 }
 
 std::string CheckpointLog::ResultEntryName() const {
-  return "q" + FingerprintHex(fingerprint_) + ".result";
+  std::string name = "q";
+  name += FingerprintHex(fingerprint_);
+  name += ".result";
+  return name;
 }
 
 Result<int64_t> CheckpointLog::CommitEntry(const std::string& name,

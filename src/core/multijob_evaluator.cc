@@ -125,11 +125,8 @@ Status RunCompositeJob(const Workflow& wf, int index,
       input.push_back(std::bit_cast<int64_t>(value));
     }
   }
-  input = SortRecords(std::move(input), row_width,
-                      [row_width](const int64_t* a, const int64_t* b) {
-                        return std::lexicographical_compare(
-                            a, a + row_width, b, b + row_width);
-                      });
+  // The whole row is the key.
+  input = SortPairs(std::move(input), PairOrder{row_width, row_width, {}});
   const int64_t num_input = static_cast<int64_t>(input.size()) / row_width;
 
   eval_internal::TaskTables tables(options.num_reducers);

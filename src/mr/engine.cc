@@ -41,13 +41,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-int CompareKeys(const int64_t* a, const int64_t* b, int width) {
-  for (int i = 0; i < width; ++i) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  return 0;
-}
-
 /// Which side of the job a task attempt belongs to.
 enum class MapReduceTaskPhase { kMap, kReduce };
 
@@ -655,32 +648,27 @@ void Emitter::EmitBatch(const int64_t* const* key_cols, const int64_t* values,
 void Emitter::SpillBuffers() {
   if (buffered_bytes_ == 0 || !memory_status_.ok()) return;
   const int pair_width = key_width_ + value_width_;
-  const int key_width = key_width_;
   const int64_t runs_before = spilled_runs_;
   const int64_t records_before = spilled_records_;
   static std::atomic<uint64_t> spill_counter{0};
   std::string path;  // created lazily: only if some buffer is non-empty
   for (size_t r = 0; r < buffers_.size(); ++r) {
     if (buffers_[r].empty()) continue;
-    // Sorting each run is the map-side half of the framework sort: runs
-    // arrive at the reducer pre-grouped, like Hadoop's spill files. With
-    // a spill order installed (the engine passes the job's full key+value
-    // order) the reducer can k-way merge the runs directly instead of
-    // re-sorting their concatenation.
+    // Runs are written in emission order: the reducer's radix sort
+    // re-sorts the gathered pairs in linear time, so a map-side sort
+    // would buy nothing. A spill order, when one is set, sorts each run
+    // stably for callers that merge runs themselves.
     std::vector<int64_t> run =
         run_less_ != nullptr
             ? SortRecords(std::move(buffers_[r]), pair_width, run_less_)
-            : SortRecords(std::move(buffers_[r]), pair_width,
-                          [key_width](const int64_t* a, const int64_t* b) {
-                            return CompareKeys(a, b, key_width) < 0;
-                          });
+            : std::move(buffers_[r]);
     if (path.empty()) {
       path = SpillFilePath(spill_dir_, "casm_emit", spill_counter.fetch_add(1),
                            ".spill");
       spill_files_.push_back(path);
     }
-    // Spill runs are column blocks (mr/external_sort.h): the sorted run
-    // is transposed so each of the pair's components is one contiguous
+    // Spill runs are column blocks (mr/external_sort.h): the run is
+    // transposed so each of the pair's components is one contiguous
     // value stream on disk. Reads transpose back, so the replayed pairs
     // are byte-identical to a row-major spill.
     Result<int64_t> offset = AppendColumnRun(path, run, pair_width);
@@ -752,26 +740,6 @@ Status Emitter::GatherReducer(int reducer, std::vector<int64_t>* out) const {
   return Status::OK();
 }
 
-bool Emitter::HasSpilledRuns(int reducer) const {
-  return !spilled_[static_cast<size_t>(reducer)].empty();
-}
-
-Status Emitter::GatherReducerRuns(int reducer,
-                                  std::vector<std::vector<int64_t>>* runs,
-                                  std::vector<int64_t>* unsorted_tail) const {
-  const size_t r = static_cast<size_t>(reducer);
-  for (const SpillSegment& seg : spilled_[r]) {
-    Result<std::vector<int64_t>> run =
-        ReadColumnRun(spill_files_[seg.file], seg.offset_int64s,
-                      seg.count_int64s, key_width_ + value_width_);
-    CASM_RETURN_IF_ERROR(run.status());
-    runs->push_back(std::move(run).value());
-  }
-  unsorted_tail->insert(unsorted_tail->end(), buffers_[r].begin(),
-                        buffers_[r].end());
-  return Status::OK();
-}
-
 std::vector<int64_t> GroupView::CopyValues() const {
   std::vector<int64_t> out;
   const int value_width = pair_width_ - key_width_;
@@ -829,20 +797,9 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
   const int num_reducers = spec.num_reducers;
   const int pair_width = spec.key_width + spec.value_width;
   const int key_width = spec.key_width;
-
-  // The job's full pair order — key order, then the optional secondary
-  // value order — shared by the emitters' spill runs and the reduce-side
-  // sort/merge. Spilling with the *final* order is what lets the shuffle
-  // merge pre-sorted runs instead of re-sorting the concatenation.
-  const std::function<bool(const int64_t*, const int64_t*)> pair_less =
-      [&spec, key_width](const int64_t* px, const int64_t* py) {
-        int c = CompareKeys(px, py, key_width);
-        if (c != 0) return c < 0;
-        if (spec.value_less) {
-          return spec.value_less(px + key_width, py + key_width);
-        }
-        return false;
-      };
+  // The framework sort's order: key, then the optional secondary value
+  // order (combined sort, §III-D).
+  const PairOrder pair_order{pair_width, key_width, spec.value_less};
 
   MapReduceMetrics metrics;
   metrics.input_rows = num_input_rows;
@@ -934,7 +891,6 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
                                        spec.value_width);
       slot->ConfigureMemory(&budget, map_reservation, spill_threshold,
                             spec.spill_dir);
-      slot->set_spill_order(pair_less);
     }
     Emitter* emitter = slot.get();
     // Clear-and-replay: drop any pairs (and spilled runs) a failed
@@ -1038,9 +994,11 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
 
   PhaseRunner runner(spec, plan, MapReduceTaskPhase::kReduce, num_reducers,
                      &pool, &job_token, obs);
-  // Reduce admission: the gather buffer plus the sorted copy, both sized
-  // by the reducer's exact pair count (known after the map phase). The
-  // local evaluation behind reduce_fn is the user's to account.
+  // Reduce admission: the gather buffer plus a second copy's worth (a
+  // spilled sort's merge output; in memory, the radix sort's scratch),
+  // both sized by the reducer's exact pair count (known after the map
+  // phase). The local evaluation behind reduce_fn is the user's to
+  // account.
   runner.set_admission(&budget, [&metrics, pair_width](int r) {
     return 2 * metrics.reducer_pairs[static_cast<size_t>(r)] * pair_width *
            static_cast<int64_t>(sizeof(int64_t));
@@ -1052,49 +1010,28 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
         reduce_exec_stats[static_cast<size_t>(r)][static_cast<size_t>(exec)];
     const double throttle_per_record =
         plan_armed ? plan->RecordThrottleSeconds("reduce", r, attempt) : 0;
+    // Gather this reducer's pairs from every (winning) mapper, in mapper
+    // order — each mapper's spilled runs replayed from disk, then its
+    // in-memory buffer — and stably sort them by key (and by value
+    // within key if a secondary order is given), spilling to disk beyond
+    // the reducer's memory limit. A group's rows reach reduce_fn in
+    // gather order.
     auto sort_start = std::chrono::steady_clock::now();
-    std::vector<int64_t> sorted;
-    bool any_spilled = false;
-    for (const Emitter* e : map_out) any_spilled |= e->HasSpilledRuns(r);
-    if (any_spilled && spec.reducer_memory_limit_pairs == 0) {
-      // Merge path: every spilled run is already in the job's full pair
-      // order (the engine installed it as the emitters' spill order), so
-      // a k-way merge replaces the re-sort of the concatenation. Only
-      // the mappers' in-memory tails still need sorting, once, as one
-      // extra run. Skipped when the reducer has its own external-sort
-      // memory cap — ExternalSort handles that bounded-memory regime.
-      std::vector<std::vector<int64_t>> runs;
-      std::vector<int64_t> tail;
-      for (const Emitter* e : map_out) {
-        CASM_RETURN_IF_ERROR(e->GatherReducerRuns(r, &runs, &tail));
-      }
-      if (token->cancelled()) return token->status();
-      if (!tail.empty()) {
-        runs.push_back(SortRecords(std::move(tail), pair_width, pair_less));
-      }
-      sorted = MergeSortedRuns(std::move(runs), pair_width, pair_less);
-    } else {
-      // Gather this reducer's pairs from every (winning) mapper — the
-      // in-memory buffers plus any spilled runs replayed from disk —
-      // then sort by key (and by value within key if a secondary order
-      // is given), spilling to disk beyond the memory budget.
-      std::vector<int64_t> pairs;
-      pairs.reserve(static_cast<size_t>(
-          metrics.reducer_pairs[static_cast<size_t>(r)] * pair_width));
-      for (const Emitter* e : map_out) {
-        CASM_RETURN_IF_ERROR(e->GatherReducer(r, &pairs));
-      }
-      if (token->cancelled()) return token->status();
-      ExternalSortOptions sort_options;
-      sort_options.memory_limit_records = spec.reducer_memory_limit_pairs;
-      sort_options.temp_dir = spec.spill_dir;
-      sort_options.obs = &obs;
-      Result<std::vector<int64_t>> sort_result = ExternalSort(
-          std::move(pairs), pair_width, pair_less, sort_options,
-          /*stats=*/nullptr);
-      CASM_RETURN_IF_ERROR(sort_result.status());
-      sorted = std::move(sort_result).value();
+    std::vector<int64_t> pairs;
+    pairs.reserve(static_cast<size_t>(
+        metrics.reducer_pairs[static_cast<size_t>(r)] * pair_width));
+    for (const Emitter* e : map_out) {
+      CASM_RETURN_IF_ERROR(e->GatherReducer(r, &pairs));
     }
+    if (token->cancelled()) return token->status();
+    ExternalSortOptions sort_options;
+    sort_options.memory_limit_records = spec.reducer_memory_limit_pairs;
+    sort_options.temp_dir = spec.spill_dir;
+    sort_options.obs = &obs;
+    Result<std::vector<int64_t>> sort_result = ExternalSort(
+        std::move(pairs), pair_order, sort_options, /*stats=*/nullptr);
+    CASM_RETURN_IF_ERROR(sort_result.status());
+    const std::vector<int64_t> sorted = std::move(sort_result).value();
     const int64_t count = static_cast<int64_t>(sorted.size()) / pair_width;
     rs.sort_seconds += SecondsSince(sort_start);
     if (token->cancelled()) return token->status();
@@ -1113,8 +1050,8 @@ Result<MapReduceMetrics> MapReduceEngine::Run(const MapReduceSpec& spec,
       int64_t end = begin + 1;
       const int64_t* first = sorted.data() + begin * pair_width;
       while (end < count &&
-             CompareKeys(first, sorted.data() + end * pair_width,
-                         key_width) == 0) {
+             std::equal(first, first + key_width,
+                        sorted.data() + end * pair_width)) {
         ++end;
       }
       ++groups;

@@ -52,7 +52,7 @@
 // Memory-budgeted execution (the admission-control discipline of the
 // paper's substrate — a task never runs unless its working set fits):
 // `EngineOptions::memory_budget_bytes` caps the bytes tracked across the
-// whole run. Emitters account their buffered pairs and spill sorted runs
+// whole run. Emitters account their buffered pairs and spill them as runs
 // to disk past `emitter_spill_threshold_bytes` (replayed at shuffle);
 // map and reduce task launches reserve a projected footprint before
 // starting and queue — cancellably, deadlines honored — while the budget
@@ -72,6 +72,7 @@
 #include "common/fault.h"
 #include "common/memory_budget.h"
 #include "common/result.h"
+#include "mr/external_sort.h"
 #include "mr/metrics.h"
 
 namespace casm {
@@ -101,12 +102,13 @@ void PartitionHashColumns(const int64_t* const* key_cols, int key_width,
 ///
 /// Memory discipline: with a spill threshold configured (directly, or
 /// derived from `EngineOptions::memory_budget_bytes`), the emitter
-/// accounts its flattened-pair bytes and, past the threshold, sorts each
-/// reducer's buffered pairs by key and spills them as runs to disk (the
-/// map-side spill of Hadoop's MapTask, paper §III-A); spilled runs are
-/// replayed at shuffle. Each execution owns its runs: Clear() (the
-/// retry replay) and the destructor drop them, so a retried or
-/// speculation-losing attempt can never leak pairs into the shuffle.
+/// accounts its flattened-pair bytes and, past the threshold, spills each
+/// reducer's buffered pairs as a run to disk, in emission order (the
+/// map-side spill of Hadoop's MapTask, paper §III-A, minus its sort:
+/// the reducer's radix sort re-sorts the gathered pairs in linear time);
+/// spilled runs are replayed at shuffle. Each execution owns its runs:
+/// Clear() (the retry replay) and the destructor drop them, so a retried
+/// or speculation-losing attempt can never leak pairs into the shuffle.
 class Emitter {
  public:
   Emitter(int num_reducers, int key_width, int value_width);
@@ -140,7 +142,7 @@ class Emitter {
 
   /// Bytes currently buffered in memory (spilled bytes excluded).
   int64_t buffered_bytes() const { return buffered_bytes_; }
-  /// Sorted runs this emitter has written to disk across its lifetime,
+  /// Runs this emitter has written to disk across its lifetime,
   /// and the pairs they contained (cumulative; Clear() does not reset
   /// them — the I/O happened).
   int64_t spilled_runs() const { return spilled_runs_; }
@@ -169,25 +171,44 @@ class Emitter {
   /// Pairs destined for `reducer`, buffered and spilled combined.
   int64_t PairsForReducer(int reducer) const;
 
-  /// Appends reducer `reducer`'s pairs — in-memory buffer plus replayed
-  /// spilled runs — onto `out` as flattened [key..., value...] records.
+  /// Appends reducer `reducer`'s pairs — replayed spilled runs, in spill
+  /// order, then the in-memory buffer — onto `out` as flattened
+  /// [key..., value...] records. The engine's shuffle: with no spill
+  /// order set, this is emission order.
   Status GatherReducer(int reducer, std::vector<int64_t>* out) const;
 
+  // HasSpilledRuns, GatherReducerRuns and set_spill_order serve a caller
+  // that merges spill-ordered runs itself (the layer replay in
+  // perfbench/). The engine uses none of them.
+
   /// True when this emitter spilled at least one run for `reducer`.
-  bool HasSpilledRuns(int reducer) const;
+  bool HasSpilledRuns(int reducer) const {
+    return !spilled_[static_cast<size_t>(reducer)].empty();
+  }
 
   /// Replays reducer `reducer`'s spilled runs as *separate* vectors
-  /// appended to `runs` (each sorted at spill time — by the spill order
-  /// if one was set, else by key) and appends the unsorted in-memory
-  /// buffer onto `unsorted_tail`. The shuffle uses this to k-way merge
-  /// pre-sorted runs instead of re-sorting the concatenation.
+  /// appended to `runs` (each stably sorted by the spill order if one was
+  /// set, else in emission order) and appends the in-memory buffer onto
+  /// `unsorted_tail`, for a caller that k-way merges spill-ordered runs
+  /// (MergeSortedRuns).
   Status GatherReducerRuns(int reducer, std::vector<std::vector<int64_t>>* runs,
-                           std::vector<int64_t>* unsorted_tail) const;
+                           std::vector<int64_t>* unsorted_tail) const {
+    const size_t r = static_cast<size_t>(reducer);
+    for (const SpillSegment& seg : spilled_[r]) {
+      Result<std::vector<int64_t>> run =
+          ReadColumnRun(spill_files_[seg.file], seg.offset_int64s,
+                        seg.count_int64s, key_width_ + value_width_);
+      CASM_RETURN_IF_ERROR(run.status());
+      runs->push_back(std::move(run).value());
+    }
+    unsorted_tail->insert(unsorted_tail->end(), buffers_[r].begin(),
+                          buffers_[r].end());
+    return Status::OK();
+  }
 
-  /// Orders pairs within spilled runs (a full [key..., value...] record
-  /// comparator). When it matches the reducer's sort order, spilled runs
-  /// can be merged at shuffle instead of re-sorted; the engine sets the
-  /// job's key+value order here. Unset keeps the key-only spill order.
+  /// Stably sorts each spilled run by `less`, a full [key..., value...]
+  /// record comparator, so GatherReducerRuns hands out merge-ready runs.
+  /// Unset, runs are written in emission order.
   void set_spill_order(std::function<bool(const int64_t*, const int64_t*)> less) {
     run_less_ = std::move(less);
   }
@@ -218,16 +239,17 @@ class Emitter {
     throttle_owed_seconds_ = 0;
   }
 
-  /// One spilled sorted run of a reducer's pairs inside a spill file.
+  /// One spilled run of a reducer's pairs inside a spill file.
   struct SpillSegment {
     size_t file;            // index into spill_files_
     int64_t offset_int64s;  // where the run starts in the file
     int64_t count_int64s;   // run length
   };
 
-  /// Sorts and writes every non-empty reducer buffer as runs to a fresh
-  /// spill file, releases the buffers, and returns incrementally-tracked
-  /// bytes to the budget. Sets memory_status_ on I/O failure.
+  /// Writes every non-empty reducer buffer as a run to a fresh spill file
+  /// (sorted only under a spill order), releases the buffers, and returns
+  /// incrementally-tracked bytes to the budget. Sets memory_status_ on
+  /// I/O failure.
   void SpillBuffers();
   /// Post-emit accounting shared by Emit and EmitBatch: counts the pair's
   /// bytes, spills past the threshold, and reserves budget chunks.
@@ -317,8 +339,9 @@ class GroupView {
 /// options`.
 struct EngineOptions {
   /// Per-reducer memory budget for the framework sort, in pairs; when a
-  /// reducer's input exceeds it, sorted runs spill to disk and are merged
-  /// (external sorting, paper §III-A). 0 = unlimited.
+  /// reducer's input exceeds it, runs of this many pairs are sorted,
+  /// spilled to disk and merged (external sorting, paper §III-A).
+  /// 0 = unlimited.
   int64_t reducer_memory_limit_pairs = 0;
 
   // ---- Memory accounting and admission control (paper §III-A: the
@@ -336,9 +359,9 @@ struct EngineOptions {
   /// the budget across the shuffle.
   int64_t memory_budget_bytes = 0;
   /// Map-side spill threshold per task execution, in bytes of flattened
-  /// pairs: past it the emitter sorts each reducer's buffer by key and
-  /// spills it as a run to disk, replaying the runs at shuffle. 0 = no
-  /// map-side spilling (unless derived from memory_budget_bytes).
+  /// pairs: past it the emitter spills each reducer's buffer as a run to
+  /// disk, replaying the runs at shuffle. 0 = no map-side spilling
+  /// (unless derived from memory_budget_bytes).
   int64_t emitter_spill_threshold_bytes = 0;
 
   /// Maximum attempts per map/reduce task (>= 1); the Hadoop-style retry
@@ -425,14 +448,17 @@ struct MapReduceSpec : EngineOptions {
 
   /// Reduce: invoked once per key group. May be empty (map-only job).
   /// Invoked concurrently for groups of different reducers; groups of one
-  /// reducer are delivered sequentially in key order. Throwing an
-  /// exception fails the reduce task (terminal once any group of that
-  /// task has been delivered — see the header comment).
+  /// reducer are delivered sequentially in key order. A group's rows come
+  /// in gather order — by mapper, then as each mapper emitted them —
+  /// unless `value_less` orders them (the framework sort is stable).
+  /// Throwing an exception fails the reduce task (terminal once any group
+  /// of that task has been delivered — see the header comment).
   std::function<void(int reducer, const GroupView& group)> reduce_fn;
 
   /// Optional secondary sort: orders values within a key group (the
   /// combined-sort optimization of §III-D, where the framework sort also
-  /// establishes the local algorithm's record order).
+  /// establishes the local algorithm's record order). Values it leaves
+  /// equal stay in gather order.
   std::function<bool(const int64_t* a, const int64_t* b)> value_less;
 
   /// Stop after the map phase (the "Map-Only" bar of Fig 4(d)).

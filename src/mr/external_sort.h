@@ -6,6 +6,13 @@
 // plain in-memory sort; otherwise sorted runs are spilled to temporary
 // files and k-way merged, at most 64 runs at a time (in passes when more
 // were spilled, so the open files stay bounded).
+//
+// Every sort here is stable: records that compare equal leave in the
+// order they arrived in, and merges break ties by run index. The
+// framework sort orders flat [key..., value...] pairs by key (PairOrder)
+// with SortPairs, a radix sort over a key normalized per run; the
+// comparator entry points (RecordLess) sort to the same order when the
+// comparator is the key order, one comparator call per comparison.
 
 #ifndef CASM_MR_EXTERNAL_SORT_H_
 #define CASM_MR_EXTERNAL_SORT_H_
@@ -47,6 +54,18 @@ struct ExternalSortStats {
 /// Record comparator over two record pointers (each `width` int64s).
 using RecordLess = std::function<bool(const int64_t*, const int64_t*)>;
 
+/// The framework sort's order over flat records of `width` int64s whose
+/// first `key_width` are the key: lexicographic over the key columns as
+/// signed int64s, then, only when `value_less` is set, by `value_less`
+/// over the value columns (it is handed `record + key_width`; the
+/// combined sort of paper §III-D). Records equal under both keep their
+/// input order.
+struct PairOrder {
+  int width = 1;
+  int key_width = 1;
+  RecordLess value_less;
+};
+
 /// Builds a spill-file path that is unique across concurrent processes
 /// sharing `dir`: "<dir>/<prefix>_<pid>_<token>_<seq><ext>", where
 /// `token` is a per-process random value drawn once at first use. A
@@ -56,9 +75,28 @@ using RecordLess = std::function<bool(const int64_t*, const int64_t*)>;
 std::string SpillFilePath(const std::string& dir, const char* prefix,
                           uint64_t seq, const char* ext);
 
-/// In-memory sort of a flat buffer of `width`-int64 records by `less`
-/// (the run-formation step of the external sort, exposed for map-side
-/// spilling: the Emitter sorts each run by key before writing it).
+/// Stable in-memory sort of a flat buffer of records by `order`: the
+/// framework sort's kernel, and ExternalSort's run formation.
+///
+/// An LSD radix sort over a key normalized for this input: each key
+/// column is offset by its minimum (in unsigned arithmetic, so keys
+/// spanning INT64_MIN..INT64_MAX work), constant columns are dropped,
+/// and the rest are packed, most significant first, into as few 64-bit
+/// words as their value ranges need. Only the bytes of the packed width
+/// get a pass and a byte that is the same in every record gets none;
+/// the passes move each record's packed key word and a 4-byte index,
+/// and the records move once, permuted in place in `records`, which is
+/// returned. Under `order.value_less`
+/// each run of equal keys is stably sorted by it before the records
+/// move. Scratch: 24 bytes per record, plus 8 per packed word when the
+/// key takes more than one word, all freed before it returns.
+std::vector<int64_t> SortPairs(std::vector<int64_t> records,
+                               const PairOrder& order);
+
+/// Stable in-memory sort of a flat buffer of `width`-int64 records by
+/// `less`, one comparator call per comparison. Kept for the layer
+/// replay in perfbench/, which still times the comparator sort; the
+/// framework sort uses SortPairs.
 std::vector<int64_t> SortRecords(std::vector<int64_t> records, int width,
                                  const RecordLess& less);
 
@@ -95,18 +133,29 @@ Result<std::vector<int64_t>> ReadColumnRun(const std::string& path,
                                            int64_t count_int64s, int width);
 
 /// K-way merges `runs` — each a flat buffer of `width`-int64 records
-/// already sorted by `less` — into one sorted flat buffer. The in-memory
-/// counterpart of ExternalSort's spill-file merge: the shuffle uses it to
-/// merge pre-sorted map-side spill runs instead of re-sorting their
-/// concatenation (O(n log k) comparisons for k runs vs O(n log n)).
+/// already sorted by `less` — into one sorted flat buffer. Records equal
+/// under `less` leave in run order, so stably sorted runs merge into the
+/// stable sort of their concatenation. The in-memory counterpart of
+/// ExternalSort's spill-file merge.
 std::vector<int64_t> MergeSortedRuns(std::vector<std::vector<int64_t>> runs,
                                      int width, const RecordLess& less);
 
-/// Sorts `records` (flattened rows of `width` int64s) by `less`, spilling
-/// to disk when the memory budget is exceeded. Returns the sorted flat
-/// buffer. Every spill file is deleted before it returns, on success and
-/// on error. `stats` (may be null) counts the initial runs only, not the
+/// Stably sorts `records` (flattened rows of `order.width` int64s) by
+/// `order`, spilling to disk when the memory budget is exceeded: runs of
+/// `memory_limit_records` are sorted by SortPairs and spilled, and the
+/// k-way merges compare keys inline, breaking ties by run index. Returns
+/// the sorted flat buffer, identical to SortPairs over the whole input.
+/// Every spill file is deleted before it returns, on success and on
+/// error. `stats` (may be null) counts the initial runs only, not the
 /// runs intermediate merge passes write.
+Result<std::vector<int64_t>> ExternalSort(std::vector<int64_t> records,
+                                          const PairOrder& order,
+                                          const ExternalSortOptions& options,
+                                          ExternalSortStats* stats);
+
+/// ExternalSort by an arbitrary comparator: runs are sorted by
+/// SortRecords and merged by `less`, ties by run index, so the result is
+/// the stable sort of `records` by `less`.
 Result<std::vector<int64_t>> ExternalSort(std::vector<int64_t> records,
                                           int width, const RecordLess& less,
                                           const ExternalSortOptions& options,

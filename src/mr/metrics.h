@@ -78,7 +78,7 @@ struct MapReduceMetrics {
   /// `memory_budget_bytes` set this never exceeds the budget; with no
   /// budget it measures the unbounded run's peak.
   int64_t peak_tracked_bytes = 0;
-  /// Map-side spill I/O: sorted runs the emitters of every map execution
+  /// Map-side spill I/O: runs the emitters of every map execution
   /// wrote to disk past `emitter_spill_threshold_bytes` (retried and
   /// speculation-losing executions included, as above), the pairs they
   /// contained (0 when spilling is off), and the bytes those pairs

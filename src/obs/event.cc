@@ -74,7 +74,7 @@ constexpr Spec kSpecs[] = {
   {"memory", "emitter-spill", kInstant, Suffix::kNone, "memory",
    "emitter-spill",
    {{{"casm_emitter_spills_total",
-      "Map-side spill events (each writes >= 1 sorted run to disk)."},
+      "Map-side spill events (each writes >= 1 run to disk)."},
      {"casm_emitter_spilled_records_total",
       "Pairs written to disk by map-side emitter spills.", nullptr, nullptr, 1},
      {"casm_emitter_spilled_bytes_total",

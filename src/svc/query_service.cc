@@ -506,11 +506,13 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Record>> batch) {
                     plan_records, num_reducers);
   }
   std::unique_lock<std::mutex> lock(mu_);
+  // Every planned batch is counted, failed or not, so solo_queries +
+  // shared_queries is the number of queries evaluated.
   if (plan.has_value()) {
     ++stats_.scan_passes;
     if (n == 1) {
       ++stats_.solo_queries;
-    } else if (status.ok()) {
+    } else {
       ++stats_.shared_batches;
       stats_.shared_queries += static_cast<int64_t>(n);
     }

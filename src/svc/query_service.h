@@ -176,6 +176,8 @@ struct QueryServiceStats {
   /// MapReduce passes over input tables (the shared-batching win: k
   /// compatible queries cost 1 scan pass instead of k).
   int64_t scan_passes = 0;
+  /// Batches that got a plan and ran (or failed), so solo_queries +
+  /// shared_queries counts every query evaluated, failed ones included.
   int64_t shared_batches = 0;  // batches with >= 2 members
   int64_t shared_queries = 0;  // queries that rode those batches
   int64_t solo_queries = 0;    // queries evaluated alone

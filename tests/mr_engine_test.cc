@@ -107,11 +107,11 @@ TEST(EngineTest, SecondarySortOrdersValuesWithinGroup) {
 }
 
 TEST(EngineTest, SecondarySortHoldsWhenSpilledRunsAreMerged) {
-  // With map-side spilling and no reducer sort cap, the shuffle k-way
-  // merges the spilled runs instead of re-sorting the concatenation —
-  // which is only correct because runs are spilled in the job's full
-  // key+value order. A scrambled secondary order would expose a
-  // key-only spill sort.
+  // With map-side spilling and no reducer sort cap, spilled runs are
+  // written in emission order and the reducer re-sorts every gathered
+  // pair by key, then by value within each key. A scrambled secondary
+  // order would expose a sort that skipped the value order for pairs
+  // replayed from spill runs.
   MapReduceEngine engine(2);
   MapReduceSpec spec;
   spec.num_mappers = 4;
@@ -141,7 +141,7 @@ TEST(EngineTest, SecondarySortHoldsWhenSpilledRunsAreMerged) {
   };
   Result<MapReduceMetrics> metrics = engine.Run(spec, 500);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
-  EXPECT_GT(metrics->emitter_spilled_runs, 0);  // merge path engaged
+  EXPECT_GT(metrics->emitter_spilled_runs, 0);  // spill runs replayed
   EXPECT_EQ(total_values, 500);
   EXPECT_TRUE(sorted);
 }

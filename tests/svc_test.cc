@@ -182,6 +182,42 @@ TEST(SvcTest, CancelledMemberLeavesItsPeerBitIdentical) {
   EXPECT_EQ(stats.cancelled, 1);
 }
 
+TEST(SvcTest, FailedSharedBatchStillCountsItsQueries) {
+  // A planned two-member batch whose run fails (map task 0 crashes on
+  // every attempt) made its scan pass: both members count as shared
+  // queries, so solo_queries + shared_queries equals the queries
+  // evaluated, as it does for a failed solo run.
+  ServiceFixture fx;
+  FaultPlan crash_every_attempt;
+  FaultPlan::TaskCrash crash;
+  crash.phase = "map";
+  crash.task = 0;
+  crash_every_attempt.Add(crash);
+  QueryServiceOptions options = SmallService();
+  options.num_workers = 1;  // deterministic batch formation
+  options.start_paused = true;
+  options.max_batch_queries = 2;
+  options.batch_window_seconds = 0.05;
+  options.fault_plan = &crash_every_attempt;
+  QueryService service(options);
+  const QueryService::QueryId first = service.Submit(fx.Request(0)).value();
+  const QueryService::QueryId second = service.Submit(fx.Request(1)).value();
+  service.Start();
+  for (QueryService::QueryId id : {first, second}) {
+    Result<QueryOutcome> outcome = service.Wait(id);
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome->state, QueryState::kFailed) << outcome->status;
+    EXPECT_TRUE(outcome->shared);
+    EXPECT_EQ(outcome->batch_queries, 2);
+  }
+  const QueryServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, 2);
+  EXPECT_EQ(stats.scan_passes, 1);
+  EXPECT_EQ(stats.shared_batches, 1);
+  EXPECT_EQ(stats.shared_queries, 2);
+  EXPECT_EQ(stats.solo_queries, 0);
+}
+
 TEST(SvcTest, EmptyTableCompletesWithColdAndWarmPlanCache) {
   // The cost model needs an input size: an empty table plans as one
   // record, so the cold cache's optimizer run succeeds, and the plan it
