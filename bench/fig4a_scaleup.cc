@@ -6,12 +6,10 @@
 // sibling window forces an overlapping key (extra shuffled data, larger
 // blocks to sort).
 //
-// The JSON output additionally carries a row-vs-columnar ladder: the same
-// evaluation run once with the legacy row-at-a-time map/aggregation loops
-// and once with the columnar RecordBatch paths (both produce identical
-// results), at two worker counts. CI's bench-smoke job asserts that every
-// ladder point reports both variants and that columnar throughput is no
-// worse than the row path at the 2-worker point.
+// The JSON output additionally carries a columnar ladder: one evaluation
+// timed at two worker counts. CI's bench-smoke job asserts that every
+// ladder point reports its throughput, and the bench-regression job gates
+// it against the floors in bench/baselines/fig4a.json.
 
 #include <chrono>
 #include <string>
@@ -65,11 +63,10 @@ int main() {
     std::printf("\n");
   }
 
-  // ---- Row vs columnar ladder. A multi-basic grouping (the regime the
-  // columnar refactor targets: per-row region extraction dominates) over
-  // a fixed-size table, so the two variants face identical work. Each
-  // variant runs three times interleaved and keeps its best wall time,
-  // which suppresses one-off scheduler noise on shared CI machines.
+  // ---- Columnar ladder. A multi-basic grouping (per-row region
+  // extraction dominates) over a fixed-size table. Each point runs three
+  // times and keeps its best wall time, which suppresses one-off
+  // scheduler noise on shared CI machines.
   const int64_t ladder_rows = std::max<int64_t>(ScaledRows(200000), 60000);
   Table ladder_table = PaperUniformTable(ladder_rows, 777);
   SchemaPtr schema = PaperSchema();
@@ -81,43 +78,34 @@ int main() {
           .value();
   OptimizerOptions ladder_opts;
   ladder_opts.num_records = ladder_table.num_rows();
-  std::printf("\n%-14s%16s%16s%10s   (row vs columnar, %lld rows)\n",
-              "workers", "row rows/s", "columnar rows/s", "speedup",
-              static_cast<long long>(ladder_rows));
+  std::printf("\n%-14s%16s   (columnar ladder, %lld rows)\n", "workers",
+              "rows/s", static_cast<long long>(ladder_rows));
   for (int workers : {2, 8}) {
     OptimizerOptions opts = ladder_opts;
     opts.num_reducers = workers;
     ExecutionPlan plan = OptimizePlan(ladder_wf, opts).value();
-    double best[2] = {1e300, 1e300};  // [0] = row, [1] = columnar
-    MapReduceMetrics columnar_metrics;
+    double best = 1e300;
+    MapReduceMetrics metrics;
     for (int rep = 0; rep < 3; ++rep) {
-      for (int variant = 0; variant < 2; ++variant) {
-        ParallelEvalOptions eval;
-        eval.num_mappers = workers;
-        eval.num_reducers = workers;
-        eval.columnar = variant == 1;
-        if (variant == 0) eval.local_agg.batch_rows = -1;  // legacy loops
-        const auto start = std::chrono::steady_clock::now();
-        Result<ParallelEvalResult> result =
-            EvaluateParallel(ladder_wf, ladder_table, plan, eval);
-        const double seconds = WallSeconds(start);
-        CASM_CHECK(result.ok()) << result.status().ToString();
-        best[variant] = std::min(best[variant], seconds);
-        if (variant == 1) columnar_metrics = result->metrics;
-      }
+      ParallelEvalOptions eval;
+      eval.num_mappers = workers;
+      eval.num_reducers = workers;
+      const auto start = std::chrono::steady_clock::now();
+      Result<ParallelEvalResult> result =
+          EvaluateParallel(ladder_wf, ladder_table, plan, eval);
+      const double seconds = WallSeconds(start);
+      CASM_CHECK(result.ok()) << result.status().ToString();
+      best = std::min(best, seconds);
+      metrics = result->metrics;
     }
-    const double row_tput = static_cast<double>(ladder_rows) / best[0];
-    const double col_tput = static_cast<double>(ladder_rows) / best[1];
-    std::printf("%-14d%16.0f%16.0f%9.2fx\n", workers, row_tput, col_tput,
-                col_tput / row_tput);
+    const double tput = static_cast<double>(ladder_rows) / best;
+    std::printf("%-14d%16.0f\n", workers, tput);
     JsonRow row{"ladder/w" + std::to_string(workers), {}};
     row.fields.emplace_back("workers", static_cast<double>(workers));
     row.fields.emplace_back("ladder_rows", static_cast<double>(ladder_rows));
-    row.fields.emplace_back("row_seconds", best[0]);
-    row.fields.emplace_back("columnar_seconds", best[1]);
-    row.fields.emplace_back("row_throughput_rows_per_sec", row_tput);
-    row.fields.emplace_back("columnar_throughput_rows_per_sec", col_tput);
-    AppendResourceMetrics(columnar_metrics, &row);
+    row.fields.emplace_back("columnar_seconds", best);
+    row.fields.emplace_back("columnar_throughput_rows_per_sec", tput);
+    AppendResourceMetrics(metrics, &row);
     json.push_back(std::move(row));
   }
 

@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -157,10 +158,11 @@ BENCHMARK(BM_SortScanEvaluate)->Arg(1000)->Arg(10000);
 // sort/scan directly on the unsorted block (its sort included), 1 runs
 // LocalAggregator, which routes the unsorted block to the hash group-by
 // ("morsel"). The third argument selects the group-by inner loop: -1
-// forces the legacy row-at-a-time path (one RegionOfRecord heap
-// allocation per row per measure), 0 the columnar batch path (one
-// transpose + one mapping pass per (attribute, level) per batch). Same
-// results either way — the pair measures what batching buys.
+// forces the row-at-a-time path that blocks under batch_min_block_rows
+// take (one RegionOfRecord heap allocation per row per measure), 0 the
+// columnar batch path (one transpose + one mapping pass per (attribute,
+// level) per batch). Same results either way — the pair measures what
+// batching buys.
 void BM_LocalAggEvaluate(benchmark::State& state) {
   SchemaPtr schema = PaperSchema();
   WorkflowBuilder b(schema);
@@ -172,8 +174,11 @@ void BM_LocalAggEvaluate(benchmark::State& state) {
   Workflow wf = std::move(b).Build().value();
   Table table = PaperUniformTable(state.range(1), 3);
   const bool sortscan = state.range(0) == 0;
+  const bool row_path = state.range(2) < 0;
   LocalAggOptions options;
-  options.batch_rows = state.range(2);
+  if (row_path) {
+    options.batch_min_block_rows = std::numeric_limits<int64_t>::max();
+  }
   const SortScanEvaluator eval(&wf);
   std::unique_ptr<LocalAggregator> agg =
       MakeLocalAggregator(&wf, &eval, options);
@@ -192,8 +197,7 @@ void BM_LocalAggEvaluate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * table.num_rows());
   state.SetLabel(sortscan ? std::string("sortscan")
                           : std::string("morsel") +
-                                (options.batch_rows < 0 ? "/row"
-                                                        : "/columnar"));
+                                (row_path ? "/row" : "/columnar"));
 }
 BENCHMARK(BM_LocalAggEvaluate)
     ->Unit(benchmark::kMillisecond)
@@ -204,12 +208,11 @@ BENCHMARK(BM_LocalAggEvaluate)
     ->Args({1, 120000, -1})
     ->Args({1, 120000, 0});
 
-// The map task's scan kernel, row against columnar: map every attribute
-// of each record to its key level. The row path calls MapFromFinest per
-// (row, attribute); the columnar path scans the table as RecordBatches
-// and maps whole columns with MapFromFinestColumn (level checks hoisted
-// out of the loop). Outputs are bit-identical; arg 0 selects the path
-// (0 = row, 1 = columnar), arg 1 the row count.
+// The map task's scan kernel: scan the table as RecordBatches and map
+// every attribute of each record to its key level with one
+// MapFromFinestColumn pass per column (level checks hoisted out of the
+// loop). Arg 1 is the row count; arg 0 is always 1 (the columnar scan),
+// and stays in the name that bench/baselines/micro_core.json gates.
 void BM_ScanKeyLevelMap(benchmark::State& state) {
   SchemaPtr schema = PaperSchema();
   Table table = PaperUniformTable(state.range(1), 6);
@@ -218,44 +221,27 @@ void BM_ScanKeyLevelMap(benchmark::State& state) {
   plan.key = DeriveDistributionKeys(wf).query_key;
   std::vector<KeyGenAttr> keygen = BuildKeyGen(*schema, plan);
   const int num_attrs = schema->num_attributes();
-  const int64_t n = table.num_rows();
-  if (state.range(0) == 0) {
-    std::vector<int64_t> g(static_cast<size_t>(num_attrs));
-    for (auto _ : state) {
-      for (int64_t r = 0; r < n; ++r) {
-        const int64_t* row = table.row(r);
-        for (int a = 0; a < num_attrs; ++a) {
-          g[static_cast<size_t>(a)] = schema->attribute(a).MapFromFinest(
-              row[a], keygen[static_cast<size_t>(a)].level);
-        }
-        benchmark::DoNotOptimize(g.data());
+  const int64_t cap = kDefaultBatchRows;
+  RecordBatch batch(table.row_width(), cap);
+  std::vector<std::vector<int64_t>> g_cols(static_cast<size_t>(num_attrs));
+  for (auto& col : g_cols) col.resize(static_cast<size_t>(cap));
+  for (auto _ : state) {
+    TableScan scan = table.Scan(cap);
+    while (scan.Next(&batch)) {
+      const int64_t bn = batch.num_rows();
+      for (int a = 0; a < num_attrs; ++a) {
+        schema->attribute(a).MapFromFinestColumn(
+            batch.column(a), bn, keygen[static_cast<size_t>(a)].level,
+            g_cols[static_cast<size_t>(a)].data());
       }
+      benchmark::DoNotOptimize(g_cols.data());
     }
-    state.SetLabel("row");
-  } else {
-    const int64_t cap = kDefaultBatchRows;
-    RecordBatch batch(table.row_width(), cap);
-    std::vector<std::vector<int64_t>> g_cols(static_cast<size_t>(num_attrs));
-    for (auto& col : g_cols) col.resize(static_cast<size_t>(cap));
-    for (auto _ : state) {
-      TableScan scan = table.Scan(cap);
-      while (scan.Next(&batch)) {
-        const int64_t bn = batch.num_rows();
-        for (int a = 0; a < num_attrs; ++a) {
-          schema->attribute(a).MapFromFinestColumn(
-              batch.column(a), bn, keygen[static_cast<size_t>(a)].level,
-              g_cols[static_cast<size_t>(a)].data());
-        }
-        benchmark::DoNotOptimize(g_cols.data());
-      }
-    }
-    state.SetLabel("columnar");
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel("columnar");
+  state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
 BENCHMARK(BM_ScanKeyLevelMap)
     ->Unit(benchmark::kMillisecond)
-    ->Args({0, 120000})
     ->Args({1, 120000});
 
 // Partition-hash kernel pair: per-key PartitionHash against the

@@ -11,8 +11,8 @@
 #   scripts/check.sh asan tsan       # just the named sanitizer legs
 #
 # Configurations:
-#   default  plain RelWithDebInfo-ish build; the tier-1 gate every PR
-#            must keep green.
+#   default  plain Release build with -DCASM_WERROR=ON (any compiler
+#            warning fails it); the tier-1 gate every PR must keep green.
 #   asan     AddressSanitizer: the fault-tolerance substrate retries
 #            tasks and replays emit buffers, and the memory budget spills
 #            and replays sorted runs — ASan guards those replay paths
@@ -80,7 +80,7 @@ for config in "${configs[@]}"; do
   echo "===== config: $config ====="
   case "$config" in
     default)
-      build_and_test build
+      build_and_test build -DCASM_WERROR=ON
       ;;
     asan)
       build_and_test build-asan \

@@ -9,8 +9,7 @@ namespace casm {
 namespace agg_internal {
 
 int64_t ResolveBatchRows(int64_t batch_rows) {
-  if (batch_rows < 0) return 0;
-  return batch_rows == 0 ? BatchSizeFromEnv() : batch_rows;
+  return batch_rows <= 0 ? kDefaultBatchRows : batch_rows;
 }
 
 RegionBatchMapper::RegionBatchMapper(const Schema* schema, int64_t capacity)

@@ -22,9 +22,8 @@
 namespace casm {
 namespace agg_internal {
 
-/// Resolves LocalAggOptions::batch_rows: negative -> 0 (meaning "use the
-/// legacy row-at-a-time path"), 0 -> BatchSizeFromEnv(), positive -> the
-/// value itself.
+/// Resolves LocalAggOptions::batch_rows: <= 0 -> kDefaultBatchRows,
+/// positive -> the value itself.
 int64_t ResolveBatchRows(int64_t batch_rows);
 
 /// One batch of records in columnar form with cached mapped columns.

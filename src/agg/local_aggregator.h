@@ -39,17 +39,17 @@ class Context;
 }  // namespace obs
 
 struct LocalAggOptions {
-  /// Rows per columnar batch in the hash group-by's batch path
-  /// (coordinate mapping runs vectorized over batch columns — see
-  /// agg/batch.h). 0 picks BatchSizeFromEnv() (the CASM_BATCH_SIZE knob);
-  /// negative forces the legacy row-at-a-time path (differential tests,
-  /// before/after benchmarks). Results are identical either way.
+  /// Rows per columnar batch in the map walk and in the hash group-by's
+  /// batch path (coordinate mapping runs vectorized over batch columns —
+  /// see agg/batch.h). <= 0 picks kDefaultBatchRows. Results are
+  /// identical at every size.
   int64_t batch_rows = 0;
-  /// Blocks with fewer rows than this keep the row-at-a-time path even
-  /// when batch_rows enables batching: the batch path's fixed setup (the
-  /// column transpose buffers) costs more than a tiny block's rows.
-  /// 0 batches every block (differential tests). Results are identical
-  /// either way.
+  /// Blocks with fewer rows than this take the hash group-by's
+  /// row-at-a-time path: the batch path's fixed setup (the column
+  /// transpose buffers) costs more than a tiny block's rows. The cutoff
+  /// is measured (DESIGN.md §13): batching every block slows solo_fine,
+  /// whose Q1 blocks hold ~1 row. 0 batches every block and INT64_MAX
+  /// none (differential tests). Results are identical either way.
   int64_t batch_min_block_rows = 64;
 
   // ---- Map-side adaptive combiner (early aggregation, §III-D).

@@ -53,8 +53,8 @@ double SimulatedMaxReducerLoad(double total_records, int64_t num_blocks, int m,
 ///   domain * (1 - (1 - 1/domain)^records),
 /// computed as domain * -expm1(records * log1p(-1/domain)) for numerical
 /// stability at large domains. Non-positive records or domain return 0.
-/// The optimizer uses it to predict per-block distinct groups, the prior
-/// the adaptive local aggregator blends with its first-morsel sample.
+/// The optimizer uses it to fill the plan's informational
+/// ExecutionPlan::predicted_block_groups (per-block distinct groups).
 double ExpectedDistinctGroups(double records, double domain);
 
 }  // namespace casm

@@ -75,7 +75,13 @@ std::string DistributionKey::ToString(const Schema& schema) const {
     first = false;
     out += h.name() + ":" + h.level_name(c.level);
     if (c.annotated()) {
-      out += "(" + std::to_string(c.lo) + "," + std::to_string(c.hi) + ")";
+      // Appended piecewise: g++ 12 at -O3 reads `"literal" +
+      // std::string&&` as a possibly overlapping memcpy (-Wrestrict).
+      out += '(';
+      out += std::to_string(c.lo);
+      out += ',';
+      out += std::to_string(c.hi);
+      out += ')';
     }
   }
   out += ">";

@@ -36,19 +36,18 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The map task's record walk over the split [begin, end): maps each
-/// record to its key levels and calls `visit(block key, row)` once per
-/// block that must contain it. `batch_rows` > 0 scans columnar
-/// RecordBatches with one vectorized key-level mapping pass per
-/// attribute; with `emit_batches` (no key attribute is region-annotated,
-/// so ForEachBlock degenerates to first == last == g and every record
+/// The map task's record walk over the split [begin, end): scans it as
+/// columnar RecordBatches of `batch_rows` rows, maps each key attribute
+/// to its key level with one vectorized pass per column, and calls
+/// `visit(block key, row)` once per block that must contain a record.
+/// With `emit_batches` (no key attribute is region-annotated, so
+/// ForEachBlock degenerates to first == last == g and every record
 /// belongs to exactly one block) each whole batch ships through the
 /// emitter's columnar path instead, values taken straight from the
-/// contiguous row-major table slice. 0 keeps the row-at-a-time loop.
-/// Both emit bit-identical shuffle output. Returns early once the
-/// attempt is cancelled (deadline, lost speculation race): the engine
-/// discards a cancelled attempt's output, so a partially-emitted split
-/// is safe.
+/// contiguous row-major table slice. Every batch size emits bit-identical
+/// shuffle output. Returns early once the attempt is cancelled (deadline,
+/// lost speculation race): the engine discards a cancelled attempt's
+/// output, so a partially-emitted split is safe.
 template <typename Visit>
 void WalkSplit(const Table& table, const Schema& schema,
                const std::vector<KeyGenAttr>& keygen, int64_t batch_rows,
@@ -57,49 +56,37 @@ void WalkSplit(const Table& table, const Schema& schema,
   const int num_attrs = schema.num_attributes();
   std::vector<int64_t> g(static_cast<size_t>(num_attrs));
   std::vector<int64_t> key(static_cast<size_t>(num_attrs));
-  if (batch_rows > 0) {
-    RecordBatch batch(table.row_width(), batch_rows);
-    std::vector<std::vector<int64_t>> g_cols(static_cast<size_t>(num_attrs));
-    std::vector<const int64_t*> g_ptrs(static_cast<size_t>(num_attrs));
-    for (int a = 0; a < num_attrs; ++a) {
-      g_cols[static_cast<size_t>(a)].resize(static_cast<size_t>(batch_rows));
-      g_ptrs[static_cast<size_t>(a)] = g_cols[static_cast<size_t>(a)].data();
-    }
-    TableScan scan = table.Scan(batch_rows, begin, end);
-    int64_t rb = begin;
-    while (scan.Next(&batch)) {
-      if (emitter->cancelled()) return;
-      const int64_t bn = batch.num_rows();
-      for (int a = 0; a < num_attrs; ++a) {
-        schema.attribute(a).MapFromFinestColumn(
-            batch.column(a), bn, keygen[static_cast<size_t>(a)].level,
-            g_cols[static_cast<size_t>(a)].data());
-      }
-      if (emit_batches) {
-        emitter->EmitBatch(g_ptrs.data(), table.row(rb), bn);
-      } else {
-        for (int64_t i = 0; i < bn; ++i) {
-          for (int a = 0; a < num_attrs; ++a) {
-            g[static_cast<size_t>(a)] =
-                g_cols[static_cast<size_t>(a)][static_cast<size_t>(i)];
-          }
-          const int64_t* row = table.row(rb + i);
-          ForEachBlock(keygen, g, &key,
-                       [&](const int64_t* k) { visit(k, row); });
-        }
-      }
-      rb += bn;
-    }
-    return;
+  RecordBatch batch(table.row_width(), batch_rows);
+  std::vector<std::vector<int64_t>> g_cols(static_cast<size_t>(num_attrs));
+  std::vector<const int64_t*> g_ptrs(static_cast<size_t>(num_attrs));
+  for (int a = 0; a < num_attrs; ++a) {
+    g_cols[static_cast<size_t>(a)].resize(static_cast<size_t>(batch_rows));
+    g_ptrs[static_cast<size_t>(a)] = g_cols[static_cast<size_t>(a)].data();
   }
-  for (int64_t r = begin; r < end; ++r) {
-    if (((r - begin) & 1023) == 0 && emitter->cancelled()) return;
-    const int64_t* row = table.row(r);
+  TableScan scan = table.Scan(batch_rows, begin, end);
+  int64_t rb = begin;
+  while (scan.Next(&batch)) {
+    if (emitter->cancelled()) return;
+    const int64_t bn = batch.num_rows();
     for (int a = 0; a < num_attrs; ++a) {
-      g[static_cast<size_t>(a)] = schema.attribute(a).MapFromFinest(
-          row[a], keygen[static_cast<size_t>(a)].level);
+      schema.attribute(a).MapFromFinestColumn(
+          batch.column(a), bn, keygen[static_cast<size_t>(a)].level,
+          g_cols[static_cast<size_t>(a)].data());
     }
-    ForEachBlock(keygen, g, &key, [&](const int64_t* k) { visit(k, row); });
+    if (emit_batches) {
+      emitter->EmitBatch(g_ptrs.data(), table.row(rb), bn);
+    } else {
+      for (int64_t i = 0; i < bn; ++i) {
+        for (int a = 0; a < num_attrs; ++a) {
+          g[static_cast<size_t>(a)] =
+              g_cols[static_cast<size_t>(a)][static_cast<size_t>(i)];
+        }
+        const int64_t* row = table.row(rb + i);
+        ForEachBlock(keygen, g, &key,
+                     [&](const int64_t* k) { visit(k, row); });
+      }
+    }
+    rb += bn;
   }
 }
 
@@ -191,8 +178,6 @@ std::string DescribeOptions(const ParallelEvalOptions& options) {
   out += options.speculative_execution ? "true" : "false";
   out += ",\"checkpoint\":";
   out += options.checkpoint.enabled() ? "true" : "false";
-  out += ",\"columnar\":";
-  out += options.columnar ? "true" : "false";
   out += "}";
   return out;
 }
@@ -337,12 +322,9 @@ Result<std::vector<ParallelEvalResult>> EvaluateParallelBatch(
     };
   }
 
-  // Map-side batch size: > 0 routes the record walk through columnar
-  // RecordBatch slices of the split; 0 keeps the row-at-a-time loop.
+  // Rows per RecordBatch of the map walk (WalkSplit).
   const int64_t map_batch_rows =
-      options.columnar
-          ? agg_internal::ResolveBatchRows(options.local_agg.batch_rows)
-          : 0;
+      agg_internal::ResolveBatchRows(options.local_agg.batch_rows);
 
   if (!plan.early_aggregation) {
     // ---- Raw-record redistribution: one shuffle serves every member.
@@ -387,8 +369,8 @@ Result<std::vector<ParallelEvalResult>> EvaluateParallelBatch(
       // (block, measure, region) -> partial state, flushed to the shuffle
       // when full and bypassed outright when the split's groups turn out
       // near-unique. It takes one record at a time because its bounded
-      // table, flush timing and bypass decision are order-sensitive, and
-      // batching must not change what the row walk would ship.
+      // table, flush timing and bypass decision are order-sensitive, so
+      // the batch size must not change what it ships.
       EarlyAggCombiner combiner(&wf, options.local_agg);
       WalkSplit(table, schema, keygen, map_batch_rows, /*emit_batches=*/false,
                 begin, end, emitter,

@@ -73,17 +73,16 @@ struct ParallelEvalOptions : EngineOptions {
   /// (phase kFull only). Verification failures degrade to recompute.
   CheckpointOptions checkpoint;
 
-  /// Local aggregation knobs (src/agg): the hash group-by's batch size
-  /// and how the map-side combiner bounds and bypasses early aggregation.
+  /// Local aggregation knobs (src/agg): the batch size of the map walk
+  /// and the hash group-by, and how the map-side combiner bounds and
+  /// bypasses early aggregation. Map tasks always scan their split as
+  /// RecordBatches (data/record_batch.h) of local_agg.batch_rows rows
+  /// (<= 0 = kDefaultBatchRows); every batch size emits bit-identical
+  /// shuffle output.
   LocalAggOptions local_agg;
 
-  /// Columnar map path: map tasks scan their split as RecordBatches
-  /// (data/record_batch.h), map key attributes to their key levels with
-  /// one vectorized pass per column, and emit whole batches when the
-  /// plan's key carries no region-inclusion annotation. The batch size is
-  /// local_agg.batch_rows (0 = CASM_BATCH_SIZE / default). Row and batch
-  /// paths emit bit-identical shuffle output; disabling this (or setting
-  /// local_agg.batch_rows < 0) keeps the row-at-a-time map loop.
+  /// Unread: the map walk has one (columnar) path. Kept only because
+  /// perfbench/ still reads it.
   bool columnar = true;
 };
 

@@ -3,23 +3,11 @@
 #include "data/record_batch.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "data/table.h"
 
 namespace casm {
-
-int64_t BatchSizeFromEnv() {
-  const char* env = std::getenv("CASM_BATCH_SIZE");
-  if (env == nullptr || *env == '\0') return kDefaultBatchRows;
-  char* end = nullptr;
-  long long parsed = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 1) return kDefaultBatchRows;
-  const int64_t kMaxBatchRows = int64_t{1} << 20;
-  if (parsed > kMaxBatchRows) return kMaxBatchRows;
-  return static_cast<int64_t>(parsed);
-}
 
 RecordBatch::RecordBatch(int num_columns, int64_t capacity)
     : num_columns_(num_columns), capacity_(capacity) {

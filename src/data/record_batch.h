@@ -10,9 +10,8 @@
 // Row-major `Table` stays the storage format; `TableScan` is the bridge
 // that gathers a table's rows into reusable batches. The transpose costs
 // one pass per batch and buys column-contiguous inner loops everywhere
-// downstream; batch capacity defaults to 4K rows (`kDefaultBatchRows`) so a
-// full batch of typical width stays L2-resident, overridable through the
-// `CASM_BATCH_SIZE` environment knob.
+// downstream; batch capacity is 4K rows (`kDefaultBatchRows`) so a full
+// batch of typical width stays L2-resident.
 
 #ifndef CASM_DATA_RECORD_BATCH_H_
 #define CASM_DATA_RECORD_BATCH_H_
@@ -28,10 +27,6 @@ class Table;
 /// Default batch capacity in rows: 4K rows x 8 bytes = 32 KiB per column,
 /// small enough that a handful of columns stay cache-resident.
 inline constexpr int64_t kDefaultBatchRows = 4096;
-
-/// Batch capacity from the `CASM_BATCH_SIZE` environment variable, or
-/// `kDefaultBatchRows` when unset/invalid. Clamped to [1, 1<<20].
-int64_t BatchSizeFromEnv();
 
 /// Fixed-capacity columnar record buffer. Column `c` of a batch with
 /// capacity `cap` occupies storage [c*cap, c*cap + num_rows); rows beyond

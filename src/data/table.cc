@@ -52,7 +52,7 @@ void Table::AppendBatch(const RecordBatch& batch) {
 }
 
 TableScan Table::Scan(int64_t batch_rows, int64_t begin, int64_t end) const {
-  if (batch_rows <= 0) batch_rows = BatchSizeFromEnv();
+  if (batch_rows <= 0) batch_rows = kDefaultBatchRows;
   return TableScan(*this, batch_rows, begin, end);
 }
 

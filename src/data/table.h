@@ -61,7 +61,7 @@ class Table {
 
   /// Batched columnar view over rows [begin, end) — see data/record_batch.h.
   /// The table must outlive the scan and must not be appended to while
-  /// scanning. `batch_rows` <= 0 picks BatchSizeFromEnv().
+  /// scanning. `batch_rows` <= 0 picks kDefaultBatchRows.
   TableScan Scan(int64_t batch_rows, int64_t begin, int64_t end) const;
   TableScan Scan(int64_t batch_rows = 0) const;
 

@@ -59,7 +59,7 @@ Result<Table> ReadTableCsv(SchemaPtr schema, std::string_view csv) {
   Table table(schema);
   // Parsed rows accumulate in a columnar RecordBatch and append to the
   // table one batch at a time (Table::AppendBatch) instead of row by row.
-  RecordBatch batch(table.row_width(), BatchSizeFromEnv());
+  RecordBatch batch(table.row_width(), kDefaultBatchRows);
   std::vector<int64_t> row(static_cast<size_t>(schema->num_attributes()));
   while (std::getline(stream, line)) {
     ++line_number;

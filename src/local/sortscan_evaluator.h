@@ -47,7 +47,7 @@ struct LocalEvalStats {
   /// reports it.
   int64_t agg_blocks_radix = 0;
   /// Columnar batches processed by the hash group-by's batch path (0 when
-  /// the row path ran — see LocalAggOptions::batch_rows).
+  /// the row path ran — see LocalAggOptions::batch_min_block_rows).
   int64_t agg_batches = 0;
 
   void Accumulate(const LocalEvalStats& other) {

@@ -331,7 +331,13 @@ Result<Workflow> ConcatWorkflows(const std::vector<const Workflow*>& members) {
   for (size_t q = 0; q < members.size(); ++q) {
     for (const Measure& m : members[q]->measures()) {
       Measure copy = m;
-      copy.name = "q" + std::to_string(q) + "." + m.name;
+      // Appended piecewise: g++ 12 at -O3 reads `"literal" +
+      // std::string&&` as a possibly overlapping memcpy (-Wrestrict).
+      std::string name = "q";
+      name += std::to_string(q);
+      name += '.';
+      name += m.name;
+      copy.name = std::move(name);
       for (MeasureEdge& e : copy.edges) e.source += offset;
       out.measures_.push_back(std::move(copy));
     }

@@ -3,7 +3,6 @@
 #include "svc/query_service.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -12,18 +11,6 @@
 
 namespace casm {
 namespace {
-
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::atoll(env);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::atof(env);
-}
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -54,32 +41,6 @@ const char* QueryStateName(QueryState state) {
     case QueryState::kExpired: return "expired";
   }
   return "unknown";
-}
-
-QueryServiceOptions QueryServiceOptionsFromEnv() {
-  QueryServiceOptions options;
-  options.num_workers =
-      static_cast<int>(EnvInt64("CASM_SVC_WORKERS", options.num_workers));
-  options.max_queue =
-      static_cast<int>(EnvInt64("CASM_SVC_QUEUE_CAP", options.max_queue));
-  options.shared_batching = EnvInt64("CASM_SVC_SHARED", 1) != 0;
-  options.max_batch_queries = static_cast<int>(
-      EnvInt64("CASM_SVC_MAX_BATCH", options.max_batch_queries));
-  options.batch_window_seconds =
-      EnvDouble("CASM_SVC_BATCH_WINDOW_MS",
-                options.batch_window_seconds * 1000.0) /
-      1000.0;
-  options.memory_budget_bytes =
-      EnvInt64("CASM_SVC_BUDGET_BYTES", options.memory_budget_bytes);
-  options.per_query_reserve_bytes =
-      EnvInt64("CASM_SVC_RESERVE_BYTES", options.per_query_reserve_bytes);
-  options.num_mappers =
-      static_cast<int>(EnvInt64("CASM_SVC_MAPPERS", options.num_mappers));
-  options.num_reducers =
-      static_cast<int>(EnvInt64("CASM_SVC_REDUCERS", options.num_reducers));
-  options.num_threads =
-      static_cast<int>(EnvInt64("CASM_SVC_THREADS", options.num_threads));
-  return options;
 }
 
 QueryService::QueryService(QueryServiceOptions options)

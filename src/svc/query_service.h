@@ -37,12 +37,6 @@
 // running query drops its results at completion and trips the job's
 // engine token once every member of its batch is cancelled (at once for
 // a batch of one).
-//
-// Environment knobs (all optional; see QueryServiceOptionsFromEnv):
-//   CASM_SVC_WORKERS, CASM_SVC_QUEUE_CAP, CASM_SVC_SHARED,
-//   CASM_SVC_MAX_BATCH, CASM_SVC_BATCH_WINDOW_MS, CASM_SVC_BUDGET_BYTES,
-//   CASM_SVC_RESERVE_BYTES, CASM_SVC_MAPPERS, CASM_SVC_REDUCERS,
-//   CASM_SVC_THREADS.
 
 #ifndef CASM_SVC_QUERY_SERVICE_H_
 #define CASM_SVC_QUERY_SERVICE_H_
@@ -161,9 +155,6 @@ struct QueryServiceOptions {
   /// process-global CASM_FAULT_PLAN plan.
   const FaultPlan* fault_plan = nullptr;
 };
-
-/// Options with every CASM_SVC_* environment override applied.
-QueryServiceOptions QueryServiceOptionsFromEnv();
 
 /// Monotonic service counters (one consistent snapshot).
 struct QueryServiceStats {

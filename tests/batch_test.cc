@@ -2,12 +2,14 @@
 //
 // Columnar batch tests: RecordBatch/TableScan mechanics, the vectorized
 // kernels' bit-identity to their row-at-a-time counterparts
-// (MapFromFinestColumn, PartitionHashColumns), and differential runs of
-// the hash group-by and the full MR pipeline across batch-size boundaries
-// {1, 7, 4096, n+1} — including the map-side spill path — against the
-// row-path reference with tolerance 0.
+// (MapFromFinestColumn, PartitionHashColumns), the hash group-by's
+// small-block cutoff, and differential runs of the hash group-by and the
+// full MR pipeline across batch-size boundaries {1, 7, 4096, n+1} —
+// including the map-side spill path — against a one-row-batch baseline
+// whose blocks all take the group-by's row path, with tolerance 0.
 
-#include <cstdlib>
+#include <cstdio>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,20 +53,6 @@ TEST(RecordBatchTest, AppendRowsAndRowAtRoundTrip) {
   EXPECT_EQ(out[2], 6);
   batch.Clear();
   EXPECT_TRUE(batch.empty());
-}
-
-TEST(RecordBatchTest, BatchSizeFromEnvParsesAndClamps) {
-  unsetenv("CASM_BATCH_SIZE");
-  EXPECT_EQ(BatchSizeFromEnv(), kDefaultBatchRows);
-  setenv("CASM_BATCH_SIZE", "123", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), 123);
-  setenv("CASM_BATCH_SIZE", "0", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), kDefaultBatchRows);
-  setenv("CASM_BATCH_SIZE", "not-a-number", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), kDefaultBatchRows);
-  setenv("CASM_BATCH_SIZE", "99999999999", 1);
-  EXPECT_EQ(BatchSizeFromEnv(), int64_t{1} << 20);
-  unsetenv("CASM_BATCH_SIZE");
 }
 
 TEST(TableScanTest, CoversEveryRowAtAnyBatchSize) {
@@ -228,13 +216,19 @@ TEST(BatchKernelTest, PartitionHashColumnsMatchesScalar) {
 
 const int64_t kBatchSizes[] = {1, 7, 4096, /* num_rows + 1 */ 3001};
 
+/// A batch_min_block_rows no block reaches: every block takes the hash
+/// group-by's row path.
+constexpr int64_t kNoBatching = std::numeric_limits<int64_t>::max();
+
 /// Evaluates the whole table as one unsorted block, which LocalAggregator
-/// routes to the hash group-by.
+/// routes to the hash group-by. The default cutoff of 0 batches it at any
+/// size.
 MeasureResultSet RunHashBatch(const Workflow& wf, const Table& table,
-                              int64_t batch_rows) {
+                              int64_t batch_rows,
+                              int64_t min_block_rows = 0) {
   LocalAggOptions options;
   options.batch_rows = batch_rows;
-  options.batch_min_block_rows = 0;  // exercise batching at every size
+  options.batch_min_block_rows = min_block_rows;
   std::unique_ptr<LocalAggregator> agg =
       MakeLocalAggregator(&wf, nullptr, options);
   LocalAggContext ctx;
@@ -248,7 +242,7 @@ TEST(BatchDifferentialTest, EnginesBitIdenticalToRowPathAtEveryBatchSize) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ5);
   Table table = PaperUniformTable(3000, 41);
   MeasureResultSet reference = EvaluateReference(wf, table);
-  MeasureResultSet row_path = RunHashBatch(wf, table, -1);
+  MeasureResultSet row_path = RunHashBatch(wf, table, 1, kNoBatching);
   Status vs_ref = CompareResultSets(reference, row_path, kTol);
   ASSERT_TRUE(vs_ref.ok()) << vs_ref.ToString();
   for (int64_t batch_rows : kBatchSizes) {
@@ -275,25 +269,68 @@ TEST(BatchDifferentialTest, StatsCountBatches) {
   (void)agg->Evaluate(ctx, &stats);
   EXPECT_EQ(stats.agg_batches, 4);  // ceil(1000 / 256)
 
-  options.batch_rows = -1;  // legacy path reports no batches
+  options.batch_min_block_rows = kNoBatching;  // the row path: no batches
   agg = MakeLocalAggregator(&wf, nullptr, options);
   LocalEvalStats row_stats;
   (void)agg->Evaluate(ctx, &row_stats);
   EXPECT_EQ(row_stats.agg_batches, 0);
 }
 
+// The default cutoff (batch_min_block_rows = 64) sends a 63-row block to
+// the group-by's row path and a 64-row block to its batch path; both
+// paths add the same rows in the same order.
+TEST(BatchDifferentialTest, BlockCutoffRoutesSmallBlocksToRowPath) {
+  Workflow wf = MakePaperQuery(PaperQuery::kQ1);
+  Table table = PaperUniformTable(64, 19);
+  const LocalAggOptions defaults;
+  ASSERT_EQ(defaults.batch_min_block_rows, 64);
+  std::unique_ptr<LocalAggregator> agg =
+      MakeLocalAggregator(&wf, nullptr, defaults);
+  LocalAggContext ctx;
+  ctx.rows = table.row(0);
+
+  ctx.n = 63;
+  LocalEvalStats below;
+  MeasureResultSet row_path = agg->Evaluate(ctx, &below);
+  EXPECT_EQ(below.agg_batches, 0);
+
+  ctx.n = 64;
+  LocalEvalStats at;
+  (void)agg->Evaluate(ctx, &at);
+  EXPECT_GT(at.agg_batches, 0);
+
+  LocalAggOptions batch_all;
+  batch_all.batch_min_block_rows = 0;
+  ctx.n = 63;
+  LocalEvalStats forced;
+  MeasureResultSet batched =
+      MakeLocalAggregator(&wf, nullptr, batch_all)->Evaluate(ctx, &forced);
+  EXPECT_GT(forced.agg_batches, 0);
+  Status match = CompareResultSets(row_path, batched, 0.0);
+  EXPECT_TRUE(match.ok()) << match.ToString();
+}
+
 // ------------------------------------------------- MR pipeline (kernel)
 
-ParallelEvalOptions PipelineOpts(int64_t batch_rows, bool columnar,
+/// Map walk and group-by batched at `batch_rows` (the group-by at every
+/// block size).
+ParallelEvalOptions PipelineOpts(int64_t batch_rows,
                                  int64_t spill_threshold) {
   ParallelEvalOptions o;
   o.num_mappers = 3;
   o.num_reducers = 4;
   o.num_threads = 2;
-  o.columnar = columnar;
   o.local_agg.batch_rows = batch_rows;
   o.local_agg.batch_min_block_rows = 0;
   o.emitter_spill_threshold_bytes = spill_threshold;
+  return o;
+}
+
+/// The tolerance-0.0 baseline: one-row map batches, and every block on
+/// the hash group-by's row path.
+ParallelEvalOptions BaselineOpts() {
+  ParallelEvalOptions o = PipelineOpts(1, 0);
+  o.local_agg.batch_min_block_rows = kNoBatching;
   return o;
 }
 
@@ -305,10 +342,10 @@ TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
   plan.key = DeriveDistributionKeys(wf).query_key;
   MeasureResultSet expected = EvaluateReference(wf, table);
 
-  Result<ParallelEvalResult> row_path =
-      EvaluateParallel(wf, table, plan, PipelineOpts(-1, false, 0));
-  ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
-  Status vs_ref = CompareResultSets(expected, row_path->results, kTol);
+  Result<ParallelEvalResult> baseline =
+      EvaluateParallel(wf, table, plan, BaselineOpts());
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  Status vs_ref = CompareResultSets(expected, baseline->results, kTol);
   ASSERT_TRUE(vs_ref.ok()) << vs_ref.ToString();
 
   for (int64_t batch_rows : kBatchSizes) {
@@ -316,7 +353,7 @@ TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
     // enough that every mapper spills multiple column-block runs.
     for (int64_t spill : {int64_t{0}, int64_t{1} << 12}) {
       Result<ParallelEvalResult> batched = EvaluateParallel(
-          wf, table, plan, PipelineOpts(batch_rows, true, spill));
+          wf, table, plan, PipelineOpts(batch_rows, spill));
       ASSERT_TRUE(batched.ok())
           << "batch_rows=" << batch_rows << " spill=" << spill << ": "
           << batched.status().ToString();
@@ -325,7 +362,7 @@ TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
             << "spill threshold did not trigger; tighten the test";
       }
       Status match =
-          CompareResultSets(row_path->results, batched->results, 0.0);
+          CompareResultSets(baseline->results, batched->results, 0.0);
       EXPECT_TRUE(match.ok())
           << "batch_rows=" << batch_rows << " spill=" << spill << ": "
           << match.ToString();
@@ -333,21 +370,25 @@ TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
   }
 }
 
-TEST(BatchDifferentialTest, EarlyAggregationPipelineMatchesRowPath) {
+TEST(BatchDifferentialTest,
+     EarlyAggregationPipelineBitIdenticalAcrossBatchSizes) {
   SchemaPtr schema = PaperSchema();
   Workflow wf = MakePaperQuery(PaperQuery::kQ1);
   Table table = PaperUniformTable(2000, 67);
   ExecutionPlan plan;
   plan.key = DeriveDistributionKeys(wf).query_key;
   plan.early_aggregation = true;
-  Result<ParallelEvalResult> row_path =
-      EvaluateParallel(wf, table, plan, PipelineOpts(-1, false, 0));
-  ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
+  Result<ParallelEvalResult> baseline =
+      EvaluateParallel(wf, table, plan, BaselineOpts());
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  Status vs_ref =
+      CompareResultSets(EvaluateReference(wf, table), baseline->results, kTol);
+  ASSERT_TRUE(vs_ref.ok()) << vs_ref.ToString();
   for (int64_t batch_rows : kBatchSizes) {
     Result<ParallelEvalResult> batched =
-        EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, true, 0));
+        EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, 0));
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    Status match = CompareResultSets(row_path->results, batched->results, 0.0);
+    Status match = CompareResultSets(baseline->results, batched->results, 0.0);
     EXPECT_TRUE(match.ok())
         << "batch_rows=" << batch_rows << ": " << match.ToString();
   }
@@ -355,21 +396,24 @@ TEST(BatchDifferentialTest, EarlyAggregationPipelineMatchesRowPath) {
 
 // Overlapping keys exercise the per-row ForEachBlock fallback inside the
 // columnar map task (records replicate to several blocks).
-TEST(BatchDifferentialTest, AnnotatedKeyPipelineMatchesRowPath) {
+TEST(BatchDifferentialTest, AnnotatedKeyPipelineBitIdenticalAcrossBatchSizes) {
   SchemaPtr schema = PaperSchema();
   Workflow wf = MakePaperQuery(PaperQuery::kQ5);  // sibling windows
   Table table = PaperUniformTable(2000, 71);
   ExecutionPlan plan;
   plan.key = DeriveDistributionKeys(wf).query_key;
   plan.clustering_factor = 4;
-  Result<ParallelEvalResult> row_path =
-      EvaluateParallel(wf, table, plan, PipelineOpts(-1, false, 0));
-  ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
+  Result<ParallelEvalResult> baseline =
+      EvaluateParallel(wf, table, plan, BaselineOpts());
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  Status vs_ref =
+      CompareResultSets(EvaluateReference(wf, table), baseline->results, kTol);
+  ASSERT_TRUE(vs_ref.ok()) << vs_ref.ToString();
   for (int64_t batch_rows : kBatchSizes) {
     Result<ParallelEvalResult> batched =
-        EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, true, 0));
+        EvaluateParallel(wf, table, plan, PipelineOpts(batch_rows, 0));
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    Status match = CompareResultSets(row_path->results, batched->results, 0.0);
+    Status match = CompareResultSets(baseline->results, batched->results, 0.0);
     EXPECT_TRUE(match.ok())
         << "batch_rows=" << batch_rows << ": " << match.ToString();
   }

@@ -10,6 +10,7 @@
 // combiner.
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -319,9 +320,10 @@ TEST(LocalAggDifferentialTest, CancelledBlockReturnsEarly) {
   cancel.Cancel();
   // Both evaluators, and both hash paths (row and batch).
   for (bool assume_sorted : {false, true}) {
-    for (int64_t batch_rows : {int64_t{-1}, int64_t{0}}) {
+    for (int64_t min_block_rows :
+         {std::numeric_limits<int64_t>::max(), int64_t{0}}) {
       LocalAggOptions options;
-      options.batch_rows = batch_rows;
+      options.batch_min_block_rows = min_block_rows;
       std::unique_ptr<LocalAggregator> agg =
           MakeLocalAggregator(&wf, nullptr, options);
       LocalAggContext ctx;
