@@ -9,9 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "agg/local_aggregator.h"
@@ -157,12 +155,8 @@ BENCHMARK(BM_SortScanEvaluate)->Arg(1000)->Arg(10000);
 // into group tables. The first argument picks the evaluator: 0 runs
 // sort/scan directly on the unsorted block (its sort included), 1 runs
 // LocalAggregator, which routes the unsorted block to the hash group-by
-// ("morsel"). The third argument selects the group-by inner loop: -1
-// forces the row-at-a-time path that blocks under batch_min_block_rows
-// take (one RegionOfRecord heap allocation per row per measure), 0 the
-// columnar batch path (one transpose + one mapping pass per (attribute,
-// level) per batch). Same results either way — the pair measures what
-// batching buys.
+// ("morsel"). The third argument is always 0 and stays in the names
+// that bench/baselines/micro_core.json gates.
 void BM_LocalAggEvaluate(benchmark::State& state) {
   SchemaPtr schema = PaperSchema();
   WorkflowBuilder b(schema);
@@ -174,14 +168,8 @@ void BM_LocalAggEvaluate(benchmark::State& state) {
   Workflow wf = std::move(b).Build().value();
   Table table = PaperUniformTable(state.range(1), 3);
   const bool sortscan = state.range(0) == 0;
-  const bool row_path = state.range(2) < 0;
-  LocalAggOptions options;
-  if (row_path) {
-    options.batch_min_block_rows = std::numeric_limits<int64_t>::max();
-  }
   const SortScanEvaluator eval(&wf);
-  std::unique_ptr<LocalAggregator> agg =
-      MakeLocalAggregator(&wf, &eval, options);
+  std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf, &eval);
   LocalAggContext ctx;
   ctx.rows = table.data().data();
   ctx.n = table.num_rows();
@@ -195,18 +183,36 @@ void BM_LocalAggEvaluate(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
-  state.SetLabel(sortscan ? std::string("sortscan")
-                          : std::string("morsel") +
-                                (row_path ? "/row" : "/columnar"));
+  state.SetLabel(sortscan ? "sortscan" : "morsel");
 }
 BENCHMARK(BM_LocalAggEvaluate)
     ->Unit(benchmark::kMillisecond)
     ->Args({0, 20000, 0})
-    ->Args({1, 20000, -1})
     ->Args({1, 20000, 0})
     ->Args({0, 120000, 0})
-    ->Args({1, 120000, -1})
     ->Args({1, 120000, 0});
+
+// The tiny-block regime of a fine distribution key (solo_fine's Q1 holds
+// ~1 row per block): Q1's three basic measures over 4,096 one-row
+// blocks, evaluated back to back through one LocalAggregator, so the
+// per-block cost — result tables, batch setup, composite derivation —
+// is all that is timed. Items are blocks.
+void BM_LocalAggTinyBlocks(benchmark::State& state) {
+  constexpr int64_t kBlocks = 4096;
+  Workflow wf = MakePaperQuery(PaperQuery::kQ1);
+  Table table = PaperUniformTable(kBlocks, 9);
+  std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
+  LocalAggContext ctx;
+  ctx.n = 1;
+  for (auto _ : state) {
+    for (int64_t r = 0; r < kBlocks; ++r) {
+      ctx.rows = table.row(r);
+      benchmark::DoNotOptimize(agg->Evaluate(ctx, nullptr));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kBlocks);
+}
+BENCHMARK(BM_LocalAggTinyBlocks)->Unit(benchmark::kMillisecond);
 
 // The map task's scan kernel: scan the table as RecordBatches and map
 // every attribute of each record to its key level with one

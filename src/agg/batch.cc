@@ -2,6 +2,8 @@
 
 #include "agg/batch.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "data/record_batch.h"
 
@@ -12,23 +14,26 @@ int64_t ResolveBatchRows(int64_t batch_rows) {
   return batch_rows <= 0 ? kDefaultBatchRows : batch_rows;
 }
 
-RegionBatchMapper::RegionBatchMapper(const Schema* schema, int64_t capacity)
-    : schema_(schema),
-      width_(schema->num_attributes()),
-      capacity_(capacity),
+RegionBatchMapper::RegionBatchMapper(SchemaPtr schema)
+    : schema_(std::move(schema)),
+      width_(schema_->num_attributes()),
       raw_cols_(static_cast<size_t>(width_)),
       slot_of_(static_cast<size_t>(width_)) {
-  CASM_CHECK_GE(capacity_, 1);
   for (int a = 0; a < width_; ++a) {
-    raw_cols_[static_cast<size_t>(a)].resize(static_cast<size_t>(capacity_));
     slot_of_[static_cast<size_t>(a)].assign(
-        static_cast<size_t>(schema->attribute(a).num_levels()), -1);
+        static_cast<size_t>(schema_->attribute(a).num_levels()), -1);
   }
 }
 
 void RegionBatchMapper::Load(const int64_t* rows, int64_t n) {
   CASM_CHECK_GE(n, 0);
-  CASM_CHECK_LE(n, capacity_);
+  if (n > capacity_) {
+    capacity_ = n;
+    for (std::vector<int64_t>& col : raw_cols_) {
+      col.resize(static_cast<size_t>(capacity_));
+    }
+    for (Slot& slot : slots_) slot.col.resize(static_cast<size_t>(capacity_));
+  }
   n_ = n;
   ++epoch_;
   for (int a = 0; a < width_; ++a) {

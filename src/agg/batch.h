@@ -7,7 +7,8 @@
 // pass and cached for the batch — so a workflow whose basics share levels
 // maps each (attr, level) once per batch instead of once per row per
 // measure, and no per-row Coords allocation happens at all until a group
-// is first inserted.
+// is first inserted. Its columns outlive a batch: the group-by keeps one
+// mapper per thread across blocks, so a one-row block allocates nothing.
 
 #ifndef CASM_AGG_BATCH_H_
 #define CASM_AGG_BATCH_H_
@@ -28,17 +29,19 @@ int64_t ResolveBatchRows(int64_t batch_rows);
 
 /// One batch of records in columnar form with cached mapped columns.
 /// Reused across batches: Load() resets the cache validity, not the
-/// allocations. Not thread-safe; each evaluation owns one.
+/// allocations. Not thread-safe; each thread owns one.
 class RegionBatchMapper {
  public:
-  RegionBatchMapper(const Schema* schema, int64_t capacity);
+  explicit RegionBatchMapper(SchemaPtr schema);
 
-  int64_t capacity() const { return capacity_; }
-  int64_t n() const { return n_; }
+  /// The schema the mapper was built for (held, so its address cannot be
+  /// reused by another schema while the mapper lives).
+  const SchemaPtr& schema() const { return schema_; }
 
   /// Loads `n` row-major records (schema-width stride) starting at `rows`:
   /// transposes the raw attribute columns and invalidates every cached
-  /// mapped column.
+  /// mapped column. The columns grow to the largest `n` loaded so far and
+  /// never shrink.
   void Load(const int64_t* rows, int64_t n);
 
   /// Raw (finest-level) column of `attr` for the loaded batch.
@@ -67,9 +70,9 @@ class RegionBatchMapper {
   }
 
  private:
-  const Schema* schema_;
+  SchemaPtr schema_;
   int width_;
-  int64_t capacity_;
+  int64_t capacity_ = 0;  // rows every column holds
   int64_t n_ = 0;
   std::vector<std::vector<int64_t>> raw_cols_;  // width_ columns
   /// Mapped-column cache: slot_of_[attr][level] indexes slots_, -1 when

@@ -16,9 +16,28 @@ namespace {
 
 using AccMap = std::unordered_map<Coords, Accumulator, CoordsHash>;
 
-/// Rows the row path adds between cancellation polls (the batch path
-/// polls once per batch).
-constexpr int64_t kRowPathPollRows = 4096;
+/// The hash group-by's working buffers, one set per thread and kept from
+/// one block to the next (the morsel-driven idea of keeping a worker's
+/// aggregation state across morsels), so a one-row block maps its row
+/// without allocating. The mapper is rebuilt when a block's schema is not
+/// the one it holds; its columns grow to the largest batch seen.
+struct GroupByScratch {
+  std::unique_ptr<agg_internal::RegionBatchMapper> mapper;
+  std::vector<std::vector<const int64_t*>> gran_cols;  // per basic measure
+  Coords coords;
+};
+
+GroupByScratch& ThreadScratch(const SchemaPtr& schema, size_t num_basics) {
+  thread_local GroupByScratch scratch;
+  if (scratch.mapper == nullptr || scratch.mapper->schema() != schema) {
+    scratch.mapper = std::make_unique<agg_internal::RegionBatchMapper>(schema);
+    scratch.coords.resize(static_cast<size_t>(schema->num_attributes()));
+  }
+  if (scratch.gran_cols.size() < num_basics) {
+    scratch.gran_cols.resize(num_basics);
+  }
+  return scratch;
+}
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -67,66 +86,41 @@ MeasureResultSet LocalAggregator::HashGroupBy(const LocalAggContext& ctx,
                                               LocalEvalStats* stats) const {
   const auto start = std::chrono::steady_clock::now();
   MeasureResultSet results(wf_->num_measures());
-  const Schema& schema = *wf_->schema();
-  const int width = schema.num_attributes();
+  const int width = wf_->schema()->num_attributes();
   const size_t num_basics = basics_.size();
   auto cancelled = [&] {
     return ctx.cancel != nullptr && ctx.cancel->cancelled();
   };
 
-  // Batch path (batch_cap > 0): the block is processed as columnar
-  // batches — one transpose plus one MapFromFinestColumn pass per
-  // (attribute, level) replaces a heap-allocating RegionOfRecord per row
-  // per measure; the per-row work shrinks to a scratch-Coords gather and
-  // the hash probe. Capacity is clamped to the block size (reducer blocks
-  // are often far smaller than the configured batch), and blocks under
-  // the batch_min_block_rows cutoff skip batching entirely: the mapper's
-  // fixed setup would cost more than the rows themselves.
-  const int64_t batch_cap =
-      ctx.n < options_.batch_min_block_rows
-          ? 0
-          : std::min(agg_internal::ResolveBatchRows(options_.batch_rows),
-                     ctx.n);
+  // The block is processed as columnar batches: one transpose plus one
+  // MapFromFinestColumn pass per (attribute, level) replaces a
+  // RegionOfRecord per row per measure; the per-row work shrinks to a
+  // scratch-Coords gather and the hash probe.
+  GroupByScratch& scratch = ThreadScratch(wf_->schema(), num_basics);
+  agg_internal::RegionBatchMapper& mapper = *scratch.mapper;
+  const int64_t batch_rows =
+      agg_internal::ResolveBatchRows(options_.batch_rows);
   std::vector<AccMap> acc(num_basics);
   int64_t batches = 0;
-  if (batch_cap > 0) {
-    agg_internal::RegionBatchMapper mapper(&schema, batch_cap);
-    std::vector<std::vector<const int64_t*>> gran_cols(num_basics);
-    Coords scratch(static_cast<size_t>(width));
-    for (int64_t begin = 0; begin < ctx.n; begin += batch_cap) {
-      if (cancelled()) return results;
-      const int64_t bn = std::min(batch_cap, ctx.n - begin);
-      mapper.Load(ctx.rows + begin * width, bn);
-      ++batches;
-      for (size_t b = 0; b < num_basics; ++b) {
-        mapper.GranularityColumns(*basics_[b].granularity, &gran_cols[b]);
-      }
-      for (int64_t i = 0; i < bn; ++i) {
-        for (size_t b = 0; b < num_basics; ++b) {
-          const BasicMeasure& info = basics_[b];
-          agg_internal::RegionBatchMapper::FillCoords(gran_cols[b], i,
-                                                      &scratch);
-          auto it = acc[b].find(scratch);
-          if (it == acc[b].end()) {
-            it = acc[b].emplace(scratch, Accumulator(info.fn)).first;
-          }
-          it->second.Add(
-              static_cast<double>(mapper.raw_column(info.field)[i]));
-        }
-      }
+  for (int64_t begin = 0; begin < ctx.n; begin += batch_rows) {
+    if (cancelled()) return results;
+    const int64_t bn = std::min(batch_rows, ctx.n - begin);
+    mapper.Load(ctx.rows + begin * width, bn);
+    ++batches;
+    for (size_t b = 0; b < num_basics; ++b) {
+      mapper.GranularityColumns(*basics_[b].granularity,
+                                &scratch.gran_cols[b]);
     }
-  } else {
-    for (int64_t r = 0; r < ctx.n; ++r) {
-      if (r % kRowPathPollRows == 0 && cancelled()) return results;
-      const int64_t* row = ctx.rows + r * width;
+    for (int64_t i = 0; i < bn; ++i) {
       for (size_t b = 0; b < num_basics; ++b) {
         const BasicMeasure& info = basics_[b];
-        Coords coords = RegionOfRecord(schema, *info.granularity, row);
-        auto it = acc[b].find(coords);
+        agg_internal::RegionBatchMapper::FillCoords(scratch.gran_cols[b], i,
+                                                    &scratch.coords);
+        auto it = acc[b].find(scratch.coords);
         if (it == acc[b].end()) {
-          it = acc[b].emplace(std::move(coords), Accumulator(info.fn)).first;
+          it = acc[b].emplace(scratch.coords, Accumulator(info.fn)).first;
         }
-        it->second.Add(static_cast<double>(row[info.field]));
+        it->second.Add(static_cast<double>(mapper.raw_column(info.field)[i]));
       }
     }
   }

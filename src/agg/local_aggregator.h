@@ -10,10 +10,10 @@
 //    the phase is kSortOnly (the cost-breakdown phase times that sort).
 //  * morsel — otherwise, a serial hash group-by: one hash table per basic
 //    measure, each group's rows added in row order, then the composite
-//    measures derived from the finished tables. Blocks of at least
-//    LocalAggOptions::batch_min_block_rows rows are mapped batch-at-a-time
-//    (agg/batch.h); smaller ones row-at-a-time. Both paths add the same
-//    rows in the same order, so their results are bit-identical.
+//    measures derived from the finished tables. Every block is mapped
+//    batch-at-a-time (agg/batch.h) through working buffers each thread
+//    keeps from one block to the next, so a one-row block costs no
+//    buffer setup. Results are bit-identical at every batch size.
 //
 // Both evaluators are serial and bit-deterministic (checkpoint resume,
 // ckpt/, depends on this). They may differ from each other by float
@@ -39,18 +39,11 @@ class Context;
 }  // namespace obs
 
 struct LocalAggOptions {
-  /// Rows per columnar batch in the map walk and in the hash group-by's
-  /// batch path (coordinate mapping runs vectorized over batch columns —
-  /// see agg/batch.h). <= 0 picks kDefaultBatchRows. Results are
-  /// identical at every size.
+  /// Rows per columnar batch in the map walk and in the hash group-by
+  /// (coordinate mapping runs vectorized over batch columns — see
+  /// agg/batch.h). <= 0 picks kDefaultBatchRows. Results are identical
+  /// at every size.
   int64_t batch_rows = 0;
-  /// Blocks with fewer rows than this take the hash group-by's
-  /// row-at-a-time path: the batch path's fixed setup (the column
-  /// transpose buffers) costs more than a tiny block's rows. The cutoff
-  /// is measured (DESIGN.md §13): batching every block slows solo_fine,
-  /// whose Q1 blocks hold ~1 row. 0 batches every block and INT64_MAX
-  /// none (differential tests). Results are identical either way.
-  int64_t batch_min_block_rows = 64;
 
   // ---- Map-side adaptive combiner (early aggregation, §III-D).
   /// Entries the combiner's table may hold before flushing partials to

@@ -46,8 +46,8 @@ struct LocalEvalStats {
   /// Always 0: no radix evaluator exists. Kept because perfbench/ still
   /// reports it.
   int64_t agg_blocks_radix = 0;
-  /// Columnar batches processed by the hash group-by's batch path (0 when
-  /// the row path ran — see LocalAggOptions::batch_min_block_rows).
+  /// Columnar batches processed by the hash group-by: one per
+  /// LocalAggOptions::batch_rows rows of each block, rounded up.
   int64_t agg_batches = 0;
 
   void Accumulate(const LocalEvalStats& other) {

@@ -667,11 +667,8 @@ void Emitter::SpillBuffers() {
                            ".spill");
       spill_files_.push_back(path);
     }
-    // Spill runs are column blocks (mr/external_sort.h): the run is
-    // transposed so each of the pair's components is one contiguous
-    // value stream on disk. Reads transpose back, so the replayed pairs
-    // are byte-identical to a row-major spill.
-    Result<int64_t> offset = AppendColumnRun(path, run, pair_width);
+    // Row-major runs, the format ExternalSort spills in too.
+    Result<int64_t> offset = AppendRun(path, run);
     if (!offset.ok()) {
       memory_status_ = offset.status();
       return;
@@ -731,8 +728,7 @@ Status Emitter::GatherReducer(int reducer, std::vector<int64_t>* out) const {
   const size_t r = static_cast<size_t>(reducer);
   for (const SpillSegment& seg : spilled_[r]) {
     Result<std::vector<int64_t>> run =
-        ReadColumnRun(spill_files_[seg.file], seg.offset_int64s,
-                      seg.count_int64s, key_width_ + value_width_);
+        ReadRun(spill_files_[seg.file], seg.offset_int64s, seg.count_int64s);
     CASM_RETURN_IF_ERROR(run.status());
     out->insert(out->end(), run.value().begin(), run.value().end());
   }

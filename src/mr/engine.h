@@ -196,8 +196,7 @@ class Emitter {
     const size_t r = static_cast<size_t>(reducer);
     for (const SpillSegment& seg : spilled_[r]) {
       Result<std::vector<int64_t>> run =
-          ReadColumnRun(spill_files_[seg.file], seg.offset_int64s,
-                        seg.count_int64s, key_width_ + value_width_);
+          ReadRun(spill_files_[seg.file], seg.offset_int64s, seg.count_int64s);
       CASM_RETURN_IF_ERROR(run.status());
       runs->push_back(std::move(run).value());
     }

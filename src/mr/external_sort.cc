@@ -547,43 +547,6 @@ Result<std::vector<int64_t>> ReadRun(const std::string& path,
   return out;
 }
 
-Result<int64_t> AppendColumnRun(const std::string& path,
-                                const std::vector<int64_t>& records,
-                                int width) {
-  CASM_CHECK_GE(width, 1);
-  CASM_CHECK_EQ(static_cast<int64_t>(records.size()) % width, 0);
-  const int64_t count = static_cast<int64_t>(records.size()) / width;
-  std::vector<int64_t> columns(records.size());
-  for (int c = 0; c < width; ++c) {
-    int64_t* dst = columns.data() + static_cast<size_t>(c) * count;
-    const int64_t* src = records.data() + c;
-    for (int64_t r = 0; r < count; ++r) {
-      dst[r] = src[static_cast<size_t>(r) * width];
-    }
-  }
-  return AppendRun(path, columns);
-}
-
-Result<std::vector<int64_t>> ReadColumnRun(const std::string& path,
-                                           int64_t offset_int64s,
-                                           int64_t count_int64s, int width) {
-  CASM_CHECK_GE(width, 1);
-  CASM_CHECK_EQ(count_int64s % width, 0);
-  Result<std::vector<int64_t>> columns =
-      ReadRun(path, offset_int64s, count_int64s);
-  CASM_RETURN_IF_ERROR(columns.status());
-  const int64_t count = count_int64s / width;
-  std::vector<int64_t> records(static_cast<size_t>(count_int64s));
-  for (int c = 0; c < width; ++c) {
-    const int64_t* src = columns.value().data() + static_cast<size_t>(c) * count;
-    int64_t* dst = records.data() + c;
-    for (int64_t r = 0; r < count; ++r) {
-      dst[static_cast<size_t>(r) * width] = src[r];
-    }
-  }
-  return records;
-}
-
 std::vector<int64_t> MergeSortedRuns(std::vector<std::vector<int64_t>> runs,
                                      int width, const RecordLess& less) {
   CASM_CHECK_GE(width, 1);

@@ -112,26 +112,6 @@ Result<std::vector<int64_t>> ReadRun(const std::string& path,
                                      int64_t offset_int64s,
                                      int64_t count_int64s);
 
-/// Appends `records` — row-major `width`-int64 records — as a *column
-/// block* run: on disk the run holds column 0 of every record, then
-/// column 1, and so on (n values per column for an n-record run). Offsets
-/// and lengths are identical to AppendRun (the transpose is in-place in
-/// the run region), so SpillSegment bookkeeping works unchanged; pair it
-/// with ReadColumnRun, which transposes back. Column blocks turn the
-/// spill write into `width` long sequential value streams — the layout
-/// the batched emitters and any future per-column compression want.
-Result<int64_t> AppendColumnRun(const std::string& path,
-                                const std::vector<int64_t>& records,
-                                int width);
-
-/// Reads a column-block run written by AppendColumnRun and returns it
-/// transposed back to row-major records — byte-identical to what was
-/// passed to AppendColumnRun. `count_int64s` must be a multiple of
-/// `width`.
-Result<std::vector<int64_t>> ReadColumnRun(const std::string& path,
-                                           int64_t offset_int64s,
-                                           int64_t count_int64s, int width);
-
 /// K-way merges `runs` — each a flat buffer of `width`-int64 records
 /// already sorted by `less` — into one sorted flat buffer. Records equal
 /// under `less` leave in run order, so stably sorted runs merge into the

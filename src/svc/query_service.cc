@@ -104,7 +104,7 @@ Result<QueryState> QueryService::Poll(QueryId id) const {
   if (it == records_.end()) {
     return Status::NotFound("unknown query id " + std::to_string(id));
   }
-  return it->second->state;
+  return it->second->outcome.state;
 }
 
 Result<QueryOutcome> QueryService::Wait(QueryId id) {
@@ -115,22 +115,10 @@ Result<QueryOutcome> QueryService::Wait(QueryId id) {
   }
   const std::shared_ptr<Record> record = it->second;
   done_cv_.wait(lock, [&] {
-    return record->state != QueryState::kQueued &&
-           record->state != QueryState::kRunning;
+    return record->outcome.state != QueryState::kQueued &&
+           record->outcome.state != QueryState::kRunning;
   });
-  QueryOutcome out;
-  out.state = record->state;
-  out.status = record->status;
-  out.results = record->results;
-  out.metrics = record->metrics;
-  out.local_stats = record->local_stats;
-  out.plan = record->plan;
-  out.shared = record->shared;
-  out.batch_queries = record->batch_queries;
-  out.run_sequence = record->run_sequence;
-  out.queue_seconds = record->queue_seconds;
-  out.run_seconds = record->run_seconds;
-  return out;
+  return record->outcome;
 }
 
 bool QueryService::Cancel(QueryId id) {
@@ -138,7 +126,7 @@ bool QueryService::Cancel(QueryId id) {
   auto it = records_.find(id);
   if (it == records_.end()) return false;
   const std::shared_ptr<Record>& record = it->second;
-  switch (record->state) {
+  switch (record->outcome.state) {
     case QueryState::kQueued: {
       record->cancel_requested = true;
       auto pos = std::find(pending_.begin(), pending_.end(), record);
@@ -198,6 +186,9 @@ QueryServiceStats QueryService::stats() const {
   QueryServiceStats out = stats_;
   out.queue_depth = static_cast<int64_t>(pending_.size());
   out.in_flight = in_flight_;
+  const PlanCacheStats cache = cache_.stats();
+  out.plan_cache_hits = cache.hits;
+  out.plan_cache_misses = cache.misses;
   if (budget_ != nullptr) out.admission_waits = budget_->admission_waits();
   return out;
 }
@@ -247,11 +238,11 @@ void QueryService::WorkerLoop() {
       const auto now = std::chrono::steady_clock::now();
       for (const std::shared_ptr<Record>& record : batch) {
         if (record->cancel_requested) continue;  // handled in RunBatch
-        record->state = QueryState::kRunning;
+        record->outcome.state = QueryState::kRunning;
         record->start_time = now;
-        record->queue_seconds =
+        record->outcome.queue_seconds =
             std::chrono::duration<double>(now - record->submit_time).count();
-        record->run_sequence = next_run_sequence_++;
+        record->outcome.run_sequence = next_run_sequence_++;
         ++in_flight_;
       }
       UpdateGaugesLocked();
@@ -353,15 +344,15 @@ void QueryService::UpdateGaugesLocked() {
 
 void QueryService::CompleteLocked(Record& record, QueryState state,
                                   Status status) {
-  if (record.state == QueryState::kRunning) {
+  if (record.outcome.state == QueryState::kRunning) {
     --in_flight_;
-    record.run_seconds =
+    record.outcome.run_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       record.start_time)
             .count();
   }
-  record.state = state;
-  record.status = std::move(status);
+  record.outcome.state = state;
+  record.outcome.status = std::move(status);
   switch (state) {
     case QueryState::kDone:
       ++stats_.completed;
@@ -482,13 +473,13 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Record>> batch) {
     Record& record = *members[i];
     record.batch = nullptr;
     if (plan.has_value()) {
-      record.plan = *plan;
-      record.shared = n > 1;
-      record.batch_queries = static_cast<int>(n);
+      record.outcome.plan = *plan;
+      record.outcome.shared = n > 1;
+      record.outcome.batch_queries = static_cast<int>(n);
     }
     if (status.ok()) {
-      record.metrics = std::move(results[i].metrics);
-      record.local_stats = results[i].local_stats;
+      record.outcome.metrics = std::move(results[i].metrics);
+      record.outcome.local_stats = results[i].local_stats;
     }
     if (record.cancel_requested) {
       CompleteLocked(record, QueryState::kCancelled,
@@ -496,7 +487,7 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Record>> batch) {
     } else if (!status.ok()) {
       CompleteLocked(record, StateFor(status), status);
     } else {
-      record.results = std::move(results[i].results);
+      record.outcome.results = std::move(results[i].results);
       CompleteLocked(record, QueryState::kDone, Status::OK());
     }
   }
@@ -520,11 +511,6 @@ Result<ExecutionPlan> QueryService::PlanFor(
       concat.has_value() ? *concat : *members[0]->request.workflow;
   std::optional<ExecutionPlan> cached =
       cache_.FindFeasible(wf, records, options_.num_reducers);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (cached.has_value()) ++stats_.plan_cache_hits;
-    else ++stats_.plan_cache_misses;
-  }
   if (cached.has_value()) return *std::move(cached);
   OptimizerOptions opt;
   opt.num_reducers = options_.num_reducers;

@@ -172,6 +172,7 @@ struct QueryServiceStats {
   int64_t shared_batches = 0;  // batches with >= 2 members
   int64_t shared_queries = 0;  // queries that rode those batches
   int64_t solo_queries = 0;    // queries evaluated alone
+  /// The plan cache's own lookup counts (PlanCache::stats()).
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_misses = 0;
   /// Reserve() calls that blocked on the admission budget.
@@ -226,19 +227,10 @@ class QueryService {
     QueryId id = 0;
     QueryRequest request;
     std::string label;
-    QueryState state = QueryState::kQueued;
-    Status status;
-    MeasureResultSet results;
-    MapReduceMetrics metrics;
-    LocalEvalStats local_stats;
-    ExecutionPlan plan;
-    bool shared = false;
-    int batch_queries = 1;
-    int64_t run_sequence = 0;
+    /// What Wait() returns; `outcome.state` is the query's live state.
+    QueryOutcome outcome;
     std::chrono::steady_clock::time_point submit_time;
     std::chrono::steady_clock::time_point start_time;
-    double queue_seconds = 0;
-    double run_seconds = 0;
     /// Set by Cancel(); the batch drops the query's results.
     bool cancel_requested = false;
     bool has_deadline = false;

@@ -2,19 +2,15 @@
 //
 // Columnar batch tests: RecordBatch/TableScan mechanics, the vectorized
 // kernels' bit-identity to their row-at-a-time counterparts
-// (MapFromFinestColumn, PartitionHashColumns), the hash group-by's
-// small-block cutoff, and differential runs of the hash group-by and the
-// full MR pipeline across batch-size boundaries {1, 7, 4096, n+1} —
-// including the map-side spill path — against a one-row-batch baseline
-// whose blocks all take the group-by's row path, with tolerance 0.
+// (MapFromFinestColumn, PartitionHashColumns), and differential runs of
+// the hash group-by and the full MR pipeline across batch-size boundaries
+// {1, 7, 4096, n+1} — including the map-side spill path — against a
+// one-row-batch baseline, with tolerance 0.
 
-#include <cstdio>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "agg/batch.h"
 #include "agg/local_aggregator.h"
 #include "core/key_derivation.h"
 #include "core/parallel_evaluator.h"
@@ -24,7 +20,6 @@
 #include "local/reference_evaluator.h"
 #include "local/sortscan_evaluator.h"
 #include "mr/engine.h"
-#include "mr/external_sort.h"
 #include "queries/paper_data.h"
 #include "queries/paper_queries.h"
 
@@ -216,19 +211,12 @@ TEST(BatchKernelTest, PartitionHashColumnsMatchesScalar) {
 
 const int64_t kBatchSizes[] = {1, 7, 4096, /* num_rows + 1 */ 3001};
 
-/// A batch_min_block_rows no block reaches: every block takes the hash
-/// group-by's row path.
-constexpr int64_t kNoBatching = std::numeric_limits<int64_t>::max();
-
 /// Evaluates the whole table as one unsorted block, which LocalAggregator
-/// routes to the hash group-by. The default cutoff of 0 batches it at any
-/// size.
+/// routes to the hash group-by.
 MeasureResultSet RunHashBatch(const Workflow& wf, const Table& table,
-                              int64_t batch_rows,
-                              int64_t min_block_rows = 0) {
+                              int64_t batch_rows) {
   LocalAggOptions options;
   options.batch_rows = batch_rows;
-  options.batch_min_block_rows = min_block_rows;
   std::unique_ptr<LocalAggregator> agg =
       MakeLocalAggregator(&wf, nullptr, options);
   LocalAggContext ctx;
@@ -238,17 +226,17 @@ MeasureResultSet RunHashBatch(const Workflow& wf, const Table& table,
   return agg->Evaluate(ctx, &stats);
 }
 
-TEST(BatchDifferentialTest, EnginesBitIdenticalToRowPathAtEveryBatchSize) {
+TEST(BatchDifferentialTest, HashGroupByBitIdenticalAcrossBatchSizes) {
   Workflow wf = MakePaperQuery(PaperQuery::kQ5);
   Table table = PaperUniformTable(3000, 41);
   MeasureResultSet reference = EvaluateReference(wf, table);
-  MeasureResultSet row_path = RunHashBatch(wf, table, 1, kNoBatching);
-  Status vs_ref = CompareResultSets(reference, row_path, kTol);
+  MeasureResultSet one_row = RunHashBatch(wf, table, 1);
+  Status vs_ref = CompareResultSets(reference, one_row, kTol);
   ASSERT_TRUE(vs_ref.ok()) << vs_ref.ToString();
   for (int64_t batch_rows : kBatchSizes) {
     MeasureResultSet batched = RunHashBatch(wf, table, batch_rows);
     // Same rows added in the same order: bit-identical, tolerance 0.
-    Status match = CompareResultSets(row_path, batched, 0.0);
+    Status match = CompareResultSets(one_row, batched, 0.0);
     EXPECT_TRUE(match.ok())
         << "batch_rows=" << batch_rows << ": " << match.ToString();
   }
@@ -259,7 +247,6 @@ TEST(BatchDifferentialTest, StatsCountBatches) {
   Table table = PaperUniformTable(1000, 13);
   LocalAggOptions options;
   options.batch_rows = 256;
-  options.batch_min_block_rows = 0;
   std::unique_ptr<LocalAggregator> agg =
       MakeLocalAggregator(&wf, nullptr, options);
   LocalAggContext ctx;
@@ -268,52 +255,11 @@ TEST(BatchDifferentialTest, StatsCountBatches) {
   LocalEvalStats stats;
   (void)agg->Evaluate(ctx, &stats);
   EXPECT_EQ(stats.agg_batches, 4);  // ceil(1000 / 256)
-
-  options.batch_min_block_rows = kNoBatching;  // the row path: no batches
-  agg = MakeLocalAggregator(&wf, nullptr, options);
-  LocalEvalStats row_stats;
-  (void)agg->Evaluate(ctx, &row_stats);
-  EXPECT_EQ(row_stats.agg_batches, 0);
-}
-
-// The default cutoff (batch_min_block_rows = 64) sends a 63-row block to
-// the group-by's row path and a 64-row block to its batch path; both
-// paths add the same rows in the same order.
-TEST(BatchDifferentialTest, BlockCutoffRoutesSmallBlocksToRowPath) {
-  Workflow wf = MakePaperQuery(PaperQuery::kQ1);
-  Table table = PaperUniformTable(64, 19);
-  const LocalAggOptions defaults;
-  ASSERT_EQ(defaults.batch_min_block_rows, 64);
-  std::unique_ptr<LocalAggregator> agg =
-      MakeLocalAggregator(&wf, nullptr, defaults);
-  LocalAggContext ctx;
-  ctx.rows = table.row(0);
-
-  ctx.n = 63;
-  LocalEvalStats below;
-  MeasureResultSet row_path = agg->Evaluate(ctx, &below);
-  EXPECT_EQ(below.agg_batches, 0);
-
-  ctx.n = 64;
-  LocalEvalStats at;
-  (void)agg->Evaluate(ctx, &at);
-  EXPECT_GT(at.agg_batches, 0);
-
-  LocalAggOptions batch_all;
-  batch_all.batch_min_block_rows = 0;
-  ctx.n = 63;
-  LocalEvalStats forced;
-  MeasureResultSet batched =
-      MakeLocalAggregator(&wf, nullptr, batch_all)->Evaluate(ctx, &forced);
-  EXPECT_GT(forced.agg_batches, 0);
-  Status match = CompareResultSets(row_path, batched, 0.0);
-  EXPECT_TRUE(match.ok()) << match.ToString();
 }
 
 // ------------------------------------------------- MR pipeline (kernel)
 
-/// Map walk and group-by batched at `batch_rows` (the group-by at every
-/// block size).
+/// Map walk and group-by batched at `batch_rows`.
 ParallelEvalOptions PipelineOpts(int64_t batch_rows,
                                  int64_t spill_threshold) {
   ParallelEvalOptions o;
@@ -321,18 +267,13 @@ ParallelEvalOptions PipelineOpts(int64_t batch_rows,
   o.num_reducers = 4;
   o.num_threads = 2;
   o.local_agg.batch_rows = batch_rows;
-  o.local_agg.batch_min_block_rows = 0;
   o.emitter_spill_threshold_bytes = spill_threshold;
   return o;
 }
 
-/// The tolerance-0.0 baseline: one-row map batches, and every block on
-/// the hash group-by's row path.
-ParallelEvalOptions BaselineOpts() {
-  ParallelEvalOptions o = PipelineOpts(1, 0);
-  o.local_agg.batch_min_block_rows = kNoBatching;
-  return o;
-}
+/// The tolerance-0.0 baseline: one-row batches in the map walk and the
+/// group-by, no spill.
+ParallelEvalOptions BaselineOpts() { return PipelineOpts(1, 0); }
 
 TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
   SchemaPtr schema = PaperSchema();
@@ -350,7 +291,7 @@ TEST(BatchDifferentialTest, PipelineBitIdenticalAcrossBatchSizes) {
 
   for (int64_t batch_rows : kBatchSizes) {
     // The spill threshold ladder covers: no spill, and a threshold tight
-    // enough that every mapper spills multiple column-block runs.
+    // enough that every mapper spills multiple runs.
     for (int64_t spill : {int64_t{0}, int64_t{1} << 12}) {
       Result<ParallelEvalResult> batched = EvaluateParallel(
           wf, table, plan, PipelineOpts(batch_rows, spill));
@@ -417,35 +358,6 @@ TEST(BatchDifferentialTest, AnnotatedKeyPipelineBitIdenticalAcrossBatchSizes) {
     EXPECT_TRUE(match.ok())
         << "batch_rows=" << batch_rows << ": " << match.ToString();
   }
-}
-
-// ------------------------------------------------ column-run spill io/
-
-TEST(ColumnRunTest, AppendReadRoundTrip) {
-  const int width = 5;
-  std::vector<int64_t> records;
-  for (int64_t r = 0; r < 37; ++r) {
-    for (int c = 0; c < width; ++c) records.push_back(r * 100 + c);
-  }
-  const std::string path =
-      (std::string(::testing::TempDir()) + "/batch_test_column_run.spill");
-  std::remove(path.c_str());
-  Result<int64_t> first = AppendColumnRun(path, records, width);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  std::vector<int64_t> second_records(records.rbegin(), records.rend());
-  Result<int64_t> second = AppendColumnRun(path, second_records, width);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-
-  Result<std::vector<int64_t>> read_first = ReadColumnRun(
-      path, first.value(), static_cast<int64_t>(records.size()), width);
-  ASSERT_TRUE(read_first.ok()) << read_first.status().ToString();
-  EXPECT_EQ(read_first.value(), records);
-  Result<std::vector<int64_t>> read_second = ReadColumnRun(
-      path, second.value(), static_cast<int64_t>(second_records.size()),
-      width);
-  ASSERT_TRUE(read_second.ok()) << read_second.status().ToString();
-  EXPECT_EQ(read_second.value(), second_records);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -10,9 +10,10 @@
 // combiner.
 
 #include <algorithm>
-#include <limits>
+#include <iterator>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,9 +167,8 @@ TEST(LocalAggDifferentialTest, CardinalitySkewLadder) {
 }
 
 TEST(LocalAggDifferentialTest, StressedEngineKnobsStayCorrect) {
-  // Three-row batches, with batching forced at any block size: each
-  // group's rows span many batches, and the hash tables must still add
-  // every row exactly once.
+  // Three-row batches: each group's rows span many batches, and the hash
+  // tables must still add every row exactly once.
   Workflow wf = MakePaperQuery(PaperQuery::kQ3);
   Table table = PaperUniformTable(4000, 5);
   MeasureResultSet expected = EvaluateReference(wf, table);
@@ -176,7 +176,6 @@ TEST(LocalAggDifferentialTest, StressedEngineKnobsStayCorrect) {
 
   LocalAggOptions stressed;
   stressed.batch_rows = 3;
-  stressed.batch_min_block_rows = 0;
   MeasureResultSet got = RunEvaluator(wf, rows, table.num_rows(),
                                       Evaluator::kMorsel, stressed);
   Status match = CompareResultSets(expected, got, kTol);
@@ -318,24 +317,68 @@ TEST(LocalAggDifferentialTest, CancelledBlockReturnsEarly) {
       SortedRows(wf, rows, table.row_width());
   CancellationToken cancel;
   cancel.Cancel();
-  // Both evaluators, and both hash paths (row and batch).
+  // Both evaluators: the rule sends a sorted block to sort/scan and an
+  // unsorted one to the hash group-by.
+  std::unique_ptr<LocalAggregator> agg = MakeLocalAggregator(&wf);
   for (bool assume_sorted : {false, true}) {
-    for (int64_t min_block_rows :
-         {std::numeric_limits<int64_t>::max(), int64_t{0}}) {
-      LocalAggOptions options;
-      options.batch_min_block_rows = min_block_rows;
-      std::unique_ptr<LocalAggregator> agg =
-          MakeLocalAggregator(&wf, nullptr, options);
-      LocalAggContext ctx;
-      ctx.rows = assume_sorted ? sorted.data() : rows.data();
-      ctx.n = table.num_rows();
-      ctx.assume_sorted = assume_sorted;
-      ctx.cancel = &cancel;
-      LocalEvalStats stats;
-      // Incomplete results are fine (the caller discards them); the
-      // evaluator just must not crash or hang.
-      agg->Evaluate(ctx, &stats);
-    }
+    LocalAggContext ctx;
+    ctx.rows = assume_sorted ? sorted.data() : rows.data();
+    ctx.n = table.num_rows();
+    ctx.assume_sorted = assume_sorted;
+    ctx.cancel = &cancel;
+    LocalEvalStats stats;
+    // Incomplete results are fine (the caller discards them); the
+    // evaluator just must not crash or hang.
+    agg->Evaluate(ctx, &stats);
+  }
+}
+
+TEST(LocalAggDifferentialTest, ThreadBuffersCarryNoStateAcrossBlocks) {
+  // The hash group-by keeps its working buffers per thread, from one
+  // block to the next. One thread runs blocks that build them, grow them
+  // past one batch, reuse the grown columns for one row, switch to a
+  // schema of another width and switch back. Each result must equal, at
+  // tolerance 0.0, the same block evaluated on a fresh thread: a stale
+  // capacity, a stale mapped column or a missed schema switch would
+  // show.
+  Workflow q1 = MakePaperQuery(PaperQuery::kQ1);
+  Workflow weblog = MakeWeblogWorkflow();
+  ASSERT_NE(q1.schema()->num_attributes(), weblog.schema()->num_attributes());
+  const Table paper = PaperUniformTable(4098, 83);
+  const Table logs = WeblogTable(500, 29);
+  const std::vector<int64_t> paper_rows = FlatRows(paper);
+  const std::vector<int64_t> log_rows = FlatRows(logs);
+  struct Block {
+    const char* name;
+    const Workflow* wf;
+    const int64_t* rows;
+    int64_t n;
+  };
+  const Block blocks[] = {
+      {"Q1, 1 row", &q1, paper_rows.data(), 1},
+      {"Q1, 4097 rows", &q1, paper_rows.data(), 4097},
+      // A row the 4097-row block did not hold.
+      {"Q1, another 1 row", &q1, paper.row(4097), 1},
+      {"weblog", &weblog, log_rows.data(), logs.num_rows()},
+      {"Q1, the first block again", &q1, paper_rows.data(), 1},
+  };
+  auto evaluate = [](const Block& block) {
+    LocalAggContext ctx;
+    ctx.rows = block.rows;
+    ctx.n = block.n;
+    return MakeLocalAggregator(block.wf)->Evaluate(ctx, nullptr);
+  };
+
+  std::vector<MeasureResultSet> reused;
+  std::thread([&] {
+    for (const Block& block : blocks) reused.push_back(evaluate(block));
+  }).join();
+  ASSERT_EQ(reused.size(), std::size(blocks));
+  for (size_t i = 0; i < reused.size(); ++i) {
+    MeasureResultSet fresh;
+    std::thread([&] { fresh = evaluate(blocks[i]); }).join();
+    Status match = CompareResultSets(fresh, reused[i], 0.0);
+    EXPECT_TRUE(match.ok()) << blocks[i].name << ": " << match.ToString();
   }
 }
 
